@@ -1,8 +1,10 @@
 """Operator basis, coefficient vectors, and Hermitian matrix assembly.
 
-Two-band operators are the spin-1/2 set S = sigma/2 with ladder combinations
-S_pm = S_x +- i S_y.  Three-band operators are the same 2x2 block embedded in
-the upper-left corner of a 3x3 matrix (see :func:`lambda_matrices`).  A
+Operators are the spin-1/2 set S = sigma/2 with ladder combinations
+S_pm = S_x +- i S_y.  A three-band model couples only its first two levels,
+so it is stored and assembled as the same 2x2 block; its third level carries
+the identity coefficient h0 alone and is appended as the flat band only where
+a spectrum is formed (:func:`floqueng.spectra.band_structure`).  A
 Hamiltonian is stored as four real coefficients (h0, hx, hy, hz) meaning
 h0*I + hx*Sx + hy*Sy + hz*Sz, or equivalently in the ladder basis as
 (h0, h_minus, h_plus, hz) meaning h0*I + h_minus*S+ + h_plus*S- + hz*Sz.
@@ -28,33 +30,6 @@ SY = SIGMA_Y / 2
 SZ = SIGMA_Z / 2
 S_PLUS = SX + 1j * SY
 S_MINUS = SX - 1j * SY
-
-
-def _embed3(block2: np.ndarray) -> np.ndarray:
-    out = np.zeros((3, 3), dtype=complex)
-    out[:2, :2] = block2
-    return out
-
-
-#: Embedded three-band operators; same commutation table as the spin-1/2 set.
-LX = _embed3(SX)
-LY = _embed3(SY)
-LZ = _embed3(SZ)
-L_PLUS = _embed3(S_PLUS)
-L_MINUS = _embed3(S_MINUS)
-
-#: The eight standard traceless Hermitian 3x3 generators, for reference only.
-#: Drive synthesis uses the embedded sub-algebra above, never this full set.
-GELL_MANN = (
-    np.array([[0, 1, 0], [1, 0, 0], [0, 0, 0]], dtype=complex),
-    np.array([[0, -1j, 0], [1j, 0, 0], [0, 0, 0]], dtype=complex),
-    np.array([[1, 0, 0], [0, -1, 0], [0, 0, 0]], dtype=complex),
-    np.array([[0, 0, 1], [0, 0, 0], [1, 0, 0]], dtype=complex),
-    np.array([[0, 0, -1j], [0, 0, 0], [1j, 0, 0]], dtype=complex),
-    np.array([[0, 0, 0], [0, 0, 1], [0, 1, 0]], dtype=complex),
-    np.array([[0, 0, 0], [0, 0, -1j], [0, 1j, 0]], dtype=complex),
-    np.array([[1, 0, 0], [0, 1, 0], [0, 0, -2]], dtype=complex) / np.sqrt(3),
-)
 
 
 @dataclass(frozen=True)
@@ -112,30 +87,20 @@ def pmz_to_xyz(c: CoeffsPMZ, tol: float = HERMITICITY_TOL) -> CoeffsXYZ:
     )
 
 
-def assemble_matrix(c: CoeffsXYZ, bands: int = 2) -> np.ndarray:
-    """Hermitian matrix h0*I + hx*Sx + hy*Sy + hz*Sz (or the embedded
-    three-band analogue with the identity on all three levels)."""
-    if bands == 2:
-        return c.h0 * np.eye(2) + c.hx * SX + c.hy * SY + c.hz * SZ
-    if bands == 3:
-        return c.h0 * np.eye(3) + c.hx * LX + c.hy * LY + c.hz * LZ
-    raise ValueError(f"bands must be 2 or 3, got {bands}")
+def assemble_matrix(c: CoeffsXYZ) -> np.ndarray:
+    """Hermitian 2x2 matrix h0*I + hx*Sx + hy*Sy + hz*Sz."""
+    return c.h0 * np.eye(2) + c.hx * SX + c.hy * SY + c.hz * SZ
 
 
-def assemble_batch(h0, hx, hy, hz, bands: int = 2) -> np.ndarray:
+def assemble_batch(h0, hx, hy, hz) -> np.ndarray:
     """Vectorized :func:`assemble_matrix`: coefficient arrays of a common
-    broadcast shape yield a (..., bands, bands) stack."""
+    broadcast shape yield a (..., 2, 2) stack."""
     h0, hx, hy, hz = np.broadcast_arrays(h0, hx, hy, hz)
-    shape = h0.shape + (bands, bands)
-    out = np.zeros(shape, dtype=complex)
+    out = np.zeros(h0.shape + (2, 2), dtype=complex)
     out[..., 0, 0] = h0 + hz / 2
     out[..., 1, 1] = h0 - hz / 2
     out[..., 0, 1] = (hx - 1j * hy) / 2
     out[..., 1, 0] = (hx + 1j * hy) / 2
-    if bands == 3:
-        out[..., 2, 2] = h0
-    elif bands != 2:
-        raise ValueError(f"bands must be 2 or 3, got {bands}")
     return out
 
 
@@ -146,20 +111,17 @@ def check_hermitian(h: np.ndarray, tol: float = HERMITICITY_TOL) -> None:
 
 
 def eig_bands(h: np.ndarray, tol: float = HERMITICITY_TOL) -> np.ndarray:
-    """Ascending real eigenvalues of a Hermitian 2x2 or 3x3 matrix.
-
-    The 2x2 case uses the closed form h0 -+ |h|/2 recovered from the
-    coefficient decomposition; larger matrices fall back to a dense solver.
-    """
+    """Ascending real eigenvalues of a Hermitian 2x2 matrix, by the closed
+    form h0 -+ |h|/2 recovered from the coefficient decomposition."""
+    if h.shape != (2, 2):
+        raise ValueError(f"eig_bands takes one 2x2 matrix, got shape {h.shape}")
     check_hermitian(h, tol)
-    if h.shape == (2, 2):
-        h0 = float(np.real(h[0, 0] + h[1, 1])) / 2
-        hx = 2 * float(np.real(h[0, 1]))
-        hy = -2 * float(np.imag(h[0, 1]))
-        hz = float(np.real(h[0, 0] - h[1, 1]))
-        r = 0.5 * np.sqrt(hx * hx + hy * hy + hz * hz)
-        return np.array([h0 - r, h0 + r])
-    return np.linalg.eigvalsh(h)
+    h0 = float(np.real(h[0, 0] + h[1, 1])) / 2
+    hx = 2 * float(np.real(h[0, 1]))
+    hy = -2 * float(np.imag(h[0, 1]))
+    hz = float(np.real(h[0, 0] - h[1, 1]))
+    r = 0.5 * np.sqrt(hx * hx + hy * hy + hz * hz)
+    return np.array([h0 - r, h0 + r])
 
 
 # ---------------------------------------------------------------------------
@@ -171,8 +133,9 @@ class HamiltonianSpec:
     """A momentum-resolved coefficient table for a band Hamiltonian.
 
     ``coeff_fn`` maps momentum (scalar/array, or trailing-axis pair in 2D)
-    to the four arrays (h0, hx, hy, hz).  ``band_count`` selects the 2x2 or
-    embedded 3x3 operator set at assembly time.
+    to the four arrays (h0, hx, hy, hz).  Assembly always yields the 2x2
+    block; ``band_count`` = 3 marks a model whose decoupled third level sits
+    at energy h0.
     """
 
     name: str
@@ -192,10 +155,10 @@ class HamiltonianSpec:
         return CoeffsXYZ(float(h0), float(hx), float(hy), float(hz))
 
     def matrix(self, k) -> np.ndarray:
-        return assemble_matrix(self.coeffs_at(k), bands=self.band_count)
+        return assemble_matrix(self.coeffs_at(k))
 
     def matrices(self, k) -> np.ndarray:
-        return assemble_batch(*self.coeffs(k), bands=self.band_count)
+        return assemble_batch(*self.coeffs(k))
 
 
 def cross_stitch(alpha: float = 1.0, delta: float = 2.0) -> HamiltonianSpec:
@@ -251,7 +214,7 @@ def chiral_p_wave_2d(mu: float = 1.0, pairing: float = 0.5) -> HamiltonianSpec:
 
 def su3_flat(eta_fn: Callable | None = None, delta: float = 2.0,
              eta0: float = 0.0) -> HamiltonianSpec:
-    """Three-band model built on the embedded operator block.
+    """Three-band model whose couplings live on the first two levels.
 
     ``eta_fn(k) -> (eta_x, eta_y, eta_z)`` defaults to the flat-band profile
     eta_x = -eta_y = 2 cos(k) + delta, eta_z = 0, whose spectrum is

@@ -43,8 +43,10 @@ class GaugeParams:
     phi0: Callable = field(default=_zero_phi)
 
     def __post_init__(self):
-        if self.omega <= 0:
-            raise ValueError(f"omega must be positive, got {self.omega}")
+        if not (np.isfinite(self.omega) and self.omega > 0):
+            raise ValueError(f"omega must be positive and finite, got {self.omega}")
+        if not np.isfinite(self.a_plus):
+            raise ValueError(f"a_plus must be finite, got {self.a_plus}")
         if float(self.p) != int(np.round(float(self.p))):
             raise NonPeriodicGauge(
                 f"winding p must be an integer, got {self.p}"

@@ -31,12 +31,19 @@ class FourierTable:
 
 
 def band_structure(spec: HamiltonianSpec, k_grid) -> BandTable:
-    """Eigenvalues of the assembled Hamiltonian on a momentum grid."""
+    """Eigenvalues of the assembled Hamiltonian on a momentum grid.
+
+    A three-band model adds its decoupled third level, the flat band at the
+    identity coefficient h0, to the two eigenvalues of the coupled block.
+    """
     k_grid = np.asarray(k_grid, dtype=float)
     n_k = k_grid.shape[0]
     energies = np.empty((n_k, spec.band_count))
     for i in range(n_k):
-        energies[i] = eig_bands(spec.matrix(k_grid[i]))
+        block = eig_bands(spec.matrix(k_grid[i]))
+        if spec.band_count == 3:
+            block = np.sort(np.append(block, spec.coeffs(k_grid[i])[0]))
+        energies[i] = block
     return BandTable(k_grid=k_grid, energies=energies)
 
 

@@ -1,9 +1,11 @@
-"""Three-band drive engineering on the embedded two-level operator block.
+"""Three-band drive engineering as an embedding of the two-band path.
 
-The operators (L+, L-, Lz) act on the first two levels of a three-level
-system and close the same commutator table as the spin-1/2 set, so the
-synthesis machinery carries over verbatim; the third level never couples and
-hosts the flat band of the engineered spectrum.
+The couplings of the three-band target act on the first two levels only and
+close the spin-1/2 commutator table, so synthesis and propagation run on that
+2x2 block unchanged.  The third level carries nothing but the identity
+channel, which synthesis requires to be zero: it never couples, its
+evolution is exactly 1, and it hosts the flat band of the engineered
+spectrum.
 """
 
 from __future__ import annotations
@@ -14,19 +16,9 @@ from typing import Callable
 import numpy as np
 
 from . import algebra
-from .algebra import L_MINUS, L_PLUS, LX, LY, LZ, HamiltonianSpec
+from .algebra import HamiltonianSpec
 from .propagate import VerificationReport, verify_protocol
-from .synth import (
-    DriveSample,
-    DrivingProtocol,
-    su3_protocol,
-    su3_closed_form_components,
-)
-
-
-def lambda_operators():
-    """The embedded block operators (L+, L-, Lz, Lx, Ly) as 3x3 arrays."""
-    return L_PLUS, L_MINUS, LZ, LX, LY
+from .synth import su3_protocol
 
 
 @dataclass(frozen=True)
@@ -54,18 +46,12 @@ def flat_band_profile(delta: float = 2.0) -> EtaProfile:
     return EtaProfile(fn=fn)
 
 
-def synth_drive_su3(eta: EtaProfile, omega, a_plus, p, k, t) -> DriveSample:
-    """One three-band drive sample from the general synthesis path."""
-    proto = su3_protocol(eta.spec(), omega=omega, a_plus=a_plus, p=p)
-    return proto.sample(k, t)
-
-
 def verify_su3(eta: EtaProfile, omega, a_plus, p, k_grid,
                tol: float = 1e-9, periods: int = 1) -> VerificationReport:
     """Propagate the three-band drive and compare against the target.
 
-    The strobe sign from the z-channel winding applies to the embedded block
-    only; the third level of the comparison target stays at unity.
+    Only the coupled block is propagated and compared: the third level's
+    evolution and target entries are both exactly 1, so it adds zero error.
     """
     if eta.eta0 != 0.0:
         raise ValueError("three-band verification requires eta0 = 0")
@@ -74,23 +60,16 @@ def verify_su3(eta: EtaProfile, omega, a_plus, p, k_grid,
 
 
 def su3_drive_table(eta: EtaProfile, omega, a_plus, p, k_grid, t_grid):
-    """Field table over a (k, t) mesh with a closed-form comparison column.
+    """Field table over a (k, t) mesh from the general synthesis path.
 
-    Returns a dict of arrays shaped (n_k, n_t): the general-path components
-    (primary), the secondary closed-form components, and the per-entry max
-    discrepancy between the two.  A nonzero discrepancy flags the secondary
-    evaluator, never the general path.
+    Returns a dict of arrays shaped (n_k, n_t) with keys k, t, fx, fy, fz.
     """
     proto = su3_protocol(eta.spec(), omega=omega, a_plus=a_plus, p=p)
     k = np.asarray(k_grid, dtype=float)[:, None]
     t = np.asarray(t_grid, dtype=float)[None, :]
     _, fx, fy, fz = proto.drive_table(k_grid, t_grid)
-    _, gx, gy, gz = su3_closed_form_components(eta.fn, omega, a_plus, p, k, t)
-    disc = np.max(np.abs(np.stack([fx - gx, fy - gy, fz - gz])), axis=0)
     return {
         "k": np.broadcast_to(k, fx.shape),
         "t": np.broadcast_to(t, fx.shape),
         "fx": fx, "fy": fy, "fz": fz,
-        "fx_closed": gx, "fy_closed": gy, "fz_closed": gz,
-        "discrepancy": disc,
     }

@@ -26,7 +26,6 @@ from .gauge import GaugeParams, boundary_report, ladder_phase_angle, mu_function
 
 METHOD_GENERAL = "general-m1m2"
 METHOD_CLOSED_CROSSSTITCH = "closed-crossstitch"
-METHOD_CLOSED_SU3 = "closed-su3-comparison"
 
 IMAG_LEAK_TOL = 1e-10
 
@@ -198,46 +197,6 @@ def synth_drive_crossstitch(alpha, delta, omega, a_plus, p, k, t) -> DriveSample
     return DriveSample(float(f0), float(fx), float(fy), float(fz))
 
 
-def su3_closed_form_components(eta_fn, omega, a_plus, p, k, t):
-    """Secondary closed-form three-band evaluator, kept only so drive tables
-    can report a per-entry discrepancy column against the primary path.
-
-    Only the general transformation-matrix path is propagation-verified;
-    this evaluator is not a source of truth and disagrees with it for
-    generic targets.
-    """
-    k = np.asarray(k, dtype=float)
-    t = np.asarray(t, dtype=float)
-    ex, ey, ez = (np.asarray(a, dtype=float) for a in eta_fn(k))
-    wt = omega * t
-    s, c = np.sin(wt), np.cos(wt)
-    fe = 1.0 / (1.0 + a_plus**2 * s**2)
-    fx = 2 * fe * (
-        a_plus * omega * c * np.cos(k)
-        - a_plus * p * omega * c * np.sin(k)
-        + ex * np.cos(p * wt)
-        - ey * np.sin(p * wt)
-        + a_plus**2 * s**2 * (np.cos(2 * k + p * wt) * ex - np.sin(2 * k + p * wt) * ey)
-        - a_plus * s * np.cos(k) * ez
-    )
-    fy = -2 * fe * (
-        a_plus * omega * c * np.sin(k)
-        + a_plus * p * omega * c * np.cos(k)
-        - ey * np.cos(p * wt)
-        - ex * np.sin(p * wt)
-        + a_plus * s**2 * (np.sin(2 * k + p * wt) * ex - np.cos(2 * k + p * wt) * ey)
-        + a_plus * s * np.cos(k) * ez
-    )
-    fz = fe * (
-        2 * a_plus * s * ey
-        + p * omega * (1 - a_plus**2 / 2)
-        + 0.5 * p * omega * a_plus**2 * np.cos(2 * wt)
-        + ((1 - a_plus**2 / 2) + 0.5 * a_plus**2 * np.cos(2 * wt)) * ez
-    )
-    f0 = np.zeros(np.broadcast_shapes(k.shape, t.shape))
-    return f0, fx, fy, fz
-
-
 @dataclass(frozen=True)
 class DrivingProtocol:
     """An evaluable drive f(k, t) plus everything needed to verify it.
@@ -254,10 +213,6 @@ class DrivingProtocol:
 
     def __post_init__(self):
         boundary_report(self.gauge)
-
-    @property
-    def band_count(self) -> int:
-        return self.target.band_count
 
     @property
     def period(self) -> float:
@@ -288,17 +243,17 @@ class DrivingProtocol:
         return self.drive_components(km, t[None, :])
 
     def hamiltonian(self, k, t) -> np.ndarray:
-        """Full driven Hamiltonian H0 + V(t) as a (..., d, d) stack."""
+        """Full driven Hamiltonian H0 + V(t) as a (..., 2, 2) stack: the
+        coupled block, for three-band targets too."""
         f0, fx, fy, fz = self.drive_components(k, t)
         h0s, _, _, _ = self.static.coeffs(k)
-        return algebra.assemble_batch(h0s + f0, fx, fy, fz,
-                                      bands=self.band_count)
+        return algebra.assemble_batch(h0s + f0, fx, fy, fz)
 
     def hamiltonian_fn(self, k) -> Callable:
         """Time-only closure over a fixed momentum grid, for propagation.
 
-        Scalar times give a (n_k, d, d) stack; 1D time arrays give
-        (n_t, n_k, d, d) so the propagator can batch whole step blocks.
+        Scalar times give a (n_k, 2, 2) stack; 1D time arrays give
+        (n_t, n_k, 2, 2) so the propagator can batch whole step blocks.
         """
         k = np.asarray(k, dtype=float)
         km = k[:, None, :] if self.target.dimension == 2 else k[:, None]
@@ -348,8 +303,9 @@ def general_protocol(static: HamiltonianSpec, target: HamiltonianSpec,
 
 def su3_protocol(eta_spec: HamiltonianSpec, omega=8.0, a_plus=np.sqrt(2.0),
                  p=3) -> DrivingProtocol:
-    """Three-band protocol on the embedded block; requires a flat-band offset
-    of zero so that no static Hamiltonian is needed."""
+    """Three-band protocol on the coupled two-level block; requires a zero
+    identity channel, so no static Hamiltonian is needed and the third level
+    evolves trivially."""
     h0, _, _, _ = eta_spec.coeffs(np.linspace(-np.pi, np.pi, 7))
     if np.max(np.abs(h0)) > 0:
         raise ValueError("three-band synthesis requires a zero identity channel")

@@ -168,7 +168,10 @@ def test_criterion_10_three_band_case():
         worst_strobe = max(worst_strobe, rep.max_strobe_error)
         proto = su3_protocol(eta.spec(), omega=omega, a_plus=SQRT2, p=3)
         trace = integrate_tdse(proto.hamiltonian_fn(K64), proto.period, tol=1e-8)
-        u_t = trace.unitaries[-1]
+        # the coupled block plus the decoupled third level, whose evolution is 1
+        u_t = np.zeros((len(K64), 3, 3), dtype=complex)
+        u_t[:, :2, :2] = trace.unitaries[-1]
+        u_t[:, 2, 2] = 1.0
         phase = np.diag([-1.0, -1.0, 1.0])
         for i in range(len(K64)):
             lam = np.linalg.eigvals(phase @ u_t[i])

@@ -11,6 +11,7 @@ from floqueng.algebra import (
     xyz_to_pmz,
 )
 from floqueng.errors import HermiticityError
+from floqueng.spectra import band_structure
 
 
 def test_xyz_to_pmz_unit_x():
@@ -56,13 +57,16 @@ def test_roundtrip_exact():
 
 
 def test_assemble_sz_only():
-    h = assemble_matrix(CoeffsXYZ(0, 0, 0, 1), bands=2)
+    h = assemble_matrix(CoeffsXYZ(0, 0, 0, 1))
     assert np.allclose(h, np.diag([0.5, -0.5]))
 
 
 def test_assemble_identity_three_band():
-    h = assemble_matrix(CoeffsXYZ(1.7, 0, 0, 0), bands=3)
-    assert np.allclose(h, 1.7 * np.eye(3))
+    # the block carries h0 on both levels; the third level is the flat band h0
+    spec = algebra.custom(lambda k: (np.full_like(k, 1.7),) + (np.zeros_like(k),) * 3,
+                          band_count=3)
+    assert np.allclose(spec.matrix(0.3), 1.7 * np.eye(2))
+    assert np.allclose(band_structure(spec, [0.3]).energies, [[1.7, 1.7, 1.7]])
 
 
 def test_assemble_crossstitch_gamma_point():
@@ -74,20 +78,18 @@ def test_assemble_crossstitch_gamma_point():
 
 def test_assemble_hermitian_property():
     rng = np.random.default_rng(11)
-    for bands in (2, 3):
-        for _ in range(100):
-            c = CoeffsXYZ(*rng.uniform(-1e3, 1e3, size=4))
-            h = assemble_matrix(c, bands=bands)
-            assert np.max(np.abs(h - h.conj().T)) <= 1e-14 * max(1, np.max(np.abs(h)))
+    for _ in range(100):
+        c = CoeffsXYZ(*rng.uniform(-1e3, 1e3, size=4))
+        h = assemble_matrix(c)
+        assert np.max(np.abs(h - h.conj().T)) <= 1e-14 * max(1, np.max(np.abs(h)))
 
 
 def test_assemble_batch_matches_scalar():
     rng = np.random.default_rng(3)
     coeffs = rng.normal(size=(5, 4))
-    for bands in (2, 3):
-        batch = algebra.assemble_batch(*coeffs.T, bands=bands)
-        for i, row in enumerate(coeffs):
-            assert np.allclose(batch[i], assemble_matrix(CoeffsXYZ(*row), bands=bands))
+    batch = algebra.assemble_batch(*coeffs.T)
+    for i, row in enumerate(coeffs):
+        assert np.allclose(batch[i], assemble_matrix(CoeffsXYZ(*row)))
 
 
 def test_eig_bands_sz():
@@ -98,7 +100,7 @@ def test_eig_bands_closed_form_vs_solver():
     rng = np.random.default_rng(5)
     for _ in range(200):
         c = CoeffsXYZ(*rng.uniform(-50, 50, size=4))
-        h = assemble_matrix(c, bands=2)
+        h = assemble_matrix(c)
         closed = eig_bands(h)
         assert np.allclose(closed, np.linalg.eigvalsh(h), atol=1e-12 * max(1, np.max(np.abs(closed))))
         r = 0.5 * np.hypot(np.hypot(c.hx, c.hy), c.hz)
@@ -108,6 +110,9 @@ def test_eig_bands_closed_form_vs_solver():
 def test_eig_bands_rejects_non_hermitian():
     with pytest.raises(HermiticityError):
         eig_bands(np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex))
+    # only the 2x2 closed form exists: no dense-solver fallback for other sizes
+    with pytest.raises(ValueError):
+        eig_bands(np.eye(3, dtype=complex))
 
 
 def test_crossstitch_band_at_zone_boundary():
@@ -127,11 +132,13 @@ def test_crossstitch_flat_band_over_grid():
 
 
 def test_su3_flat_eigenvalues():
+    # the coupled block carries -r and r; the third level is the flat band h0
     spec = algebra.su3_flat(delta=2.0)
     for kk in (0.0, 0.7, 2.1):
         ex = 2 * np.cos(kk) + 2.0
         r = 0.5 * np.sqrt(2) * abs(ex)
-        assert np.allclose(eig_bands(spec.matrix(kk)), [-r, 0.0, r], atol=1e-12)
+        assert np.allclose(eig_bands(spec.matrix(kk)), [-r, r], atol=1e-12)
+        assert spec.coeffs_at(kk).h0 == 0.0
 
 
 def test_kitaev_coefficients():
@@ -148,13 +155,6 @@ def test_pwave2d_coefficients():
     assert c.hz == pytest.approx(2 * (2 - 1 - np.cos(0.3) - np.cos(-1.1)))
     assert c.hy == pytest.approx(-2 * np.sin(0.3))
     assert c.hx == pytest.approx(-2 * np.sin(-1.1))
-
-
-def test_gell_mann_embedding_matches_block_operators():
-    lam1, lam2, lam3 = algebra.GELL_MANN[:3]
-    assert np.allclose(lam1 / 2, algebra.LX)
-    assert np.allclose(lam2 / 2, algebra.LY)
-    assert np.allclose(lam3 / 2, algebra.LZ)
 
 
 def test_coeffs_must_be_finite():

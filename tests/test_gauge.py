@@ -119,5 +119,7 @@ def test_non_integer_winding_rejected_at_construction():
 
 
 def test_omega_must_be_positive():
-    with pytest.raises(ValueError):
-        GaugeParams(omega=-1.0)
+    for bad in ({"omega": -1.0}, {"omega": np.nan}, {"omega": np.inf},
+                {"a_plus": np.nan}, {"a_plus": np.inf}):
+        with pytest.raises(ValueError):
+            GaugeParams(**bad)

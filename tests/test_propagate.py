@@ -170,21 +170,25 @@ def test_extract_micromotion_matches_closed_form():
 
 def test_verify_protocol_crossstitch():
     proto = crossstitch_protocol()
-    rep = verify_protocol(proto, K8, tol=1e-8)
+    tol = 1e-8
+    rep = verify_protocol(proto, K8, tol=tol)
     assert rep.max_strobe_error <= 1e-8
     assert rep.max_micromotion_error <= 1e-7
     assert rep.strobe_phase_used == pytest.approx(-1.0)
     assert not rep.failures
+    assert bool(rep.failures) == (rep.max_strobe_error > tol)
 
 
 def test_verify_protocol_flags_corrupted_drive():
     base = crossstitch_protocol()
     bad = DrivingProtocol(target=base.target, static=base.static,
                           gauge=base.gauge, method=base.method, fz_scale=1.01)
+    tol = 1e-8
     rep = verify_protocol(bad, np.linspace(-np.pi, np.pi, 4, endpoint=False),
-                          tol=1e-8)
+                          tol=tol)
     assert rep.max_strobe_error > 1e-3
     assert rep.failures
+    assert bool(rep.failures) == (rep.max_strobe_error > tol)
 
 
 def circular_gap(a, b, omega):

@@ -1,20 +1,26 @@
 import numpy as np
 import pytest
 
-from floqueng.algebra import GELL_MANN
-from floqueng.propagate import integrate_tdse
-from floqueng.su3 import (
-    EtaProfile,
-    flat_band_profile,
-    lambda_operators,
-    su3_drive_table,
-    synth_drive_su3,
-    verify_su3,
-)
+from floqueng.algebra import S_MINUS, S_PLUS, SX, SY, SZ
+from floqueng.propagate import integrate_tdse, midpoint_fixed
+from floqueng.su3 import EtaProfile, flat_band_profile, verify_su3
 from floqueng.synth import su3_protocol
 
 SQRT2 = np.sqrt(2.0)
 K16 = np.linspace(-np.pi, np.pi, 16, endpoint=False)
+
+#: (I, Lx, Ly, Lz) on three levels: the spin-1/2 set on the first two.
+OPS3 = np.zeros((4, 3, 3), dtype=complex)
+OPS3[0] = np.eye(3)
+OPS3[1:, :2, :2] = (SX, SY, SZ)
+
+
+def with_unit_third_level(block):
+    """A (..., 2, 2) block as (..., 3, 3) with the trivial third level."""
+    out = np.zeros(block.shape[:-2] + (3, 3), dtype=complex)
+    out[..., :2, :2] = block
+    out[..., 2, 2] = 1.0
+    return out
 
 
 def comm(a, b):
@@ -22,27 +28,20 @@ def comm(a, b):
 
 
 class TestOperators:
+    # the three-band couplings are the spin-1/2 block operators themselves
+
     def test_lz_matrix(self):
-        _, _, lz, _, _ = lambda_operators()
-        assert np.allclose(lz, np.diag([0.5, -0.5, 0.0]))
+        assert np.allclose(SZ, np.diag([0.5, -0.5]))
 
     def test_ladder_nilpotency(self):
-        lp, lm, *_ = lambda_operators()
-        assert np.allclose(lp @ lp, 0)
-        assert np.allclose(lm @ lm, 0)
+        assert np.allclose(S_PLUS @ S_PLUS, 0)
+        assert np.allclose(S_MINUS @ S_MINUS, 0)
 
     def test_commutator_table_matches_spin_half(self):
-        lp, lm, lz, lx, ly = lambda_operators()
-        assert np.allclose(comm(lp, lm), 2 * lz)
-        assert np.allclose(comm(lz, lp), lp)
-        assert np.allclose(comm(lz, lm), -lm)
-        assert np.allclose(comm(lx, ly), 1j * lz)
-
-    def test_embedding_in_standard_generators(self):
-        lp, lm, lz, lx, ly = lambda_operators()
-        assert np.allclose(lx, GELL_MANN[0] / 2)
-        assert np.allclose(ly, GELL_MANN[1] / 2)
-        assert np.allclose(lp, (GELL_MANN[0] + 1j * GELL_MANN[1]) / 2)
+        assert np.allclose(comm(S_PLUS, S_MINUS), 2 * SZ)
+        assert np.allclose(comm(SZ, S_PLUS), S_PLUS)
+        assert np.allclose(comm(SZ, S_MINUS), -S_MINUS)
+        assert np.allclose(comm(SX, SY), 1j * SZ)
 
 
 class TestDrive:
@@ -50,14 +49,15 @@ class TestDrive:
         eta = EtaProfile(fn=lambda k: (1.5 * np.ones_like(k),
                                        np.zeros_like(k),
                                        np.zeros_like(k)))
+        proto = su3_protocol(eta.spec(), omega=8.0, a_plus=SQRT2, p=3)
         for k in (0.0, 0.9):
-            s = synth_drive_su3(eta, omega=8.0, a_plus=SQRT2, p=3, k=k, t=0.0)
+            s = proto.sample(k, 0.0)
             assert s.fx == pytest.approx(2 * SQRT2 * 8.0 * np.cos(k) + 1.5)
             assert s.f0 == 0.0
 
     def test_zero_target_zero_gauge(self):
         eta = EtaProfile(fn=lambda k: (np.zeros_like(k),) * 3)
-        s = synth_drive_su3(eta, omega=8.0, a_plus=0.0, p=0, k=0.4, t=0.2)
+        s = su3_protocol(eta.spec(), omega=8.0, a_plus=0.0, p=0).sample(0.4, 0.2)
         assert (s.fx, s.fy, s.fz) == (0.0, 0.0, 0.0)
 
     def test_time_periodicity(self):
@@ -71,29 +71,28 @@ class TestDrive:
             b = proto.drive_components(k, t + T)
             assert all(np.allclose(x, y, atol=1e-12) for x, y in zip(a, b))
 
-    def test_drive_table_flags_secondary_evaluator(self):
-        # the secondary closed form disagrees with the propagation-verified
-        # general path; the table must expose that instead of hiding it
-        eta = flat_band_profile(2.0)
-        t_grid = (2 * np.pi / 8.0) * np.arange(8) / 8
-        table = su3_drive_table(eta, 8.0, SQRT2, 3, K16, t_grid)
-        assert table["fx"].shape == (16, 8)
-        assert np.max(table["discrepancy"]) > 1e-3
-        gap = np.abs(table["fx"] - table["fx_closed"])
-        assert gap.max() > 1e-3
-
 
 class TestVerification:
     def test_third_level_decoupled(self):
-        eta = flat_band_profile(2.0)
-        proto = su3_protocol(eta.spec(), omega=8.0, a_plus=SQRT2, p=3)
-        samples = np.linspace(0, proto.period, 16, endpoint=False)
-        trace = integrate_tdse(proto.hamiltonian_fn(K16), proto.period,
-                               tol=1e-8, sample_times=samples)
-        u = trace.unitaries
-        assert np.max(np.abs(u[..., 2, :2])) <= 1e-12
-        assert np.max(np.abs(u[..., :2, 2])) <= 1e-12
-        assert np.max(np.abs(np.abs(u[..., 2, 2]) - 1.0)) <= 1e-12
+        # reference: the full 3x3 drive (zero static part) propagated through
+        # the generic eigh + matmul path, against the 2x2 block propagation
+        proto = su3_protocol(flat_band_profile(2.0).spec(), omega=8.0,
+                             a_plus=SQRT2, p=3)
+        k = np.array([-2.5, 0.4, 1.9])
+
+        def h3(t):
+            t = np.asarray(t, dtype=float)
+            kk, tt = (k, t) if t.ndim == 0 else (k[None, :], t[:, None])
+            f = np.stack(np.broadcast_arrays(*proto.drive_components(kk, tt)))
+            return np.einsum("a...,aij->...ij", f, OPS3)
+
+        u3 = midpoint_fixed(h3, proto.period, 2048)
+        u2 = midpoint_fixed(proto.hamiltonian_fn(k), proto.period, 2048)
+        assert u3.shape == (3, 3, 3) and u2.shape == (3, 2, 2)
+        assert np.max(np.abs(u3[:, :2, :2] - u2)) <= 1e-10
+        assert np.max(np.abs(u3[:, 2, :2])) <= 1e-12
+        assert np.max(np.abs(u3[:, :2, 2])) <= 1e-12
+        assert np.max(np.abs(u3[:, 2, 2] - 1.0)) <= 1e-12
 
     @pytest.mark.parametrize("omega", [8.0, 4.0])
     def test_strobe_exactness(self, omega):
@@ -107,8 +106,9 @@ class TestVerification:
         proto = su3_protocol(eta.spec(), omega=8.0, a_plus=SQRT2, p=3)
         trace = integrate_tdse(proto.hamiltonian_fn(np.array([0.5, 2.0])),
                                proto.period, tol=1e-9)
+        u = with_unit_third_level(trace.unitaries[-1])
         expected = np.diag([-1.0, -1.0, 1.0])
-        assert np.max(np.abs(trace.unitaries[-1] - expected)) <= 1e-8
+        assert np.max(np.abs(u - expected)) <= 1e-8
 
     def test_flat_band_eigenphase(self):
         from floqueng.spectra import quasienergies
@@ -117,7 +117,7 @@ class TestVerification:
         eta = flat_band_profile(2.0)
         proto = su3_protocol(eta.spec(), omega=omega, a_plus=SQRT2, p=3)
         trace = integrate_tdse(proto.hamiltonian_fn(K16), proto.period, tol=1e-8)
-        u = trace.unitaries[-1]
+        u = with_unit_third_level(trace.unitaries[-1])
         phase = np.diag([-1.0, -1.0, 1.0])
         for i, k in enumerate(K16):
             eps = quasienergies(phase @ u[i], omega)

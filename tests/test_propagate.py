@@ -1,15 +1,17 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.linalg import expm as scipy_expm
 
 import floqueng.propagate as prop
-from floqueng.algebra import SZ
+from floqueng.algebra import SZ, custom
 from floqueng.errors import (
     HorizonMismatch,
     NonHermitianInput,
     ToleranceNotReached,
 )
-from floqueng.gauge import micromotion_at
+from floqueng.gauge import GaugeParams, micromotion_at
 from floqueng.propagate import (
     cf4_fixed,
     expm_herm,
@@ -19,7 +21,7 @@ from floqueng.propagate import (
     midpoint_fixed,
     verify_protocol,
 )
-from floqueng.synth import DrivingProtocol, crossstitch_protocol
+from floqueng.synth import DrivingProtocol, crossstitch_protocol, general_protocol
 
 K8 = np.linspace(-np.pi, np.pi, 8, endpoint=False)
 
@@ -78,6 +80,16 @@ def test_tolerance_not_reached(monkeypatch):
     hfun = lambda t: np.array([[0.0, np.exp(-t) * 40], [np.exp(-t) * 40, 0.0]])
     with pytest.raises(ToleranceNotReached):
         integrate_tdse(hfun, horizon=3.0, tol=1e-12, base_steps=16)
+
+
+def test_non_finite_round_fails_fast(monkeypatch):
+    # an overflowing drive makes U non-finite in the first round; the loop
+    # must stop there instead of doubling to the step budget
+    monkeypatch.setattr(prop, "MAX_TOTAL_STEPS", 2**14)
+    proto = crossstitch_protocol(alpha=1e300)
+    with np.errstate(all="ignore"), pytest.raises(ToleranceNotReached,
+                                                  match="4096-step round"):
+        integrate_tdse(proto.hamiltonian_fn(K8[:4]), proto.period, tol=1e-8)
 
 
 def test_non_hermitian_input_rejected():
@@ -141,8 +153,30 @@ def test_independent_integrators_agree(omega):
     k = np.linspace(-np.pi, np.pi, 4, endpoint=False)
     hfun = proto.hamiltonian_fn(k)
     trace = integrate_tdse(hfun, proto.period, tol=1e-9)
-    u_cf4 = cf4_fixed(hfun, proto.period, 8192)
-    assert np.max(np.abs(trace.unitaries[-1] - u_cf4)) <= 1e-9
+    u_mid = midpoint_fixed(hfun, proto.period, 2**19)
+    assert np.max(np.abs(trace.unitaries[-1] - u_mid)) <= 1e-9
+
+
+_CHANNEL = st.tuples(*[st.floats(-2.0, 2.0)] * 3)
+
+
+@settings(max_examples=20, derandomize=True, deadline=None, database=None)
+@given(channels=st.tuples(*[_CHANNEL] * 4), omega=st.floats(3.0, 12.0),
+       p=st.integers(3, 6), a_plus=st.floats(1.0, 2.0))
+def test_exactness_over_random_trigonometric_targets(channels, omega, p, a_plus):
+    # every channel of the target is c0 + c1 cos k + s1 sin k
+    def coeffs(k):
+        k = np.asarray(k, dtype=float)
+        return tuple(c0 + c1 * np.cos(k) + s1 * np.sin(k)
+                     for c0, c1, s1 in channels)
+
+    zero = custom(lambda k: (np.zeros_like(np.asarray(k, dtype=float)),) * 4)
+    proto = general_protocol(zero, custom(coeffs),
+                             GaugeParams(a_plus=a_plus, p=p, omega=omega))
+    tol = 1e-8
+    rep = verify_protocol(proto, np.linspace(-np.pi, np.pi, 4, endpoint=False),
+                          tol=tol)
+    assert rep.max_strobe_error <= tol
 
 
 def test_extract_micromotion_trivial_drive():

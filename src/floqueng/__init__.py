@@ -3,19 +3,14 @@ two-generator-plus-z operator algebra: drive synthesis from a micro-motion
 factorization, and independent verification by time-ordered propagation."""
 
 from .algebra import (
-    CoeffsPMZ,
-    CoeffsXYZ,
     HamiltonianSpec,
-    assemble_matrix,
     chiral_p_wave_2d,
     cross_stitch,
     custom,
     eig_bands,
     kitaev_chain,
-    pmz_to_xyz,
     su3_flat,
     uncoupled_chains,
-    xyz_to_pmz,
 )
 from .errors import (
     FloquetError,
@@ -56,16 +51,13 @@ from .spectra import (
     envelope_fourier,
     quasienergies,
 )
-from .su3 import EtaProfile, flat_band_profile, su3_drive_table, verify_su3
+from .su3 import su3_drive_table, verify_su3
 from .synth import (
-    DriveSample,
     DrivingProtocol,
     crossstitch_protocol,
     general_protocol,
     static_harmonic_residual,
     su3_protocol,
-    synth_drive_crossstitch,
-    synth_drive_general,
     transform_m1,
     transform_m2,
 )

@@ -1,13 +1,12 @@
-"""Operator basis, coefficient vectors, and Hermitian matrix assembly.
+"""Operator basis, coefficient arrays, and Hermitian matrix assembly.
 
 Operators are the spin-1/2 set S = sigma/2 with ladder combinations
 S_pm = S_x +- i S_y.  A three-band model couples only its first two levels,
 so it is stored and assembled as the same 2x2 block; its third level carries
 the identity coefficient h0 alone and is appended as the flat band only where
 a spectrum is formed (:func:`floqueng.spectra.band_structure`).  A
-Hamiltonian is stored as four real coefficients (h0, hx, hy, hz) meaning
-h0*I + hx*Sx + hy*Sy + hz*Sz, or equivalently in the ladder basis as
-(h0, h_minus, h_plus, hz) meaning h0*I + h_minus*S+ + h_plus*S- + hz*Sz.
+Hamiltonian is stored as four real coefficient arrays (h0, hx, hy, hz)
+meaning h0*I + hx*Sx + hy*Sy + hz*Sz.
 """
 
 from __future__ import annotations
@@ -32,69 +31,9 @@ S_PLUS = SX + 1j * SY
 S_MINUS = SX - 1j * SY
 
 
-@dataclass(frozen=True)
-class CoeffsXYZ:
-    """Real coefficients of (I, Sx, Sy, Sz)."""
-
-    h0: float
-    hx: float
-    hy: float
-    hz: float
-
-    def __post_init__(self):
-        for name in ("h0", "hx", "hy", "hz"):
-            if not np.isfinite(getattr(self, name)):
-                raise ValueError(f"coefficient {name} must be finite")
-
-
-@dataclass(frozen=True)
-class CoeffsPMZ:
-    """Coefficients of (I, S+, S-, Sz); h_minus multiplies S+ and h_plus
-    multiplies S-, mirroring the hermitian pairing h_plus = conj(h_minus)."""
-
-    h0: float
-    h_minus: complex
-    h_plus: complex
-    hz: float
-
-
-def xyz_to_pmz(c: CoeffsXYZ) -> CoeffsPMZ:
-    """Convert Cartesian coefficients to the ladder basis.
-
-    The identity hx*Sx + hy*Sy = h_minus*S+ + h_plus*S- fixes
-    h_plus = (hx + i hy)/2 and h_minus = (hx - i hy)/2.
-    """
-    return CoeffsPMZ(
-        h0=c.h0,
-        h_minus=(c.hx - 1j * c.hy) / 2,
-        h_plus=(c.hx + 1j * c.hy) / 2,
-        hz=c.hz,
-    )
-
-
-def pmz_to_xyz(c: CoeffsPMZ, tol: float = HERMITICITY_TOL) -> CoeffsXYZ:
-    """Inverse of :func:`xyz_to_pmz`; requires a conjugate ladder pair."""
-    scale = max(1.0, abs(c.h_plus), abs(c.h_minus))
-    if abs(c.h_plus - np.conj(c.h_minus)) > tol * scale:
-        raise HermiticityError(
-            f"h_plus={c.h_plus} is not the conjugate of h_minus={c.h_minus}"
-        )
-    return CoeffsXYZ(
-        h0=float(np.real(c.h0)),
-        hx=2 * float(np.real(c.h_plus)),
-        hy=2 * float(np.imag(c.h_plus)),
-        hz=float(np.real(c.hz)),
-    )
-
-
-def assemble_matrix(c: CoeffsXYZ) -> np.ndarray:
-    """Hermitian 2x2 matrix h0*I + hx*Sx + hy*Sy + hz*Sz."""
-    return c.h0 * np.eye(2) + c.hx * SX + c.hy * SY + c.hz * SZ
-
-
 def assemble_batch(h0, hx, hy, hz) -> np.ndarray:
-    """Vectorized :func:`assemble_matrix`: coefficient arrays of a common
-    broadcast shape yield a (..., 2, 2) stack."""
+    """Hermitian h0*I + hx*Sx + hy*Sy + hz*Sz: coefficient arrays of a
+    common broadcast shape yield a (..., 2, 2) stack."""
     h0, hx, hy, hz = np.broadcast_arrays(h0, hx, hy, hz)
     out = np.zeros(h0.shape + (2, 2), dtype=complex)
     out[..., 0, 0] = h0 + hz / 2
@@ -149,13 +88,6 @@ class HamiltonianSpec:
         if not all(np.all(np.isfinite(a)) for a in out):
             raise ValueError(f"model {self.name!r} produced non-finite coefficients")
         return out
-
-    def coeffs_at(self, k) -> CoeffsXYZ:
-        h0, hx, hy, hz = self.coeffs(k)
-        return CoeffsXYZ(float(h0), float(hx), float(hy), float(hz))
-
-    def matrix(self, k) -> np.ndarray:
-        return assemble_matrix(self.coeffs_at(k))
 
     def matrices(self, k) -> np.ndarray:
         return assemble_batch(*self.coeffs(k))
@@ -237,12 +169,5 @@ def su3_flat(eta_fn: Callable | None = None, delta: float = 2.0,
 
 def custom(coeff_fn: Callable, band_count: int = 2, dimension: int = 1,
            name: str = "custom") -> HamiltonianSpec:
-    """Wrap a user-supplied k -> CoeffsXYZ (or 4-tuple) map."""
-
-    def fn(k):
-        out = coeff_fn(k)
-        if isinstance(out, CoeffsXYZ):
-            return out.h0, out.hx, out.hy, out.hz
-        return out
-
-    return HamiltonianSpec(name, band_count, dimension, fn)
+    """Wrap a user-supplied k -> (h0, hx, hy, hz) map."""
+    return HamiltonianSpec(name, band_count, dimension, coeff_fn)

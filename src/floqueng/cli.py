@@ -13,6 +13,7 @@ Exit codes: 0 success, 1 verification failure, 2 invalid configuration,
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
@@ -24,8 +25,6 @@ from . import algebra, lattice, spectra, su3 as su3mod
 from .errors import FloquetError
 from .propagate import verify_protocol
 from .synth import (
-    METHOD_CLOSED_CROSSSTITCH,
-    METHOD_GENERAL,
     DrivingProtocol,
     crossstitch_protocol,
     general_protocol,
@@ -163,8 +162,7 @@ def build_protocol(cfg) -> DrivingProtocol:
     model = cfg["model"]
     if model == "crossstitch":
         proto = crossstitch_protocol(cfg["alpha"], cfg["delta"], cfg["omega"],
-                                     a_plus, cfg["p"],
-                                     method=METHOD_CLOSED_CROSSSTITCH)
+                                     a_plus, cfg["p"])
     elif model == "su3flat":
         spec = algebra.su3_flat(delta=cfg["delta"])
         proto = su3_protocol(spec, omega=cfg["omega"], a_plus=a_plus, p=cfg["p"])
@@ -182,9 +180,7 @@ def build_protocol(cfg) -> DrivingProtocol:
         gauge = GaugeParams(a_plus=a_plus, p=cfg["p"], omega=cfg["omega"])
         proto = general_protocol(zero, target, gauge)
     if cfg["corrupt_fz"] != 1.0:
-        proto = DrivingProtocol(target=proto.target, static=proto.static,
-                                gauge=proto.gauge, method=proto.method,
-                                fz_scale=cfg["corrupt_fz"])
+        proto = dataclasses.replace(proto, fz_scale=cfg["corrupt_fz"])
     return proto
 
 
@@ -322,8 +318,8 @@ def cmd_lattice(cfg, outdir: Path) -> int:
 
 def cmd_su3(cfg, outdir: Path) -> int:
     a_plus = float(np.sqrt(cfg["aplus2"]))
-    eta = su3mod.flat_band_profile(cfg["delta"])
-    table = su3mod.su3_drive_table(eta, cfg["omega"], a_plus, cfg["p"],
+    spec = algebra.su3_flat(delta=cfg["delta"])
+    table = su3mod.su3_drive_table(spec, cfg["omega"], a_plus, cfg["p"],
                                    k_grid_of(cfg), t_grid_of(cfg))
     columns = ("k", "t", "fx", "fy", "fz")
     rows = []

@@ -129,7 +129,6 @@ def micromotion_at(g: GaugeParams, k, t, dimension: int = 1) -> np.ndarray:
 
 @dataclass(frozen=True)
 class BoundaryReport:
-    periodic_up_to_phase: bool
     strobe_phase: complex
     max_mu_residual: float
 
@@ -158,7 +157,6 @@ def boundary_report(g: GaugeParams, n: int = 1,
     half_turns = mu_zr / (2 * np.pi)  # = p*n for the linear winding
     phase = complex((-1.0) ** (g.p * n))
     return BoundaryReport(
-        periodic_up_to_phase=True,
         strobe_phase=phase,
         max_mu_residual=max(mu0_residual, plus_residual,
                             float(np.abs(half_turns - g.p * n)) * 2 * np.pi),

@@ -15,6 +15,7 @@ from typing import Callable
 
 import numpy as np
 
+from .algebra import assemble_batch
 from .errors import HermiticityError, RangeOverflow
 from .spectra import envelope_values
 from .synth import crossstitch_drive_components
@@ -220,13 +221,9 @@ def lattice_vs_momentum_check(alpha, delta, omega, a_plus, p, L: int,
     worst = 0.0
     for t in np.asarray(t_grid, dtype=float):
         v_lat = assemble_lattice_hamiltonian(terms, L, float(t))
-        _, fx, fy, fz = crossstitch_drive_components(
-            alpha, delta, omega, a_plus, p, k_allowed, float(t))
+        ref = assemble_batch(*crossstitch_drive_components(
+            alpha, delta, omega, a_plus, p, k_allowed, float(t)))
         for i, k in enumerate(k_allowed):
             block = momentum_block(v_lat, L, float(k))
-            ref = np.array([
-                [fz[i] / 2, (fx[i] - 1j * fy[i]) / 2],
-                [(fx[i] + 1j * fy[i]) / 2, -fz[i] / 2],
-            ])
-            worst = max(worst, float(np.max(np.abs(block - ref))))
+            worst = max(worst, float(np.max(np.abs(block - ref[i]))))
     return worst

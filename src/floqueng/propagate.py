@@ -91,8 +91,8 @@ class PropagatorTrace:
 
 
 def _check_hermitian_samples(hfun: Callable, horizon: float) -> None:
-    for frac in (0.0, 0.37, 0.5, 1.0):
-        h = np.asarray(hfun(frac * horizon))
+    fracs = (0.0, 0.37, 0.5, 1.0)
+    for frac, h in zip(fracs, _eval_h(hfun, horizon * np.array(fracs))):
         dev = np.max(np.abs(h - np.conj(np.swapaxes(h, -1, -2))))
         if dev > 1e-10 * max(1.0, float(np.max(np.abs(h)))):
             raise NonHermitianInput(
@@ -122,16 +122,17 @@ def _ordered_product(e: np.ndarray) -> np.ndarray:
     return e[0]
 
 
-def _eval_h(hfun, ts: np.ndarray, base_shape: tuple) -> np.ndarray:
-    """Evaluate H on a batch of times; falls back to per-time calls for
-    callables that only accept scalars."""
-    try:
-        h = np.asarray(hfun(ts), dtype=complex)
-        if h.shape == (len(ts),) + base_shape:
-            return h
-    except Exception:
-        pass
-    return np.stack([np.asarray(hfun(float(t)), dtype=complex) for t in ts], axis=0)
+def _eval_h(hfun, ts: np.ndarray, base_shape: tuple | None = None) -> np.ndarray:
+    """H on a 1D batch of times as an (n_t, ..., d, d) stack, whose trailing
+    shape must equal ``base_shape`` when given; any other shape raises."""
+    h = np.asarray(hfun(ts), dtype=complex)
+    if (h.ndim < 3 or h.shape[0] != len(ts) or h.shape[-1] != h.shape[-2]
+            or base_shape not in (None, h.shape[1:])):
+        expected = (f"({len(ts)}, ..., d, d)" if base_shape is None
+                    else str((len(ts),) + base_shape))
+        raise ValueError(f"hfun must map {len(ts)} times to shape {expected}, "
+                         f"got {h.shape}")
+    return h
 
 
 _CHUNK_STEPS = 2048  # 4096 Hamiltonian evaluations of CF4 held at once
@@ -156,14 +157,14 @@ def _propagate(chunk, hfun, horizon, nsteps, sample_indices):
     """``nsteps`` equal steps of the scheme ``chunk`` from the identity;
     returns the unitaries at ``sample_indices`` and at the horizon."""
     dt = horizon / nsteps
-    base = np.asarray(hfun(0.5 * dt), dtype=complex)
-    u = np.broadcast_to(np.eye(base.shape[-1], dtype=complex), base.shape).copy()
+    base_shape = _eval_h(hfun, np.array([0.5 * dt])).shape[1:]
+    u = np.broadcast_to(np.eye(base_shape[-1], dtype=complex), base_shape).copy()
     samples = {0: u.copy()}
     bounds = sorted(set(int(i) for i in sample_indices) | {0, nsteps})
     for a, b in zip(bounds[:-1], bounds[1:]):
         for j in range(a, b, _CHUNK_STEPS):
             tmid = (np.arange(j, min(j + _CHUNK_STEPS, b)) + 0.5) * dt
-            u = _matmul(chunk(hfun, tmid, dt, base.shape), u)
+            u = _matmul(chunk(hfun, tmid, dt, base_shape), u)
         if b in sample_indices:
             samples[b] = u.copy()
     return samples, u
@@ -174,12 +175,14 @@ def integrate_tdse(hfun: Callable, horizon: float, tol: float = DEFAULT_TOL,
                    sample_times: Sequence[float] = ()) -> PropagatorTrace:
     """Propagate dU/dt = -i H(t) U from the identity over [0, horizon].
 
-    ``hfun(t)`` returns a Hermitian (..., d, d) stack; batching propagates
-    every leading index independently.  The fourth-order commutator-free
-    scheme doubles its step count until two successive horizon unitaries
-    differ by less than ``tol`` in max-entry norm; the Richardson error
-    estimate of the accepted run is ``diff/15``.  A round whose horizon
-    unitary is not finite raises at once.
+    ``hfun`` maps a 1D array of n_t times to a Hermitian (n_t, ..., d, d)
+    stack; any other shape raises ValueError.  Batching propagates every
+    index between the time axis and the matrix axes independently.  The
+    fourth-order commutator-free scheme doubles its step count until two
+    successive horizon unitaries differ by less than ``tol`` in max-entry
+    norm; the Richardson error estimate of the accepted run is ``diff/15``.
+    A round whose horizon unitary is not finite raises at once; overflow
+    inside a round is left to that check instead of warning.
 
     ``sample_times`` must lie on the base step grid so that snapshots remain
     exact as the step count doubles.
@@ -199,7 +202,8 @@ def integrate_tdse(hfun: Callable, horizon: float, tol: float = DEFAULT_TOL,
     prev_u = None
     while True:
         idx = [int(i) * (nsteps // base_steps) for i in base_idx]
-        samples, u_end = _propagate(_cf4_chunk, hfun, horizon, nsteps, set(idx))
+        with np.errstate(over="ignore", invalid="ignore"):
+            samples, u_end = _propagate(_cf4_chunk, hfun, horizon, nsteps, set(idx))
         if not np.all(np.isfinite(u_end)):
             raise ToleranceNotReached(
                 f"horizon unitary is not finite after the {nsteps}-step round"
@@ -263,7 +267,6 @@ class VerificationReport:
     max_strobe_error: float
     max_micromotion_error: float
     strobe_phase_used: complex
-    grid_sizes: tuple
     k_values: np.ndarray
     strobe_errors: np.ndarray
     periods: int = 1
@@ -333,7 +336,6 @@ def verify_protocol(protocol: DrivingProtocol, k_grid, periods: int = 1,
         max_strobe_error=max_strobe,
         max_micromotion_error=micro_err,
         strobe_phase_used=complex((-1.0) ** (protocol.gauge.p * periods)),
-        grid_sizes=(int(np.atleast_1d(k_grid).shape[0]), trace.step_count),
         k_values=k_grid,
         strobe_errors=strobe_errors,
         periods=periods,

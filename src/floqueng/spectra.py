@@ -37,13 +37,10 @@ def band_structure(spec: HamiltonianSpec, k_grid) -> BandTable:
     identity coefficient h0, to the two eigenvalues of the coupled block.
     """
     k_grid = np.asarray(k_grid, dtype=float)
-    n_k = k_grid.shape[0]
-    energies = np.empty((n_k, spec.band_count))
-    for i in range(n_k):
-        block = eig_bands(spec.matrix(k_grid[i]))
-        if spec.band_count == 3:
-            block = np.sort(np.append(block, spec.coeffs(k_grid[i])[0]))
-        energies[i] = block
+    energies = np.array([eig_bands(h) for h in spec.matrices(k_grid)])
+    if spec.band_count == 3:
+        flat = spec.coeffs(k_grid)[0]
+        energies = np.sort(np.column_stack([energies, flat]), axis=1)
     return BandTable(k_grid=k_grid, energies=energies)
 
 

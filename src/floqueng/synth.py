@@ -21,11 +21,8 @@ import numpy as np
 
 from . import algebra
 from .algebra import HamiltonianSpec
-from .errors import HermiticityError, NonPeriodicGauge
+from .errors import HermiticityError
 from .gauge import GaugeParams, boundary_report, ladder_phase_angle, mu_functions
-
-METHOD_GENERAL = "general-m1m2"
-METHOD_CLOSED_CROSSSTITCH = "closed-crossstitch"
 
 IMAG_LEAK_TOL = 1e-10
 
@@ -71,16 +68,6 @@ def transform_m2(m_plus, mz_real) -> np.ndarray:
     out[..., 2, 1] = -2 * q
     out[..., 2, 2] = 1.0 - np.abs(m) ** 2
     return out / denom[..., None, None]
-
-
-@dataclass(frozen=True)
-class DriveSample:
-    """Drive coefficients at one (k, t): V = f0*I + fx*Sx + fy*Sy + fz*Sz."""
-
-    f0: float
-    fx: float
-    fy: float
-    fz: float
 
 
 def _drive_general(target: HamiltonianSpec, static: HamiltonianSpec,
@@ -142,18 +129,6 @@ def _drive_general(target: HamiltonianSpec, static: HamiltonianSpec,
     return f0, fx, fy, fz
 
 
-def synth_drive_general(static: HamiltonianSpec, target: HamiltonianSpec,
-                        g: GaugeParams, k, t) -> DriveSample:
-    """One drive sample from the general synthesis path.
-
-    Requires a ladder/z-free static Hamiltonian and a gauge that passes the
-    boundary check (raises :class:`NonPeriodicGauge` otherwise).
-    """
-    boundary_report(g)
-    f0, fx, fy, fz = _drive_general(target, static, g, k, t)
-    return DriveSample(float(f0), float(fx), float(fy), float(fz))
-
-
 def crossstitch_drive_components(alpha, delta, omega, a_plus, p, k, t):
     """Closed-form drive for the flat-band chain target, as arrays.
 
@@ -188,27 +163,21 @@ def crossstitch_drive_components(alpha, delta, omega, a_plus, p, k, t):
     return f0, fx, fy, fz
 
 
-def synth_drive_crossstitch(alpha, delta, omega, a_plus, p, k, t) -> DriveSample:
-    """Closed-form sample; f0 vanishes identically in this gauge."""
-    if float(p) != int(round(float(p))):
-        raise NonPeriodicGauge(f"winding p must be an integer, got {p}")
-    f0, fx, fy, fz = crossstitch_drive_components(alpha, delta, omega,
-                                                  a_plus, int(round(p)), k, t)
-    return DriveSample(float(f0), float(fx), float(fy), float(fz))
-
-
 @dataclass(frozen=True)
 class DrivingProtocol:
     """An evaluable drive f(k, t) plus everything needed to verify it.
 
-    ``fz_scale`` deliberately detunes the z component and exists only so
-    sensitivity tests can confirm that verification catches a broken drive.
+    ``closed_form`` holds the (alpha, delta) of the flat-band chain target
+    when the drive is evaluated in closed form; ``None`` selects the general
+    M1/M2 synthesis path.  ``fz_scale`` deliberately detunes the z component
+    and exists only so sensitivity tests can confirm that verification
+    catches a broken drive.
     """
 
     target: HamiltonianSpec
     static: HamiltonianSpec
     gauge: GaugeParams
-    method: str = METHOD_GENERAL
+    closed_form: tuple[float, float] | None = None
     fz_scale: float = 1.0
 
     def __post_init__(self):
@@ -220,20 +189,16 @@ class DrivingProtocol:
 
     def drive_components(self, k, t):
         """Arrays (f0, fx, fy, fz) broadcast over momentum and time."""
-        if self.method == METHOD_CLOSED_CROSSSTITCH:
-            pars = _crossstitch_params(self.target)
+        if self.closed_form is not None:
+            alpha, delta = self.closed_form
             f0, fx, fy, fz = crossstitch_drive_components(
-                pars["alpha"], pars["delta"], self.gauge.omega,
-                self.gauge.a_plus, self.gauge.p, k, t)
+                alpha, delta, self.gauge.omega, self.gauge.a_plus,
+                self.gauge.p, k, t)
         else:
             f0, fx, fy, fz = _drive_general(self.target, self.static, self.gauge, k, t)
         if self.fz_scale != 1.0:
             fz = self.fz_scale * fz
         return f0, fx, fy, fz
-
-    def sample(self, k, t) -> DriveSample:
-        f0, fx, fy, fz = self.drive_components(k, t)
-        return DriveSample(float(f0), float(fx), float(fy), float(fz))
 
     def drive_table(self, k_grid, t_grid):
         """Mesh a momentum grid against a time grid: (n_k, n_t) arrays."""
@@ -250,19 +215,13 @@ class DrivingProtocol:
         return algebra.assemble_batch(h0s + f0, fx, fy, fz)
 
     def hamiltonian_fn(self, k) -> Callable:
-        """Time-only closure over a fixed momentum grid, for propagation.
-
-        Scalar times give a (n_k, 2, 2) stack; 1D time arrays give
-        (n_t, n_k, 2, 2) so the propagator can batch whole step blocks.
-        """
+        """Time-only closure over a fixed momentum grid, for propagation:
+        a 1D time array gives an (n_t, n_k, 2, 2) stack."""
         k = np.asarray(k, dtype=float)
         km = k[:, None, :] if self.target.dimension == 2 else k[:, None]
 
         def fn(t):
-            t = np.asarray(t, dtype=float)
-            if t.ndim == 0:
-                return self.hamiltonian(k, float(t))
-            h = self.hamiltonian(km, t[None, :])
+            h = self.hamiltonian(km, np.asarray(t, dtype=float)[None, :])
             return np.moveaxis(h, 1, 0)
 
         return fn
@@ -271,34 +230,22 @@ class DrivingProtocol:
         return self.target.matrices(k)
 
 
-def _crossstitch_params(spec: HamiltonianSpec) -> dict:
-    """Recover (alpha, delta) from a flat-band chain coefficient table."""
-    if spec.name != "crossstitch":
-        raise ValueError("closed-form evaluator requires the crossstitch target")
-    h0_0, hx_0, _, _ = spec.coeffs(0.0)
-    h0_pi, _, _, _ = spec.coeffs(np.pi)
-    alpha = float(h0_0 - h0_pi) / -4.0
-    delta = float(-hx_0 / 2 - 2 * alpha)
-    return {"alpha": alpha, "delta": delta}
-
-
 def crossstitch_protocol(alpha=1.0, delta=2.0, omega=8.0, a_plus=np.sqrt(2.0),
-                         p=3, method=METHOD_CLOSED_CROSSSTITCH) -> DrivingProtocol:
+                         p=3) -> DrivingProtocol:
     """Standard flat-band engineering setup: bare uncoupled chains driven to
-    the cross-linked flat-band spectrum."""
+    the cross-linked flat-band spectrum, evaluated in closed form."""
     g = GaugeParams(a0=0.0, a_plus=float(a_plus), theta=0.0, p=p, omega=float(omega))
     return DrivingProtocol(
         target=algebra.cross_stitch(alpha, delta),
         static=algebra.uncoupled_chains(alpha),
         gauge=g,
-        method=method,
+        closed_form=(float(alpha), float(delta)),
     )
 
 
 def general_protocol(static: HamiltonianSpec, target: HamiltonianSpec,
                      g: GaugeParams) -> DrivingProtocol:
-    return DrivingProtocol(target=target, static=static, gauge=g,
-                           method=METHOD_GENERAL)
+    return DrivingProtocol(target=target, static=static, gauge=g)
 
 
 def su3_protocol(eta_spec: HamiltonianSpec, omega=8.0, a_plus=np.sqrt(2.0),
@@ -312,8 +259,7 @@ def su3_protocol(eta_spec: HamiltonianSpec, omega=8.0, a_plus=np.sqrt(2.0),
     g = GaugeParams(a0=0.0, a_plus=float(a_plus), theta=0.0, p=p, omega=float(omega))
     zero_static = algebra.custom(
         lambda k: (np.zeros_like(k),) * 4, band_count=3, name="zero3")
-    return DrivingProtocol(target=eta_spec, static=zero_static, gauge=g,
-                           method=METHOD_GENERAL)
+    return DrivingProtocol(target=eta_spec, static=zero_static, gauge=g)
 
 
 def static_harmonic_residual(protocol: DrivingProtocol, k,

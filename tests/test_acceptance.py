@@ -16,10 +16,10 @@ from floqueng.propagate import (
     verify_protocol,
 )
 from floqueng.spectra import band_structure, envelope_fourier, quasienergies
-from floqueng.su3 import flat_band_profile, verify_su3
+from floqueng.su3 import verify_su3
 from floqueng.synth import (
-    METHOD_GENERAL,
     crossstitch_protocol,
+    general_protocol,
     static_harmonic_residual,
     su3_protocol,
 )
@@ -127,7 +127,7 @@ def test_criterion_07_static_term_criterion():
 
 def test_criterion_08_closed_form_vs_general():
     closed = crossstitch_protocol()
-    general = crossstitch_protocol(method=METHOD_GENERAL)
+    general = general_protocol(closed.static, closed.target, closed.gauge)
     k = np.linspace(-np.pi, np.pi, 32, endpoint=False)
     t = np.linspace(0, closed.period, 32, endpoint=False)
     dev = max(float(np.max(np.abs(a - b)))
@@ -160,13 +160,13 @@ def test_criterion_09_real_space_locality_and_equivalence():
 
 
 def test_criterion_10_three_band_case():
-    eta = flat_band_profile(2.0)
+    spec = algebra.su3_flat(delta=2.0)
     worst_strobe = 0.0
     worst_flat_phase = 0.0
     for omega in (8.0, 4.0):
-        rep = verify_su3(eta, omega, SQRT2, 3, K64, tol=1e-8)
+        rep = verify_su3(spec, omega, SQRT2, 3, K64, tol=1e-8)
         worst_strobe = max(worst_strobe, rep.max_strobe_error)
-        proto = su3_protocol(eta.spec(), omega=omega, a_plus=SQRT2, p=3)
+        proto = su3_protocol(spec, omega=omega, a_plus=SQRT2, p=3)
         trace = integrate_tdse(proto.hamiltonian_fn(K64), proto.period, tol=1e-8)
         # the coupled block plus the decoupled third level, whose evolution is 1
         u_t = np.zeros((len(K64), 3, 3), dtype=complex)

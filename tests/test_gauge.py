@@ -108,7 +108,6 @@ def test_micromotion_at_periodicity_up_to_sign():
 def test_boundary_report_strobe_phase(p, phase):
     g = GaugeParams(a0=0.8, a_plus=1.3, p=p, omega=8.0)
     rep = boundary_report(g)
-    assert rep.periodic_up_to_phase
     assert rep.strobe_phase == pytest.approx(phase)
     assert rep.max_mu_residual <= 1e-12
 

@@ -1,3 +1,6 @@
+import dataclasses
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -5,7 +8,7 @@ from hypothesis import strategies as st
 from scipy.linalg import expm as scipy_expm
 
 import floqueng.propagate as prop
-from floqueng.algebra import SZ, custom
+from floqueng.algebra import SIGMA_X, SZ, custom
 from floqueng.errors import (
     HorizonMismatch,
     NonHermitianInput,
@@ -21,9 +24,15 @@ from floqueng.propagate import (
     midpoint_fixed,
     verify_protocol,
 )
-from floqueng.synth import DrivingProtocol, crossstitch_protocol, general_protocol
+from floqueng.synth import crossstitch_protocol, general_protocol
 
 K8 = np.linspace(-np.pi, np.pi, 8, endpoint=False)
+
+
+def constant(h):
+    """Time-independent hfun: ``h`` at every time of a 1D batch."""
+    h = np.asarray(h, dtype=complex)
+    return lambda t: np.broadcast_to(h, (len(t),) + h.shape)
 
 
 def test_expm_herm_against_scipy():
@@ -50,7 +59,7 @@ def test_expm_herm_block_diagonal_three_band():
 
 
 def test_zero_hamiltonian_gives_identity():
-    trace = integrate_tdse(lambda t: np.zeros((2, 2)), horizon=1.0, tol=1e-9,
+    trace = integrate_tdse(constant(np.zeros((2, 2))), horizon=1.0, tol=1e-9,
                            base_steps=64, sample_times=[0.25, 0.5])
     assert np.allclose(trace.unitaries, np.eye(2))
     assert trace.estimated_error == 0.0
@@ -59,7 +68,7 @@ def test_zero_hamiltonian_gives_identity():
 def test_constant_sz_matches_exact_exponential():
     w = 3.7
     horizon = 2.0
-    trace = integrate_tdse(lambda t: w * SZ, horizon=horizon, tol=1e-10,
+    trace = integrate_tdse(constant(w * SZ), horizon=horizon, tol=1e-10,
                            base_steps=128)
     expected = np.diag([np.exp(-1j * w * horizon / 2), np.exp(1j * w * horizon / 2)])
     assert np.allclose(trace.unitaries[-1], expected, atol=1e-10)
@@ -77,7 +86,7 @@ def test_unitarity_preserved_along_trace():
 
 def test_tolerance_not_reached(monkeypatch):
     monkeypatch.setattr(prop, "MAX_TOTAL_STEPS", 256)
-    hfun = lambda t: np.array([[0.0, np.exp(-t) * 40], [np.exp(-t) * 40, 0.0]])
+    hfun = lambda t: np.multiply.outer(np.exp(-t) * 40, SIGMA_X)
     with pytest.raises(ToleranceNotReached):
         integrate_tdse(hfun, horizon=3.0, tol=1e-12, base_steps=16)
 
@@ -86,20 +95,28 @@ def test_non_finite_round_fails_fast(monkeypatch):
     # an overflowing drive makes U non-finite in the first round; the loop
     # must stop there instead of doubling to the step budget
     monkeypatch.setattr(prop, "MAX_TOTAL_STEPS", 2**14)
+    # and the overflow inside that round must not surface as warnings
     proto = crossstitch_protocol(alpha=1e300)
-    with np.errstate(all="ignore"), pytest.raises(ToleranceNotReached,
-                                                  match="4096-step round"):
-        integrate_tdse(proto.hamiltonian_fn(K8[:4]), proto.period, tol=1e-8)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ToleranceNotReached, match="4096-step round"):
+            integrate_tdse(proto.hamiltonian_fn(K8[:4]), proto.period, tol=1e-8)
 
 
 def test_non_hermitian_input_rejected():
     with pytest.raises(NonHermitianInput):
-        integrate_tdse(lambda t: np.array([[0, 1], [0, 0]]), horizon=1.0)
+        integrate_tdse(constant([[0, 1], [0, 0]]), horizon=1.0)
+
+
+def test_unbatched_hfun_rejected():
+    # one (2, 2) matrix for a whole batch of times is not a time stack
+    with pytest.raises(ValueError):
+        integrate_tdse(lambda t: np.zeros((2, 2)), 1.0)
 
 
 def test_tol_range_validated():
     with pytest.raises(ValueError):
-        integrate_tdse(lambda t: np.zeros((2, 2)), horizon=1.0, tol=1e-2)
+        integrate_tdse(constant(np.zeros((2, 2))), horizon=1.0, tol=1e-2)
 
 
 def test_floquet_operator_and_horizon_mismatch():
@@ -181,7 +198,7 @@ def test_exactness_over_random_trigonometric_targets(channels, omega, p, a_plus)
 
 def test_extract_micromotion_trivial_drive():
     h0 = 0.8 * SZ
-    trace = integrate_tdse(lambda t: h0, horizon=1.5, tol=1e-10, base_steps=192,
+    trace = integrate_tdse(constant(h0), horizon=1.5, tol=1e-10, base_steps=192,
                            sample_times=np.linspace(0, 1.5, 7))
     ps = extract_micromotion(trace, h0)
     assert np.max(np.abs(ps - np.eye(2))) <= 1e-10
@@ -215,8 +232,7 @@ def test_verify_protocol_crossstitch():
 
 def test_verify_protocol_flags_corrupted_drive():
     base = crossstitch_protocol()
-    bad = DrivingProtocol(target=base.target, static=base.static,
-                          gauge=base.gauge, method=base.method, fz_scale=1.01)
+    bad = dataclasses.replace(base, fz_scale=1.01)
     tol = 1e-8
     rep = verify_protocol(bad, np.linspace(-np.pi, np.pi, 4, endpoint=False),
                           tol=tol)

@@ -1,9 +1,9 @@
 import numpy as np
 import pytest
 
-from floqueng.algebra import S_MINUS, S_PLUS, SX, SY, SZ
+from floqueng.algebra import S_MINUS, S_PLUS, SX, SY, SZ, su3_flat
 from floqueng.propagate import integrate_tdse, midpoint_fixed
-from floqueng.su3 import EtaProfile, flat_band_profile, verify_su3
+from floqueng.su3 import verify_su3
 from floqueng.synth import su3_protocol
 
 SQRT2 = np.sqrt(2.0)
@@ -46,23 +46,23 @@ class TestOperators:
 
 class TestDrive:
     def test_initial_sample_x_only_target(self):
-        eta = EtaProfile(fn=lambda k: (1.5 * np.ones_like(k),
-                                       np.zeros_like(k),
-                                       np.zeros_like(k)))
-        proto = su3_protocol(eta.spec(), omega=8.0, a_plus=SQRT2, p=3)
+        spec = su3_flat(eta_fn=lambda k: (1.5 * np.ones_like(k),
+                                          np.zeros_like(k),
+                                          np.zeros_like(k)))
+        proto = su3_protocol(spec, omega=8.0, a_plus=SQRT2, p=3)
         for k in (0.0, 0.9):
-            s = proto.sample(k, 0.0)
-            assert s.fx == pytest.approx(2 * SQRT2 * 8.0 * np.cos(k) + 1.5)
-            assert s.f0 == 0.0
+            f0, fx, _, _ = proto.drive_components(k, 0.0)
+            assert fx == pytest.approx(2 * SQRT2 * 8.0 * np.cos(k) + 1.5)
+            assert f0 == 0.0
 
     def test_zero_target_zero_gauge(self):
-        eta = EtaProfile(fn=lambda k: (np.zeros_like(k),) * 3)
-        s = su3_protocol(eta.spec(), omega=8.0, a_plus=0.0, p=0).sample(0.4, 0.2)
-        assert (s.fx, s.fy, s.fz) == (0.0, 0.0, 0.0)
+        spec = su3_flat(eta_fn=lambda k: (np.zeros_like(k),) * 3)
+        proto = su3_protocol(spec, omega=8.0, a_plus=0.0, p=0)
+        _, fx, fy, fz = proto.drive_components(0.4, 0.2)
+        assert (fx, fy, fz) == (0.0, 0.0, 0.0)
 
     def test_time_periodicity(self):
-        eta = flat_band_profile(2.0)
-        proto = su3_protocol(eta.spec(), omega=8.0, a_plus=SQRT2, p=3)
+        proto = su3_protocol(su3_flat(delta=2.0), omega=8.0, a_plus=SQRT2, p=3)
         rng = np.random.default_rng(8)
         T = proto.period
         for _ in range(10):
@@ -76,14 +76,12 @@ class TestVerification:
     def test_third_level_decoupled(self):
         # reference: the full 3x3 drive (zero static part) propagated through
         # the generic eigh + matmul path, against the 2x2 block propagation
-        proto = su3_protocol(flat_band_profile(2.0).spec(), omega=8.0,
-                             a_plus=SQRT2, p=3)
+        proto = su3_protocol(su3_flat(delta=2.0), omega=8.0, a_plus=SQRT2, p=3)
         k = np.array([-2.5, 0.4, 1.9])
 
         def h3(t):
-            t = np.asarray(t, dtype=float)
-            kk, tt = (k, t) if t.ndim == 0 else (k[None, :], t[:, None])
-            f = np.stack(np.broadcast_arrays(*proto.drive_components(kk, tt)))
+            f = np.stack(np.broadcast_arrays(
+                *proto.drive_components(k[None, :], t[:, None])))
             return np.einsum("a...,aij->...ij", f, OPS3)
 
         u3 = midpoint_fixed(h3, proto.period, 2048)
@@ -96,14 +94,14 @@ class TestVerification:
 
     @pytest.mark.parametrize("omega", [8.0, 4.0])
     def test_strobe_exactness(self, omega):
-        rep = verify_su3(flat_band_profile(2.0), omega, SQRT2, 3, K16, tol=1e-8)
+        rep = verify_su3(su3_flat(delta=2.0), omega, SQRT2, 3, K16, tol=1e-8)
         assert rep.max_strobe_error <= 1e-8
 
     def test_gauge_only_evolution(self):
         # zero target: the evolution is pure micro-motion, so one period
         # lands on the winding sign in the embedded block and 1 outside
-        eta = EtaProfile(fn=lambda k: (np.zeros_like(k),) * 3)
-        proto = su3_protocol(eta.spec(), omega=8.0, a_plus=SQRT2, p=3)
+        spec = su3_flat(eta_fn=lambda k: (np.zeros_like(k),) * 3)
+        proto = su3_protocol(spec, omega=8.0, a_plus=SQRT2, p=3)
         trace = integrate_tdse(proto.hamiltonian_fn(np.array([0.5, 2.0])),
                                proto.period, tol=1e-9)
         u = with_unit_third_level(trace.unitaries[-1])
@@ -114,8 +112,7 @@ class TestVerification:
         from floqueng.spectra import quasienergies
 
         omega = 8.0
-        eta = flat_band_profile(2.0)
-        proto = su3_protocol(eta.spec(), omega=omega, a_plus=SQRT2, p=3)
+        proto = su3_protocol(su3_flat(delta=2.0), omega=omega, a_plus=SQRT2, p=3)
         trace = integrate_tdse(proto.hamiltonian_fn(K16), proto.period, tol=1e-8)
         u = with_unit_third_level(trace.unitaries[-1])
         phase = np.diag([-1.0, -1.0, 1.0])
@@ -128,6 +125,6 @@ class TestVerification:
             assert np.allclose(np.sort(eps), expected, atol=1e-7)
 
     def test_eta0_rejected(self):
-        eta = EtaProfile(fn=lambda k: (np.ones_like(k),) * 3, eta0=0.3)
+        spec = su3_flat(eta_fn=lambda k: (np.ones_like(k),) * 3, eta0=0.3)
         with pytest.raises(ValueError):
-            verify_su3(eta, 8.0, SQRT2, 3, K16)
+            verify_su3(spec, 8.0, SQRT2, 3, K16)

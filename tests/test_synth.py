@@ -3,15 +3,12 @@ import pytest
 
 from floqueng import algebra
 from floqueng.algebra import S_MINUS, S_PLUS, SZ
-from floqueng.errors import NonPeriodicGauge
 from floqueng.gauge import GaugeParams, micromotion_matrix
 from floqueng.synth import (
-    METHOD_GENERAL,
+    crossstitch_drive_components,
     crossstitch_protocol,
     general_protocol,
     static_harmonic_residual,
-    synth_drive_crossstitch,
-    synth_drive_general,
     transform_m1,
     transform_m2,
 )
@@ -92,49 +89,57 @@ class TestTransformMatrices:
 
 class TestCrossStitchDrive:
     def test_initial_sample(self):
-        s = synth_drive_crossstitch(1.0, 2.0, 8.0, SQRT2, 3, k=0.0, t=0.0)
-        assert s.fx == pytest.approx(16 * SQRT2 - 8)
-        assert s.fy == pytest.approx(0.0)
-        assert s.fz == pytest.approx(24.0)
-        assert s.f0 == 0.0
+        f0, fx, fy, fz = crossstitch_drive_components(1.0, 2.0, 8.0, SQRT2, 3,
+                                                      k=0.0, t=0.0)
+        assert fx == pytest.approx(16 * SQRT2 - 8)
+        assert fy == pytest.approx(0.0)
+        assert fz == pytest.approx(24.0)
+        assert f0 == 0.0
 
     def test_general_path_initial_sample(self):
-        proto = crossstitch_protocol(method=METHOD_GENERAL)
-        s = proto.sample(0.0, 0.0)
-        assert s.fx == pytest.approx(16 * SQRT2 - 8)
-        assert s.fz == pytest.approx(24.0)
-        assert s.f0 == pytest.approx(0.0, abs=1e-14)
+        p = crossstitch_protocol()
+        f0, fx, _, fz = general_protocol(p.static, p.target, p.gauge).drive_components(0.0, 0.0)
+        assert fx == pytest.approx(16 * SQRT2 - 8)
+        assert fz == pytest.approx(24.0)
+        assert f0 == pytest.approx(0.0, abs=1e-14)
 
     def test_zero_gauge_drive_is_target_coupling(self):
         # with no micro-motion the drive is the constant difference
         # between target and bare Hamiltonians
-        s = synth_drive_crossstitch(1.0, 2.0, 8.0, 0.0, 0, k=0.7, t=0.123)
+        _, fx, fy, fz = crossstitch_drive_components(1.0, 2.0, 8.0, 0.0, 0,
+                                                     k=0.7, t=0.123)
         heff = -(2 * np.cos(0.7) + 2.0)
-        assert s.fx == pytest.approx(2 * heff)
-        assert s.fy == pytest.approx(0.0)
-        assert s.fz == pytest.approx(0.0)
+        assert fx == pytest.approx(2 * heff)
+        assert fy == pytest.approx(0.0)
+        assert fz == pytest.approx(0.0)
 
     def test_time_periodicity(self):
         rng = np.random.default_rng(12)
         T = 2 * np.pi / 8.0
         for _ in range(25):
             k, t = rng.uniform(-np.pi, np.pi), rng.uniform(0, T)
-            s1 = synth_drive_crossstitch(1.0, 2.0, 8.0, SQRT2, 3, k, t)
-            s2 = synth_drive_crossstitch(1.0, 2.0, 8.0, SQRT2, 3, k, t + T)
-            assert np.allclose([s1.fx, s1.fy, s1.fz], [s2.fx, s2.fy, s2.fz],
-                               atol=1e-12)
-
-    def test_rejects_non_integer_winding(self):
-        with pytest.raises(NonPeriodicGauge):
-            synth_drive_crossstitch(1.0, 2.0, 8.0, SQRT2, 1.5, 0.0, 0.0)
+            s1 = crossstitch_drive_components(1.0, 2.0, 8.0, SQRT2, 3, k, t)
+            s2 = crossstitch_drive_components(1.0, 2.0, 8.0, SQRT2, 3, k, t + T)
+            assert np.allclose(s1[1:], s2[1:], atol=1e-12)
 
     def test_closed_form_equals_general_path(self):
         closed = crossstitch_protocol()
-        general = crossstitch_protocol(method=METHOD_GENERAL)
+        general = general_protocol(closed.static, closed.target, closed.gauge)
         k = np.linspace(-np.pi, np.pi, 32, endpoint=False)
         t = np.linspace(0, closed.period, 32, endpoint=False)
         for a, b in zip(closed.drive_table(k, t), general.drive_table(k, t)):
             assert np.max(np.abs(a - b)) <= 1e-12
+
+    def test_closed_form_uses_the_given_parameters(self):
+        # the protocol drives with alpha and delta as given, not as
+        # recovered from coefficient samples with rounding error
+        proto = crossstitch_protocol(alpha=1.0, delta=0.3)
+        k = np.linspace(-np.pi, np.pi, 16, endpoint=False)
+        t = np.linspace(0, proto.period, 16, endpoint=False)
+        direct = crossstitch_drive_components(1.0, 0.3, 8.0, SQRT2, 3,
+                                              k[:, None], t[None, :])
+        for a, b in zip(proto.drive_table(k, t), direct):
+            assert np.array_equal(a, b)
 
 
 class TestGeneralSynthesis:
@@ -151,15 +156,16 @@ class TestGeneralSynthesis:
         # phi0-carrying gauges feed the identity drive channel only
         g = GaugeParams(a0=0.5, p=0, omega=8.0, phi0=lambda k: np.cos(k))
         chains = algebra.uncoupled_chains(1.0)
-        s = synth_drive_general(chains, chains, g, k=0.3, t=0.0)
-        assert s.f0 == pytest.approx(np.cos(0.3) * 0.5 * 8.0)
-        assert (s.fx, s.fy, s.fz) == (0.0, 0.0, 0.0)
+        f0, fx, fy, fz = general_protocol(chains, chains, g).drive_components(0.3, 0.0)
+        assert f0 == pytest.approx(np.cos(0.3) * 0.5 * 8.0)
+        assert (fx, fy, fz) == (0.0, 0.0, 0.0)
 
     def test_rejects_static_with_band_structure(self):
         g = GaugeParams(p=3, a_plus=1.0, omega=8.0)
         bad_static = algebra.cross_stitch(1.0, 2.0)
+        proto = general_protocol(bad_static, bad_static, g)
         with pytest.raises(ValueError):
-            synth_drive_general(bad_static, bad_static, g, 0.0, 0.0)
+            proto.drive_components(0.0, 0.0)
 
     def test_components_stay_real_for_random_targets(self):
         rng = np.random.default_rng(3)

@@ -125,11 +125,15 @@ def validate(cfg: dict) -> dict:
 
 
 def worker_count() -> int:
+    """Worker threads of a verify sweep: ``FLOQUET_THREADS``, 1 when unset."""
     raw = os.environ.get("FLOQUET_THREADS", "1")
     try:
-        return max(1, int(raw))
+        workers = int(raw)
     except ValueError:
-        return 1
+        workers = 0
+    if workers < 1:
+        raise ConfigError(f"FLOQUET_THREADS must be a positive integer, got {raw!r}")
+    return workers
 
 
 def fmt(x) -> str:
@@ -137,10 +141,27 @@ def fmt(x) -> str:
 
 
 def write_csv(path: Path, header: str, rows) -> None:
-    lines = [header]
-    lines.extend(",".join(fmt(v) if not isinstance(v, str) else v for v in row)
-                 for row in rows)
-    path.write_text("\n".join(lines) + "\n")
+    """Write ``rows``, a sequence or 2-D array of equal-length rows, under
+    ``header``.  A column whose first cell is a str is written as is; any
+    other is written as :func:`fmt` writes it.  The body is formatted in one
+    ``%`` operation."""
+    body = ""
+    if len(rows):
+        cells = np.asarray(rows, dtype=object)
+        spec = ",".join("%s" if isinstance(v, str) else "%.17g" for v in cells[0])
+        body = ((spec + "\n") * len(cells)) % tuple(cells.ravel().tolist())
+    path.write_text(header + "\n" + body)
+
+
+def _mesh_rows(k_label, t, *fields) -> np.ndarray:
+    """k-major (k, t, *fields) rows of an (n_k, n_t) mesh as an object
+    array.  Each grid value is formatted once and enters as a text cell."""
+    cells = np.empty((len(k_label), len(t), 2 + len(fields)), dtype=object)
+    cells[..., 0] = np.array([fmt(v) for v in k_label], dtype=object)[:, None]
+    cells[..., 1] = np.array([fmt(v) for v in t], dtype=object)
+    for column, field in enumerate(fields, 2):
+        cells[..., column] = field
+    return cells.reshape(-1, cells.shape[-1])
 
 
 def k_grid_of(cfg) -> np.ndarray:
@@ -194,10 +215,7 @@ def cmd_synth(cfg, outdir: Path) -> int:
     t = t_grid_of(cfg)
     f0, fx, fy, fz = proto.drive_table(k, t)
     k_label = k[:, 0] if k.ndim == 2 else k
-    rows = []
-    for i in range(cfg["kpoints"]):
-        for j in range(cfg["tpoints"]):
-            rows.append((k_label[i], t[j], fx[i, j], fy[i, j], fz[i, j], f0[i, j]))
+    rows = _mesh_rows(k_label, t, fx, fy, fz, f0)
     path = outdir / f"drive_{cfg['model']}_w{cfg['omega']:g}.csv"
     write_csv(path, "k,t,fx,fy,fz,f0", rows)
     print(f"synth: wrote {len(rows)} samples to {path}")
@@ -319,15 +337,11 @@ def cmd_lattice(cfg, outdir: Path) -> int:
 def cmd_su3(cfg, outdir: Path) -> int:
     a_plus = float(np.sqrt(cfg["aplus2"]))
     spec = algebra.su3_flat(delta=cfg["delta"])
-    table = su3mod.su3_drive_table(spec, cfg["omega"], a_plus, cfg["p"],
-                                   k_grid_of(cfg), t_grid_of(cfg))
-    columns = ("k", "t", "fx", "fy", "fz")
-    rows = []
-    for i in range(cfg["kpoints"]):
-        for j in range(cfg["tpoints"]):
-            rows.append(tuple(table[c][i, j] for c in columns))
+    k, t = k_grid_of(cfg), t_grid_of(cfg)
+    table = su3mod.su3_drive_table(spec, cfg["omega"], a_plus, cfg["p"], k, t)
+    rows = _mesh_rows(k, t, table["fx"], table["fy"], table["fz"])
     path = outdir / f"su3_drive_w{cfg['omega']:g}.csv"
-    write_csv(path, ",".join(columns), rows)
+    write_csv(path, "k,t,fx,fy,fz", rows)
     print(f"su3: wrote {len(rows)} samples to {path}")
     return EXIT_OK
 
@@ -374,6 +388,7 @@ def main(argv=None) -> int:
         if args.corrupt_fz is not None:
             cfg["corrupt_fz"] = args.corrupt_fz
         cfg = validate(cfg)
+        worker_count()  # a bad FLOQUET_THREADS fails before any output
     except (ConfigError, OSError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_BAD_CONFIG

@@ -22,8 +22,10 @@ def verify_su3(spec: HamiltonianSpec, omega, a_plus, p, k_grid,
     """Propagate the three-band drive and compare against the target.
 
     ``spec`` is a three-band target such as :func:`floqueng.algebra.su3_flat`
-    with a zero identity channel, which :func:`su3_protocol` enforces.  Only the coupled block is propagated and compared: the third level's
-    evolution and target entries are both exactly 1, so it adds zero error.
+    with a zero identity channel, which the drive checks at every momentum
+    it is evaluated on.  Only the coupled block is propagated and compared:
+    the third level's evolution and target entries are both exactly 1, so it
+    adds zero error.
     """
     proto = su3_protocol(spec, omega=omega, a_plus=a_plus, p=p)
     return verify_protocol(proto, k_grid, periods=periods, tol=tol)

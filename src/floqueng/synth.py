@@ -84,6 +84,9 @@ def _drive_general(target: HamiltonianSpec, static: HamiltonianSpec,
     kphase = np.exp(1j * kang)
 
     h0t, hxt, hyt, hzt = target.coeffs(k)
+    if target.band_count == 3 and np.any(h0t != 0):
+        raise ValueError("three-band synthesis requires a zero identity channel, "
+                         f"got max |h0| = {np.max(np.abs(h0t)):.3e}")
     h0s, hxs, hys, hzs = static.coeffs(k)
     if np.max(np.abs([hxs, hys, hzs])) > 0:
         raise ValueError("static Hamiltonian must be identity-channel only")
@@ -252,10 +255,8 @@ def su3_protocol(eta_spec: HamiltonianSpec, omega=8.0, a_plus=np.sqrt(2.0),
                  p=3) -> DrivingProtocol:
     """Three-band protocol on the coupled two-level block; requires a zero
     identity channel, so no static Hamiltonian is needed and the third level
-    evolves trivially."""
-    h0, _, _, _ = eta_spec.coeffs(np.linspace(-np.pi, np.pi, 7))
-    if np.max(np.abs(h0)) > 0:
-        raise ValueError("three-band synthesis requires a zero identity channel")
+    evolves trivially.  The drive checks that channel at every momentum it
+    is evaluated on and raises ValueError where it is not zero."""
     g = GaugeParams(a0=0.0, a_plus=float(a_plus), theta=0.0, p=p, omega=float(omega))
     zero_static = algebra.custom(
         lambda k: (np.zeros_like(k),) * 4, band_count=3, name="zero3")

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -132,6 +134,54 @@ def test_su3_dataset(tmp_path):
     assert len(rows) == 64
 
 
+def reference_csv(header, rows):
+    """The table format, one value at a time: text as is, numbers with 17
+    significant digits."""
+    return "".join(
+        ",".join(v if isinstance(v, str) else f"{float(v):.17g}" for v in row) + "\n"
+        for row in [[header], *rows])
+
+
+def test_write_csv_matches_per_value_reference(tmp_path):
+    rows = [
+        (-0.0, math.nan, math.inf, -math.inf),
+        (5e-324, 1e308, 0.1, -1e-300),
+        (3, -7, 2**60 + 1, 0),
+        (np.float64(0.1), np.float64(-0.0), np.float64(2.5e-17), np.float64(1 / 3)),
+    ]
+    path = tmp_path / "numbers.csv"
+    cli.write_csv(path, "a,b,c,d", rows)
+    assert path.read_text() == reference_csv("a,b,c,d", rows)
+
+    text_rows = [("x", 1, "cos(2k)*sin(wt)", 0.1), ("yz", -2, "1", np.float64(-0.0))]
+    cli.write_csv(path, "channel,m,harmonic,coefficient", text_rows)
+    assert path.read_text() == reference_csv("channel,m,harmonic,coefficient",
+                                             text_rows)
+
+    cli.write_csv(path, "k,t", [])
+    assert path.read_bytes() == b"k,t\n"
+
+
+@pytest.mark.parametrize("command,model,name", [
+    ("synth", "crossstitch", "drive_crossstitch_w8.csv"),
+    ("synth", "kitaev", "drive_kitaev_w8.csv"),
+    ("su3", "su3flat", "su3_drive_w8.csv"),
+])
+def test_mesh_tables_match_row_by_row_reference(tmp_path, command, model, name):
+    assert run([command, "--out", str(tmp_path), "--model", model,
+                "--kpoints", "16", "--tpoints", "8"]) == 0
+    cfg = cli.validate({"model": model, "kpoints": 16, "tpoints": 8})
+    k, t = cli.k_grid_of(cfg), cli.t_grid_of(cfg)
+    f0, fx, fy, fz = cli.build_protocol(cfg).drive_table(k, t)
+    fields = (fx, fy, fz, f0) if command == "synth" else (fx, fy, fz)
+    rows = []
+    for i in range(16):
+        for j in range(8):
+            rows.append((k[i], t[j], *(f[i, j] for f in fields)))
+    header = "k,t,fx,fy,fz,f0" if command == "synth" else "k,t,fx,fy,fz"
+    assert (tmp_path / name).read_text() == reference_csv(header, rows)
+
+
 def test_deterministic_output(tmp_path):
     d1, d2 = tmp_path / "a", tmp_path / "b"
     for d in (d1, d2):
@@ -169,6 +219,7 @@ def test_missing_config_file(tmp_path):
 def test_thread_cap_does_not_change_results(tmp_path, monkeypatch):
     d1, d2 = tmp_path / "serial", tmp_path / "threaded"
     monkeypatch.delenv("FLOQUET_THREADS", raising=False)
+    assert cli.worker_count() == 1
     assert run(["verify", "--out", str(d1), "--kpoints", "8",
                 "--tol", "1e-8"]) == 0
     monkeypatch.setenv("FLOQUET_THREADS", "4")
@@ -177,6 +228,15 @@ def test_thread_cap_does_not_change_results(tmp_path, monkeypatch):
                 "--tol", "1e-8"]) == 0
     name = "verify_crossstitch_w8.txt"
     assert (d1 / name).read_bytes() == (d2 / name).read_bytes()
+
+
+@pytest.mark.parametrize("value", ["abc", "0", "-1", "2.5", ""])
+def test_bad_thread_count_is_config_error(tmp_path, monkeypatch, capsys, value):
+    monkeypatch.setenv("FLOQUET_THREADS", value)
+    out = tmp_path / "out"
+    assert run(["verify", "--out", str(out), "--kpoints", "4"]) == 2
+    assert "FLOQUET_THREADS" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_general_model_synth(tmp_path):

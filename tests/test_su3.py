@@ -1,9 +1,9 @@
 import numpy as np
 import pytest
 
-from floqueng.algebra import S_MINUS, S_PLUS, SX, SY, SZ, su3_flat
+from floqueng.algebra import S_MINUS, S_PLUS, SX, SY, SZ, custom, su3_flat
 from floqueng.propagate import integrate_tdse, midpoint_fixed
-from floqueng.su3 import verify_su3
+from floqueng.su3 import su3_drive_table, verify_su3
 from floqueng.synth import su3_protocol
 
 SQRT2 = np.sqrt(2.0)
@@ -128,3 +128,15 @@ class TestVerification:
         spec = su3_flat(eta_fn=lambda k: (np.ones_like(k),) * 3, eta0=0.3)
         with pytest.raises(ValueError):
             verify_su3(spec, 8.0, SQRT2, 3, K16)
+
+    def test_identity_channel_checked_at_every_evaluated_momentum(self):
+        # h0 = 1 - cos 6k vanishes at k = 0, +-pi/3, +-2pi/3 and +-pi, so a
+        # probe of a few fixed momenta can miss it; the drive must not
+        k101 = np.linspace(-np.pi, np.pi, 101)
+        spec = custom(lambda k: (1 - np.cos(6 * k), 2 * np.cos(k) + 2,
+                                 -(2 * np.cos(k) + 2), np.zeros_like(k)),
+                      band_count=3)
+        with pytest.raises(ValueError, match="zero identity channel"):
+            su3_drive_table(spec, 8.0, SQRT2, 3, k101, np.linspace(0, 0.5, 4))
+        with pytest.raises(ValueError, match="zero identity channel"):
+            verify_su3(spec, 8.0, SQRT2, 3, k101)

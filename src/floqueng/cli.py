@@ -89,10 +89,12 @@ def load_config(path: str) -> dict:
 def _coerce(cfg: dict) -> dict:
     out = dict(DEFAULTS)
     out.update(cfg)
-    for key in _FLOAT_KEYS:
-        out[key] = float(out[key])
-    for key in _INT_KEYS:
-        out[key] = int(out[key])
+    for key in sorted(_FLOAT_KEYS | _INT_KEYS):
+        kind = int if key in _INT_KEYS else float
+        try:
+            out[key] = kind(out[key])
+        except ValueError:
+            raise ConfigError(f"{key} must be {kind.__name__}, got {out[key]!r}") from None
     out["model"] = str(out["model"])
     return out
 

@@ -18,7 +18,7 @@ class NonHermitianInput(FloquetError):
 
 
 class ToleranceNotReached(FloquetError):
-    """Step halving exhausted the step budget without converging."""
+    """Step doubling exhausted the step budget, or a round was not finite."""
 
 
 class HorizonMismatch(FloquetError):

@@ -17,6 +17,7 @@ logarithm branch choice.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
@@ -31,12 +32,14 @@ from .gauge import micromotion_at
 from .synth import DrivingProtocol
 
 MAX_TOTAL_STEPS = 2**24
-DEFAULT_BASE_STEPS = 4096
+DEFAULT_BASE_STEPS = 256
 DEFAULT_TOL = 1e-9
+_CHUNK_EVALS = 4096  # Hamiltonian evaluations (nodes x steps x momenta) held at once
 
-_CF4_NODE = np.sqrt(3.0) / 6.0
-_CF4_A1 = 0.25 + np.sqrt(3.0) / 6.0
-_CF4_A2 = 0.25 - np.sqrt(3.0) / 6.0
+# A scheme: (node offsets in units of dt, stage weights over nodes), stages in order
+_R = np.sqrt(3.0) / 6.0  # Gauss nodes of CF4 sit at -+_R dt from the midpoint
+_MIDPOINT = ((0.0,), ((1.0,),))
+_CF4 = ((-_R, _R), ((0.25 + _R, 0.25 - _R), (0.25 - _R, 0.25 + _R)))
 
 
 def expm_herm(h: np.ndarray, scale: float = 1.0) -> np.ndarray:
@@ -135,39 +138,44 @@ def _eval_h(hfun, ts: np.ndarray, base_shape: tuple | None = None) -> np.ndarray
     return h
 
 
-_CHUNK_STEPS = 2048  # 4096 Hamiltonian evaluations of CF4 held at once
+def _propagate(nodes, weights, hfun, horizon, nsteps, sample_indices):
+    """``nsteps`` equal steps of the scheme (``nodes``, ``weights``) from the
+    identity, stacked as U after each step count in ``sample_indices``.
 
-
-def _midpoint_chunk(hfun, tmid, dt, base_shape):
-    return _ordered_product(expm_herm(_eval_h(hfun, tmid, base_shape), dt))
-
-
-def _cf4_chunk(hfun, tmid, dt, base_shape):
-    # H once on both Gauss nodes t +- sqrt(3)/6 dt of every step; the two
-    # weighted averages go through one exponential batch, early stage first
-    nodes = (tmid[:, None] + np.array([-_CF4_NODE, _CF4_NODE]) * dt).ravel()
-    h = _eval_h(hfun, nodes, base_shape).reshape((len(tmid), 2) + base_shape)
-    h1, h2 = h[:, 0], h[:, 1]
-    e = expm_herm(np.stack([_CF4_A1 * h1 + _CF4_A2 * h2,
-                            _CF4_A2 * h1 + _CF4_A1 * h2], axis=1), dt)
-    return _ordered_product(_matmul(e[:, 1], e[:, 0]))
-
-
-def _propagate(chunk, hfun, horizon, nsteps, sample_indices):
-    """``nsteps`` equal steps of the scheme ``chunk`` from the identity;
-    returns the unitaries at ``sample_indices`` and at the horizon."""
+    A chunk of steps holds at most ``_CHUNK_EVALS`` evaluations of H.  Blocks
+    of the largest power of two dividing gcd(nsteps, *sample_indices) steps
+    are each one pairwise tree, merged across chunks if need be, so neither
+    the chunking nor the number of momenta changes any rounding.
+    """
     dt = horizon / nsteps
     base_shape = _eval_h(hfun, np.array([0.5 * dt])).shape[1:]
+    block = math.gcd(nsteps, *sample_indices)
+    block &= -block  # the largest power of two that divides every segment
+    fit = max(1, _CHUNK_EVALS // (len(nodes) * math.prod(base_shape[:-2])))
+    part = min(block, 1 << (fit.bit_length() - 1))  # steps per tree in a chunk
+    width = fit - fit % part
     u = np.broadcast_to(np.eye(base_shape[-1], dtype=complex), base_shape).copy()
-    samples = {0: u.copy()}
-    bounds = sorted(set(int(i) for i in sample_indices) | {0, nsteps})
-    for a, b in zip(bounds[:-1], bounds[1:]):
-        for j in range(a, b, _CHUNK_STEPS):
-            tmid = (np.arange(j, min(j + _CHUNK_STEPS, b)) + 0.5) * dt
-            u = _matmul(chunk(hfun, tmid, dt, base_shape), u)
-        if b in sample_indices:
-            samples[b] = u.copy()
-    return samples, u
+    snaps = [u] if 0 in sample_indices else []
+    done, pending = 0, []  # steps folded into U; (steps, tree) of the open block
+    for j in range(0, nsteps, width):
+        tmid = (np.arange(j, min(j + width, nsteps)) + 0.5) * dt
+        h = _eval_h(hfun, (tmid[:, None] + np.asarray(nodes) * dt).ravel(), base_shape)
+        # every stage of every step in one exponential batch, steps leading
+        e = expm_herm(np.stack([sum(w * h[n::len(nodes)] for n, w in enumerate(ws))
+                                for ws in weights], axis=1), dt)
+        e = e.reshape((-1, part * len(weights)) + base_shape).swapaxes(0, 1)
+        for p in _ordered_product(e):
+            n = part
+            while pending and pending[-1][0] == n:
+                p, n = _matmul(p, pending.pop()[1]), 2 * n
+            if n < block:
+                pending.append((n, p))
+                continue
+            u, done = _matmul(p, u), done + n
+            if done in sample_indices:
+                snaps.append(u)
+        del h, e  # free this chunk before the next one is evaluated
+    return np.stack(snaps)
 
 
 def integrate_tdse(hfun: Callable, horizon: float, tol: float = DEFAULT_TOL,
@@ -178,11 +186,11 @@ def integrate_tdse(hfun: Callable, horizon: float, tol: float = DEFAULT_TOL,
     ``hfun`` maps a 1D array of n_t times to a Hermitian (n_t, ..., d, d)
     stack; any other shape raises ValueError.  Batching propagates every
     index between the time axis and the matrix axes independently.  The
-    fourth-order commutator-free scheme doubles its step count until two
-    successive horizon unitaries differ by less than ``tol`` in max-entry
-    norm; the Richardson error estimate of the accepted run is ``diff/15``.
-    A round whose horizon unitary is not finite raises at once; overflow
-    inside a round is left to that check instead of warning.
+    fourth-order commutator-free scheme doubles its step count from a coarse
+    ``base_steps`` until two successive horizon unitaries differ by less than
+    ``tol`` in max-entry norm; the Richardson error estimate of the accepted
+    run is ``diff/15``.  A round whose horizon unitary is not finite raises
+    at once; overflow inside a round is left to that check instead of warning.
 
     ``sample_times`` must lie on the base step grid so that snapshots remain
     exact as the step count doubles.
@@ -192,33 +200,31 @@ def integrate_tdse(hfun: Callable, horizon: float, tol: float = DEFAULT_TOL,
     _check_hermitian_samples(hfun, horizon)
 
     sample_times = np.asarray(sorted(set(float(s) for s in sample_times) | {0.0, float(horizon)}))
-    frac = sample_times / horizon
-    base_idx = frac * base_steps
+    base_idx = sample_times / horizon * base_steps
     if np.max(np.abs(base_idx - np.round(base_idx))) > 1e-9:
         raise ValueError("sample_times must fall on the base step grid")
-    base_idx = np.round(base_idx).astype(int)
+    base_idx = np.round(base_idx).astype(int).tolist()
 
-    nsteps = base_steps
-    prev_u = None
+    nsteps, prev_u = base_steps, None
     while True:
-        idx = [int(i) * (nsteps // base_steps) for i in base_idx]
+        idx = {i * (nsteps // base_steps) for i in base_idx}
         with np.errstate(over="ignore", invalid="ignore"):
-            samples, u_end = _propagate(_cf4_chunk, hfun, horizon, nsteps, set(idx))
-        if not np.all(np.isfinite(u_end)):
+            u = _propagate(*_CF4, hfun, horizon, nsteps, idx)
+        if not np.all(np.isfinite(u[-1])):
             raise ToleranceNotReached(
                 f"horizon unitary is not finite after the {nsteps}-step round"
             )
         if prev_u is not None:
-            diff = float(np.max(np.abs(u_end - prev_u)))
+            diff = float(np.max(np.abs(u[-1] - prev_u)))
             if diff < tol:
                 return PropagatorTrace(
                     times=sample_times,
-                    unitaries=np.stack([samples[i] for i in idx], axis=0),
+                    unitaries=u,
                     step_count=nsteps,
                     estimated_error=diff / 15.0,
                     horizon=float(horizon),
                 )
-        prev_u = u_end
+        prev_u = u[-1].copy()  # not a view that would keep every snapshot alive
         nsteps *= 2
         if nsteps > MAX_TOTAL_STEPS:
             raise ToleranceNotReached(
@@ -229,16 +235,14 @@ def integrate_tdse(hfun: Callable, horizon: float, tol: float = DEFAULT_TOL,
 def midpoint_fixed(hfun: Callable, horizon: float, nsteps: int) -> np.ndarray:
     """Fixed-step midpoint-exponential run through the chunk loop of
     ``integrate_tdse``, as its independent reference; returns U(horizon)."""
-    _, u = _propagate(_midpoint_chunk, hfun, horizon, nsteps, set())
-    return u
+    return _propagate(*_MIDPOINT, hfun, horizon, nsteps, {nsteps})[-1]
 
 
 def cf4_fixed(hfun: Callable, horizon: float, nsteps: int) -> np.ndarray:
     """Fixed-step run of the CF4 scheme that ``integrate_tdse`` doubles,
     through the same chunk loop; returns U(horizon)."""
     _check_hermitian_samples(hfun, horizon)
-    _, u = _propagate(_cf4_chunk, hfun, horizon, nsteps, set())
-    return u
+    return _propagate(*_CF4, hfun, horizon, nsteps, {nsteps})[-1]
 
 
 def floquet_operator(trace: PropagatorTrace, period: float | None = None) -> np.ndarray:
@@ -283,38 +287,32 @@ class VerificationReport:
         return float(np.asarray(self.k_values)[int(np.argmax(self.strobe_errors))])
 
 
-def strobe_target(protocol: DrivingProtocol, k, periods: int = 1) -> np.ndarray:
-    """Phase-adjusted target unitary (-1)^(p n) exp(-i n T H_eff) per
-    momentum; the winding sign covers the whole 2x2 block."""
-    sign = (-1.0) ** (protocol.gauge.p * periods)
-    return sign * expm_herm(protocol.target_matrices(k), periods * protocol.period)
-
-
 def verify_protocol(protocol: DrivingProtocol, k_grid, periods: int = 1,
                     tol: float = DEFAULT_TOL,
-                    micromotion_samples: int = 64,
-                    base_steps_per_period: int = DEFAULT_BASE_STEPS) -> VerificationReport:
+                    micromotion_samples: int = 64) -> VerificationReport:
     """Integrate the synthesized drive and compare against the target.
 
     For every momentum on the grid the time-ordered evolution runs over
-    ``periods`` full periods; the strobe error is the Frobenius distance
-    between U(nT) and the phase-adjusted target exponential.  The periodic
-    part is also extracted on a uniform grid over the first period and
-    compared with the closed form.  A momentum fails when its strobe error
-    exceeds ``tol``.
+    ``periods`` full periods, doubling from ``DEFAULT_BASE_STEPS`` steps per
+    period; the strobe error is the Frobenius distance between U(nT) and the
+    phase-adjusted target exponential.  The periodic part is also extracted
+    on a uniform grid of ``micromotion_samples``, which must divide the base,
+    over the first period and compared with the closed form.  A momentum
+    fails when its strobe error exceeds ``tol``.
     """
     k_grid = np.asarray(k_grid, dtype=float)
     T = protocol.period
-    horizon = periods * T
     sample_times = np.linspace(0.0, T, micromotion_samples, endpoint=False)
     strobe_times = [n * T for n in range(1, periods + 1)]
     trace = integrate_tdse(
-        protocol.hamiltonian_fn(k_grid), horizon, tol=tol,
-        base_steps=base_steps_per_period * periods,
+        protocol.hamiltonian_fn(k_grid), periods * T, tol=tol,
+        base_steps=DEFAULT_BASE_STEPS * periods,
         sample_times=list(sample_times) + strobe_times,
     )
 
-    target = strobe_target(protocol, k_grid, periods)
+    # the target's winding sign (-1)^(p n) covers the whole 2x2 block
+    sign = (-1.0) ** (protocol.gauge.p * periods)
+    target = sign * expm_herm(protocol.target_matrices(k_grid), periods * T)
     u_end = trace.unitaries[-1]  # the horizon is the last sampled time
     strobe_errors = np.atleast_1d(np.linalg.norm(u_end - target, axis=(-2, -1)))
 
@@ -335,7 +333,7 @@ def verify_protocol(protocol: DrivingProtocol, k_grid, periods: int = 1,
     return VerificationReport(
         max_strobe_error=max_strobe,
         max_micromotion_error=micro_err,
-        strobe_phase_used=complex((-1.0) ** (protocol.gauge.p * periods)),
+        strobe_phase_used=complex(sign),
         k_values=k_grid,
         strobe_errors=strobe_errors,
         periods=periods,

@@ -59,9 +59,18 @@ def test_invalid_winding_exits_2_and_writes_nothing(tmp_path, capsys):
     ["verify", "--omega", "nan"],
     ["verify", "--omega", "inf"],
     ["verify", "--aplus2", "nan"],
+    ["synth", "--config", "kpoints = 2.5"],
+    ["verify", "--config", "omega = abc"],
 ])
-def test_config_validation_failures(tmp_path, bad):
+def test_config_validation_failures(tmp_path, bad, capsys):
+    if "--config" in bad:  # the argument after it is the file's text
+        i = bad.index("--config") + 1
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(bad[i] + "\n")
+        bad = bad[:i] + [str(cfg)] + bad[i + 1:]
     assert run(bad + ["--out", str(tmp_path)]) == 2
+    if "--config" in bad:
+        assert cfg.read_text().split()[0] in capsys.readouterr().err
 
 
 def test_verify_passes_on_defaults(tmp_path):

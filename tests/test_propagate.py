@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from scipy.linalg import expm as scipy_expm
 
 import floqueng.propagate as prop
-from floqueng.algebra import SIGMA_X, SZ, custom
+from floqueng.algebra import SIGMA_X, SX, SY, SZ, custom
 from floqueng.errors import (
     HorizonMismatch,
     NonHermitianInput,
@@ -99,7 +99,8 @@ def test_non_finite_round_fails_fast(monkeypatch):
     proto = crossstitch_protocol(alpha=1e300)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        with pytest.raises(ToleranceNotReached, match="4096-step round"):
+        with pytest.raises(ToleranceNotReached,
+                           match=f"{prop.DEFAULT_BASE_STEPS}-step round"):
             integrate_tdse(proto.hamiltonian_fn(K8[:4]), proto.period, tol=1e-8)
 
 
@@ -138,6 +139,83 @@ def test_three_period_composition_is_cube_of_floquet_operator():
     assert np.max(np.abs(u3 - u1 @ u1 @ u1)) <= 3e-9
 
 
+K3 = np.array([-1.0, 0.3, 2.0])
+
+
+def three_momenta(t):
+    """A time-dependent hfun on three momenta with non-commuting channels."""
+    t = np.asarray(t, dtype=float)
+    hx = np.multiply.outer(np.cos(5 * t), 1 + K3)
+    hy = np.multiply.outer(np.sin(3 * t), K3)
+    hz = np.multiply.outer(t, np.ones_like(K3))
+    return (hx[..., None, None] * SX + hy[..., None, None] * SY
+            + hz[..., None, None] * SZ)
+
+
+def stepwise_reference(scheme, hfun, horizon, nsteps):
+    """U after every step, one step and one stage at a time with scipy's expm."""
+    nodes, weights = scheme
+    dt = horizon / nsteps
+    u = np.broadcast_to(np.eye(2, dtype=complex), (len(K3), 2, 2))
+    out = [u]
+    for i in range(nsteps):
+        h = hfun((i + 0.5 + np.asarray(nodes)) * dt)
+        for ws in weights:
+            stage = sum(w * hn for w, hn in zip(ws, h))
+            u = np.stack([scipy_expm(-1j * dt * hk) @ uk for hk, uk in zip(stage, u)])
+        out.append(u)
+    return out
+
+
+@pytest.mark.parametrize("scheme", ["cf4", "midpoint"])
+@pytest.mark.parametrize("nsteps", [64, 48, 52])
+@pytest.mark.parametrize("budget", [30, 42, 240, 4096])
+def test_chunk_loop_matches_stepwise_product(monkeypatch, scheme, nsteps, budget):
+    # samples at a quarter and a half of the horizon cut the run into blocks
+    # of 16, 4 and 1 steps.  For CF4 on three momenta, budgets of 30 and 42
+    # evaluations fit 5 and 7 steps, so a 16-step block spans four chunks;
+    # 240 fits whole blocks with a short last chunk at 48 steps; 4096 holds
+    # the whole run
+    scheme = prop._CF4 if scheme == "cf4" else prop._MIDPOINT
+    monkeypatch.setattr(prop, "_CHUNK_EVALS", budget)
+    idx = [0, nsteps // 4, nsteps // 2, nsteps]
+    snaps = prop._propagate(*scheme, three_momenta, 1.0, nsteps, set(idx))
+    ref = stepwise_reference(scheme, three_momenta, 1.0, nsteps)
+    assert snaps.shape == (len(idx), len(K3), 2, 2)
+    for i, snap in zip(idx, snaps):
+        assert np.max(np.abs(snap - ref[i])) <= 1e-13
+
+
+@pytest.mark.parametrize("budget", [30, 240, 4096])
+def test_momenta_propagated_together_match_each_alone(monkeypatch, budget):
+    # how many momenta share a chunk changes the chunk width, which must not
+    # change a single bit: a verify sweep split over threads relies on it
+    monkeypatch.setattr(prop, "_CHUNK_EVALS", budget)
+    idx = {0, 16, 32, 256}
+    together = prop._propagate(*prop._CF4, three_momenta, 1.0, 256, idx)
+    for m in range(len(K3)):
+        alone = prop._propagate(*prop._CF4, lambda t: three_momenta(t)[:, m:m + 1],
+                                1.0, 256, idx)
+        assert np.array_equal(together[:, m:m + 1], alone)
+
+
+def test_chunks_stay_within_the_evaluation_budget(monkeypatch):
+    # memory is bounded in the number of momenta: every hfun call holds at
+    # most the budget of Hamiltonian evaluations, counted over momenta
+    monkeypatch.setattr(prop, "MAX_TOTAL_STEPS", 2048)
+    k = np.linspace(-np.pi, np.pi, 1024, endpoint=False)
+    calls = []
+
+    def hfun(t):
+        calls.append(len(t) * len(k))
+        hx = np.multiply.outer(np.cos(2 * t), np.cos(k))
+        return hx[..., None, None] * SX + np.multiply.outer(t, k)[..., None, None] * SZ
+
+    trace = integrate_tdse(hfun, 1.0, tol=1e-6)
+    assert trace.step_count >= 512 and len(calls) > 2
+    assert max(calls) <= prop._CHUNK_EVALS
+
+
 def test_midpoint_convergence_order():
     proto = crossstitch_protocol()
     hfun = proto.hamiltonian_fn(np.array([0.9]))
@@ -174,25 +252,30 @@ def test_independent_integrators_agree(omega):
     assert np.max(np.abs(trace.unitaries[-1] - u_mid)) <= 1e-9
 
 
-_CHANNEL = st.tuples(*[st.floats(-2.0, 2.0)] * 3)
+_CHANNEL = st.tuples(*[st.floats(-2.0, 2.0)] * 7)
 
 
 @settings(max_examples=20, derandomize=True, deadline=None, database=None)
 @given(channels=st.tuples(*[_CHANNEL] * 4), omega=st.floats(3.0, 12.0),
-       p=st.integers(3, 6), a_plus=st.floats(1.0, 2.0))
-def test_exactness_over_random_trigonometric_targets(channels, omega, p, a_plus):
-    # every channel of the target is c0 + c1 cos k + s1 sin k
+       p=st.integers(1, 6), a_plus=st.floats(1.0, 2.0),
+       periods=st.integers(1, 2))
+def test_exactness_over_random_trigonometric_targets(channels, omega, p, a_plus,
+                                                     periods):
+    # every channel of the target is c0 + sum over n = 1..3 of
+    # cn cos nk + sn sin nk; windings of both parities and two-period runs
+    # guard the coarse start of the step doubling against aliasing
     def coeffs(k):
         k = np.asarray(k, dtype=float)
-        return tuple(c0 + c1 * np.cos(k) + s1 * np.sin(k)
-                     for c0, c1, s1 in channels)
+        return tuple(c[0] + sum(c[2 * n - 1] * np.cos(n * k) + c[2 * n] * np.sin(n * k)
+                                for n in (1, 2, 3))
+                     for c in channels)
 
     zero = custom(lambda k: (np.zeros_like(np.asarray(k, dtype=float)),) * 4)
     proto = general_protocol(zero, custom(coeffs),
                              GaugeParams(a_plus=a_plus, p=p, omega=omega))
     tol = 1e-8
     rep = verify_protocol(proto, np.linspace(-np.pi, np.pi, 4, endpoint=False),
-                          tol=tol)
+                          periods=periods, tol=tol)
     assert rep.max_strobe_error <= tol
 
 

@@ -7,7 +7,6 @@ from .algebra import (
     chiral_p_wave_2d,
     cross_stitch,
     custom,
-    eig_bands,
     kitaev_chain,
     su3_flat,
     uncoupled_chains,
@@ -15,20 +14,13 @@ from .algebra import (
 from .errors import (
     FloquetError,
     HermiticityError,
-    HorizonMismatch,
     NonHermitianInput,
     NonPeriodicGauge,
     NonUnitaryInput,
     RangeOverflow,
     ToleranceNotReached,
 )
-from .gauge import (
-    GaugeParams,
-    boundary_report,
-    complete_wei_norman,
-    micromotion_matrix,
-    mu_functions,
-)
+from .gauge import GaugeParams
 from .lattice import (
     LatticeTerm,
     assemble_lattice_hamiltonian,
@@ -36,21 +28,12 @@ from .lattice import (
     lattice_vs_momentum_check,
 )
 from .propagate import (
-    PropagatorTrace,
     VerificationReport,
     cf4_fixed,
-    extract_micromotion,
-    floquet_operator,
     integrate_tdse,
     verify_protocol,
 )
-from .spectra import (
-    BandTable,
-    FourierTable,
-    band_structure,
-    envelope_fourier,
-    quasienergies,
-)
+from .spectra import band_structure, envelope_fourier, quasienergies
 from .su3 import su3_drive_table, verify_su3
 from .synth import (
     DrivingProtocol,
@@ -58,8 +41,6 @@ from .synth import (
     general_protocol,
     static_harmonic_residual,
     su3_protocol,
-    transform_m1,
-    transform_m2,
 )
 
 __version__ = "0.1.0"

@@ -14,9 +14,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -126,18 +124,6 @@ def validate(cfg: dict) -> dict:
     return cfg
 
 
-def worker_count() -> int:
-    """Worker threads of a verify sweep: ``FLOQUET_THREADS``, 1 when unset."""
-    raw = os.environ.get("FLOQUET_THREADS", "1")
-    try:
-        workers = int(raw)
-    except ValueError:
-        workers = 0
-    if workers < 1:
-        raise ConfigError(f"FLOQUET_THREADS must be a positive integer, got {raw!r}")
-    return workers
-
-
 def fmt(x) -> str:
     return f"{float(x):.17g}"
 
@@ -224,28 +210,13 @@ def cmd_synth(cfg, outdir: Path) -> int:
     return EXIT_OK
 
 
-def _verify_parallel(proto, k_grid, cfg):
-    workers = worker_count()
-    if workers == 1 or len(k_grid) < 2 * workers:
-        return [verify_protocol(proto, k_grid, periods=cfg["periods"],
-                                tol=cfg["tol"])]
-    chunks = np.array_split(np.asarray(k_grid), workers)
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        futures = [pool.submit(verify_protocol, proto, chunk,
-                               periods=cfg["periods"], tol=cfg["tol"])
-                   for chunk in chunks if len(chunk)]
-        return [f.result() for f in futures]
-
-
 def cmd_verify(cfg, outdir: Path) -> int:
     proto = build_protocol(cfg)
     k = k_grid_of(cfg)
-    reports = _verify_parallel(proto, k, cfg)
-    max_strobe = max(r.max_strobe_error for r in reports)
-    max_micro = max(r.max_micromotion_error for r in reports)
-    k_values = np.concatenate([np.atleast_1d(r.k_values.reshape(len(r.strobe_errors), -1)[:, 0])
-                               for r in reports])
-    errors = np.concatenate([r.strobe_errors for r in reports])
+    report = verify_protocol(proto, k, periods=cfg["periods"], tol=cfg["tol"])
+    max_strobe = report.max_strobe_error
+    errors = report.strobe_errors
+    k_values = report.k_values.reshape(len(errors), -1)[:, 0]
     order = np.argsort(errors)[::-1]
     passed = max_strobe <= cfg["tol"]
 
@@ -256,9 +227,9 @@ def cmd_verify(cfg, outdir: Path) -> int:
         f"kpoints={cfg['kpoints']}",
         f"tol={fmt(cfg['tol'])}",
         f"maxStrobeError={fmt(max_strobe)}",
-        f"maxMicromotionError={fmt(max_micro)}",
-        f"strobePhase={fmt(reports[0].strobe_phase_used.real)}",
-        f"integratorSteps={max(r.integrator_steps for r in reports)}",
+        f"maxMicromotionError={fmt(report.max_micromotion_error)}",
+        f"strobePhase={fmt(report.strobe_phase_used.real)}",
+        f"integratorSteps={report.integrator_steps}",
         f"passed={'true' if passed else 'false'}",
         "",
         "[worst-offenders]",
@@ -390,7 +361,6 @@ def main(argv=None) -> int:
         if args.corrupt_fz is not None:
             cfg["corrupt_fz"] = args.corrupt_fz
         cfg = validate(cfg)
-        worker_count()  # a bad FLOQUET_THREADS fails before any output
     except (ConfigError, OSError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_BAD_CONFIG

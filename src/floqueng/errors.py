@@ -21,10 +21,6 @@ class ToleranceNotReached(FloquetError):
     """Step doubling exhausted the step budget, or a round was not finite."""
 
 
-class HorizonMismatch(FloquetError):
-    """A propagator trace does not cover the expected time horizon."""
-
-
 class NonUnitaryInput(FloquetError):
     """A matrix that must be unitary is not, within tolerance."""
 

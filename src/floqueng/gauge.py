@@ -18,8 +18,6 @@ import numpy as np
 
 from .errors import NonPeriodicGauge
 
-BOUNDARY_TOL = 1e-12
-
 
 def _zero_phi(k):
     # scalar zero broadcasts against any momentum-grid shape
@@ -77,19 +75,6 @@ def mu_functions(g: GaugeParams, t):
     return mu0, mu_plus, mu_zr, dmu0, dmu_plus, dmu_zr
 
 
-def complete_wei_norman(m_plus):
-    """Dependent factorization functions fixed by unitarity of the product:
-    m_minus = conj(m_plus)/(1+|m_plus|^2) and Im(m_z) = ln(1+|m_plus|^2).
-
-    The logarithm argument is >= 1, so the principal branch is the only one.
-    """
-    m_plus = np.asarray(m_plus, dtype=complex)
-    denom = 1.0 + np.abs(m_plus) ** 2
-    m_minus = np.conj(m_plus) / denom
-    mz_imag = np.log(denom)
-    return m_minus, mz_imag
-
-
 def micromotion_matrix(m0, m_plus, mz_real) -> np.ndarray:
     """Closed-form 2x2 periodic part for independent variables
     (m0, m_plus, mz_real); unitary for any finite arguments.
@@ -125,39 +110,3 @@ def micromotion_at(g: GaugeParams, k, t, dimension: int = 1) -> np.ndarray:
     mu0, mu_plus, mu_zr, *_ = mu_functions(g, t)
     kphase = np.exp(1j * ladder_phase_angle(k, dimension))
     return micromotion_matrix(g.phi0(k) * mu0, mu_plus * kphase, mu_zr)
-
-
-@dataclass(frozen=True)
-class BoundaryReport:
-    strobe_phase: complex
-    max_mu_residual: float
-
-
-def boundary_report(g: GaugeParams, n: int = 1,
-                    tol: float = BOUNDARY_TOL) -> BoundaryReport:
-    """Check the gauge boundary conditions at t = nT.
-
-    With the separable family all mu's vanish at nT except the z winding,
-    which contributes a period-global sign: P(nT) = (-1)^(p*n) * I.  Raises
-    :class:`NonPeriodicGauge` when the ladder shape fails to vanish or the
-    identity shape fails to land on a multiple of 2*pi.
-    """
-    t_n = n * g.period
-    mu0, mu_plus, mu_zr, *_ = mu_functions(g, t_n)
-    mu0_residual = float(np.abs(mu0 - 2 * np.pi * np.round(mu0 / (2 * np.pi))))
-    plus_residual = float(np.abs(mu_plus))
-    if plus_residual > tol:
-        raise NonPeriodicGauge(
-            f"|mu_plus({n}T)| = {plus_residual:.3e} exceeds {tol:.1e}"
-        )
-    if mu0_residual > tol:
-        raise NonPeriodicGauge(
-            f"mu0({n}T) is {mu0_residual:.3e} away from 2*pi*Z"
-        )
-    half_turns = mu_zr / (2 * np.pi)  # = p*n for the linear winding
-    phase = complex((-1.0) ** (g.p * n))
-    return BoundaryReport(
-        strobe_phase=phase,
-        max_mu_residual=max(mu0_residual, plus_residual,
-                            float(np.abs(half_turns - g.p * n)) * 2 * np.pi),
-    )

@@ -1,5 +1,5 @@
-"""Time-ordered integration of the Schrodinger equation for small dense
-Hamiltonians, Floquet-operator extraction, and protocol verification.
+"""Time-ordered integration of the Schrodinger equation for 2x2
+Hamiltonians, micro-motion extraction, and protocol verification.
 
 Three-band drives are propagated as their coupled 2x2 block: the third level
 carries no drive and no target energy, so its evolution is exactly 1 and adds
@@ -23,11 +23,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import (
-    HorizonMismatch,
-    NonHermitianInput,
-    ToleranceNotReached,
-)
+from .errors import NonHermitianInput, ToleranceNotReached
 from .gauge import micromotion_at
 from .synth import DrivingProtocol
 
@@ -43,37 +39,31 @@ _CF4 = ((-_R, _R), ((0.25 + _R, 0.25 - _R), (0.25 - _R, 0.25 + _R)))
 
 
 def expm_herm(h: np.ndarray, scale: float = 1.0) -> np.ndarray:
-    """exp(-1j * scale * h) for Hermitian h, batched over leading axes.
-
-    2x2 stacks use the closed Pauli form (exactly unitary); any other size
-    goes through an eigendecomposition, which tests use as the reference.
-    """
+    """exp(-1j * scale * h) for a Hermitian (..., 2, 2) stack h, in the
+    closed Pauli form (exactly unitary); any other trailing shape raises."""
     h = np.asarray(h, dtype=complex)
-    d = h.shape[-1]
-    if d == 2:
-        a = h[..., 0, 0]
-        b = h[..., 0, 1]
-        dd = h[..., 1, 1]
-        c0 = np.real(a + dd) / 2
-        cz = np.real(a - dd)
-        r2 = 4.0 * (np.real(b) ** 2 + np.imag(b) ** 2) + cz * cz
-        r = np.sqrt(r2)
-        phi = (scale / 2) * r
-        nonzero = r > 0
-        sinc = np.divide(np.sin(phi), r, out=np.full_like(r, scale / 2),
-                         where=nonzero)
-        cosphi = np.cos(phi)
-        isinc = -1j * sinc
-        out = np.empty_like(h)
-        out[..., 0, 0] = cosphi + isinc * cz
-        out[..., 1, 1] = cosphi - isinc * cz
-        out[..., 0, 1] = (2 * isinc) * b
-        out[..., 1, 0] = (2 * isinc) * np.conj(b)
-        out *= np.exp(-1j * scale * c0)[..., None, None]
-        return out
-    w, v = np.linalg.eigh(h)
-    phase = np.exp(-1j * scale * w)
-    return np.einsum("...ij,...j,...kj->...ik", v, phase, np.conj(v))
+    if h.shape[-2:] != (2, 2):
+        raise ValueError(f"expm_herm takes a (..., 2, 2) stack, got {h.shape}")
+    a = h[..., 0, 0]
+    b = h[..., 0, 1]
+    dd = h[..., 1, 1]
+    c0 = np.real(a + dd) / 2
+    cz = np.real(a - dd)
+    r2 = 4.0 * (np.real(b) ** 2 + np.imag(b) ** 2) + cz * cz
+    r = np.sqrt(r2)
+    phi = (scale / 2) * r
+    nonzero = r > 0
+    sinc = np.divide(np.sin(phi), r, out=np.full_like(r, scale / 2),
+                     where=nonzero)
+    cosphi = np.cos(phi)
+    isinc = -1j * sinc
+    out = np.empty_like(h)
+    out[..., 0, 0] = cosphi + isinc * cz
+    out[..., 1, 1] = cosphi - isinc * cz
+    out[..., 0, 1] = (2 * isinc) * b
+    out[..., 1, 0] = (2 * isinc) * np.conj(b)
+    out *= np.exp(-1j * scale * c0)[..., None, None]
+    return out
 
 
 @dataclass
@@ -81,21 +71,20 @@ class PropagatorTrace:
     """Sampled unitaries U(t) along one integration run."""
 
     times: np.ndarray
-    unitaries: np.ndarray  # (n_samples, ..., d, d)
+    unitaries: np.ndarray  # (n_samples, ..., 2, 2)
     step_count: int
     estimated_error: float
-    horizon: float
 
     def __post_init__(self):
-        eye = np.eye(self.unitaries.shape[-1])
-        dev = np.max(np.abs(self.unitaries[0] - eye))
+        dev = np.max(np.abs(self.unitaries[0] - np.eye(2)))
         if dev > 1e-12:
             raise ValueError(f"trace must start at the identity, got deviation {dev:.1e}")
 
 
 def _check_hermitian_samples(hfun: Callable, horizon: float) -> None:
-    fracs = (0.0, 0.37, 0.5, 1.0)
-    for frac, h in zip(fracs, _eval_h(hfun, horizon * np.array(fracs))):
+    # one time per call, so the check holds no more momenta than a CF4 step
+    for frac in (0.0, 0.37, 0.5, 1.0):
+        h = _eval_h(hfun, np.array([frac * horizon]))[0]
         dev = np.max(np.abs(h - np.conj(np.swapaxes(h, -1, -2))))
         if dev > 1e-10 * max(1.0, float(np.max(np.abs(h)))):
             raise NonHermitianInput(
@@ -104,8 +93,6 @@ def _check_hermitian_samples(hfun: Callable, horizon: float) -> None:
 
 
 def _matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    if a.shape[-1] != 2:
-        return a @ b
     # elementwise 2x2 products beat generic batched matmul at this size
     out = np.empty(np.broadcast_shapes(a.shape, b.shape), dtype=complex)
     out[..., 0, 0] = a[..., 0, 0] * b[..., 0, 0] + a[..., 0, 1] * b[..., 1, 0]
@@ -116,7 +103,7 @@ def _matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def _ordered_product(e: np.ndarray) -> np.ndarray:
-    """Product e[-1] @ ... @ e[0] of a (n, ..., d, d) stack, reduced pairwise
+    """Product e[-1] @ ... @ e[0] of a (n, ..., 2, 2) stack, reduced pairwise
     so the work stays in large batched products."""
     while e.shape[0] > 1:
         even = e.shape[0] - (e.shape[0] % 2)
@@ -126,12 +113,12 @@ def _ordered_product(e: np.ndarray) -> np.ndarray:
 
 
 def _eval_h(hfun, ts: np.ndarray, base_shape: tuple | None = None) -> np.ndarray:
-    """H on a 1D batch of times as an (n_t, ..., d, d) stack, whose trailing
+    """H on a 1D batch of times as an (n_t, ..., 2, 2) stack, whose trailing
     shape must equal ``base_shape`` when given; any other shape raises."""
     h = np.asarray(hfun(ts), dtype=complex)
-    if (h.ndim < 3 or h.shape[0] != len(ts) or h.shape[-1] != h.shape[-2]
+    if (h.ndim < 3 or h.shape[0] != len(ts) or h.shape[-2:] != (2, 2)
             or base_shape not in (None, h.shape[1:])):
-        expected = (f"({len(ts)}, ..., d, d)" if base_shape is None
+        expected = (f"({len(ts)}, ..., 2, 2)" if base_shape is None
                     else str((len(ts),) + base_shape))
         raise ValueError(f"hfun must map {len(ts)} times to shape {expected}, "
                          f"got {h.shape}")
@@ -154,7 +141,7 @@ def _propagate(nodes, weights, hfun, horizon, nsteps, sample_indices):
     fit = max(1, _CHUNK_EVALS // (len(nodes) * math.prod(base_shape[:-2])))
     part = min(block, 1 << (fit.bit_length() - 1))  # steps per tree in a chunk
     width = fit - fit % part
-    u = np.broadcast_to(np.eye(base_shape[-1], dtype=complex), base_shape).copy()
+    u = np.broadcast_to(np.eye(2, dtype=complex), base_shape).copy()
     snaps = [u] if 0 in sample_indices else []
     done, pending = 0, []  # steps folded into U; (steps, tree) of the open block
     for j in range(0, nsteps, width):
@@ -183,7 +170,7 @@ def integrate_tdse(hfun: Callable, horizon: float, tol: float = DEFAULT_TOL,
                    sample_times: Sequence[float] = ()) -> PropagatorTrace:
     """Propagate dU/dt = -i H(t) U from the identity over [0, horizon].
 
-    ``hfun`` maps a 1D array of n_t times to a Hermitian (n_t, ..., d, d)
+    ``hfun`` maps a 1D array of n_t times to a Hermitian (n_t, ..., 2, 2)
     stack; any other shape raises ValueError.  Batching propagates every
     index between the time axis and the matrix axes independently.  The
     fourth-order commutator-free scheme doubles its step count from a coarse
@@ -222,7 +209,6 @@ def integrate_tdse(hfun: Callable, horizon: float, tol: float = DEFAULT_TOL,
                     unitaries=u,
                     step_count=nsteps,
                     estimated_error=diff / 15.0,
-                    horizon=float(horizon),
                 )
         prev_u = u[-1].copy()  # not a view that would keep every snapshot alive
         nsteps *= 2
@@ -243,15 +229,6 @@ def cf4_fixed(hfun: Callable, horizon: float, nsteps: int) -> np.ndarray:
     through the same chunk loop; returns U(horizon)."""
     _check_hermitian_samples(hfun, horizon)
     return _propagate(*_CF4, hfun, horizon, nsteps, {nsteps})[-1]
-
-
-def floquet_operator(trace: PropagatorTrace, period: float | None = None) -> np.ndarray:
-    """The one-period evolution U(T) from a trace covering exactly [0, T]."""
-    if period is not None and abs(trace.horizon - period) > 1e-12 * max(1.0, period):
-        raise HorizonMismatch(
-            f"trace covers {trace.horizon:.6g}, expected one period {period:.6g}"
-        )
-    return trace.unitaries[-1]
 
 
 def extract_micromotion(trace: PropagatorTrace, h_eff: np.ndarray) -> np.ndarray:

@@ -74,24 +74,6 @@ def envelope_fourier(a_plus_squared: float, n_max: int,
     return FourierTable(indices=n, coefficients=coeff)
 
 
-def envelope_fourier_exact(a_plus_squared: float, n_max: int) -> FourierTable:
-    """Closed-form coefficients via the geometric-series expansion of
-    1/(a - cos), used as the independent oracle for the quadrature path."""
-    n = np.arange(n_max + 1)
-    coeff = np.zeros(n_max + 1)
-    if a_plus_squared == 0:
-        coeff[0] = 1.0
-        return FourierTable(indices=n, coefficients=coeff)
-    a = 1.0 + 2.0 / a_plus_squared
-    root = np.sqrt(a * a - 1.0)
-    rho = a - root
-    prefactor = (2.0 / a_plus_squared) / root
-    coeff[0] = prefactor
-    for m in range(1, n_max // 2 + 1):
-        coeff[2 * m] = prefactor * 2.0 * rho**m
-    return FourierTable(indices=n, coefficients=coeff)
-
-
 def quasienergies(u_t: np.ndarray, omega: float,
                   strobe_phase: complex = 1.0 + 0j,
                   unitarity_tol: float = 1e-10) -> np.ndarray:

@@ -22,7 +22,7 @@ import numpy as np
 from . import algebra
 from .algebra import HamiltonianSpec
 from .errors import HermiticityError
-from .gauge import GaugeParams, boundary_report, ladder_phase_angle, mu_functions
+from .gauge import GaugeParams, ladder_phase_angle, mu_functions
 
 IMAG_LEAK_TOL = 1e-10
 
@@ -183,9 +183,6 @@ class DrivingProtocol:
     closed_form: tuple[float, float] | None = None
     fz_scale: float = 1.0
 
-    def __post_init__(self):
-        boundary_report(self.gauge)
-
     @property
     def period(self) -> float:
         return self.gauge.period
@@ -210,22 +207,17 @@ class DrivingProtocol:
         km = k[:, None, :] if self.target.dimension == 2 else k[:, None]
         return self.drive_components(km, t[None, :])
 
-    def hamiltonian(self, k, t) -> np.ndarray:
-        """Full driven Hamiltonian H0 + V(t) as a (..., 2, 2) stack: the
-        coupled block, for three-band targets too."""
-        f0, fx, fy, fz = self.drive_components(k, t)
-        h0s, _, _, _ = self.static.coeffs(k)
-        return algebra.assemble_batch(h0s + f0, fx, fy, fz)
-
     def hamiltonian_fn(self, k) -> Callable:
-        """Time-only closure over a fixed momentum grid, for propagation:
-        a 1D time array gives an (n_t, n_k, 2, 2) stack."""
+        """Full driven Hamiltonian H0 + V(t) as a time-only closure over a
+        fixed momentum grid, for propagation: a 1D time array gives an
+        (n_t, n_k, 2, 2) stack, the coupled block for three-band targets too."""
         k = np.asarray(k, dtype=float)
         km = k[:, None, :] if self.target.dimension == 2 else k[:, None]
+        h0s = self.static.coeffs(km)[0]
 
         def fn(t):
-            h = self.hamiltonian(km, np.asarray(t, dtype=float)[None, :])
-            return np.moveaxis(h, 1, 0)
+            f0, fx, fy, fz = self.drive_components(km, np.asarray(t, dtype=float)[None, :])
+            return np.moveaxis(algebra.assemble_batch(h0s + f0, fx, fy, fz), 1, 0)
 
         return fn
 

@@ -5,8 +5,6 @@ from floqueng.algebra import S_MINUS, S_PLUS
 from floqueng.errors import NonPeriodicGauge
 from floqueng.gauge import (
     GaugeParams,
-    boundary_report,
-    complete_wei_norman,
     micromotion_at,
     micromotion_matrix,
     mu_functions,
@@ -34,17 +32,6 @@ def test_mu_functions_quarter_period():
     _, mup, muz, *_ = mu_functions(g, g.period / 4)
     assert mup == pytest.approx(np.sqrt(2))
     assert muz == pytest.approx(3 * np.pi / 2)
-
-
-@pytest.mark.parametrize("m_plus, expected", [
-    (0.0, (0.0, 0.0)),
-    (1.0, (0.5, np.log(2.0))),
-    (1.0j, (-0.5j, np.log(2.0))),
-])
-def test_complete_wei_norman_values(m_plus, expected):
-    m_minus, mz_imag = complete_wei_norman(m_plus)
-    assert m_minus == pytest.approx(expected[0])
-    assert mz_imag == pytest.approx(expected[1])
 
 
 def test_micromotion_identity():
@@ -75,7 +62,8 @@ def test_micromotion_unitary_property():
 
 
 def test_four_exponential_closure():
-    # multiplying out the factorization with the unitarity-completed entries
+    # multiplying out the factorization with the entries that unitarity fixes,
+    # m_minus = conj(m_plus)/(1+|m_plus|^2) and Im(m_z) = ln(1+|m_plus|^2),
     # must land exactly on the closed-form matrix
     rng = np.random.default_rng(23)
     worst = 0.0
@@ -83,8 +71,9 @@ def test_four_exponential_closure():
         m0 = rng.normal()
         mp = rng.normal() + 1j * rng.normal()
         mzr = 6 * rng.normal()
-        mm, mzi = complete_wei_norman(mp)
-        mz = mzr + 1j * mzi
+        denom = 1.0 + abs(mp) ** 2
+        mm = np.conj(mp) / denom
+        mz = mzr + 1j * np.log(denom)
         prod = (
             np.exp(-1j * m0) * np.eye(2)
             @ (np.eye(2) - 1j * mp * S_PLUS)
@@ -102,14 +91,6 @@ def test_micromotion_at_periodicity_up_to_sign():
         p = micromotion_at(g, k, n * g.period)
         expected = (-1.0) ** (3 * n) * np.eye(2)
         assert np.max(np.abs(p - expected)) <= 1e-12
-
-
-@pytest.mark.parametrize("p, phase", [(3, -1.0), (2, 1.0), (0, 1.0)])
-def test_boundary_report_strobe_phase(p, phase):
-    g = GaugeParams(a0=0.8, a_plus=1.3, p=p, omega=8.0)
-    rep = boundary_report(g)
-    assert rep.strobe_phase == pytest.approx(phase)
-    assert rep.max_mu_residual <= 1e-12
 
 
 def test_non_integer_winding_rejected_at_construction():

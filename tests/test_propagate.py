@@ -9,17 +9,12 @@ from scipy.linalg import expm as scipy_expm
 
 import floqueng.propagate as prop
 from floqueng.algebra import SIGMA_X, SX, SY, SZ, custom
-from floqueng.errors import (
-    HorizonMismatch,
-    NonHermitianInput,
-    ToleranceNotReached,
-)
+from floqueng.errors import NonHermitianInput, ToleranceNotReached
 from floqueng.gauge import GaugeParams, micromotion_at
 from floqueng.propagate import (
     cf4_fixed,
     expm_herm,
     extract_micromotion,
-    floquet_operator,
     integrate_tdse,
     midpoint_fixed,
     verify_protocol,
@@ -37,25 +32,12 @@ def constant(h):
 
 def test_expm_herm_against_scipy():
     rng = np.random.default_rng(2)
-    for d in (2, 3):
-        for _ in range(40):
-            a = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
-            h = (a + a.conj().T) / 2
-            dt = rng.uniform(-2, 2)
-            assert np.allclose(expm_herm(h, dt), scipy_expm(-1j * dt * h),
-                               atol=1e-12)
-
-
-def test_expm_herm_block_diagonal_three_band():
-    rng = np.random.default_rng(4)
-    h = np.zeros((5, 3, 3), dtype=complex)
-    for i in range(5):
+    for _ in range(40):
         a = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
-        h[i, :2, :2] = (a + a.conj().T) / 2
-        h[i, 2, 2] = rng.normal()
-    out = expm_herm(h, 0.37)
-    for i in range(5):
-        assert np.allclose(out[i], scipy_expm(-1j * 0.37 * h[i]), atol=1e-12)
+        h = (a + a.conj().T) / 2
+        dt = rng.uniform(-2, 2)
+        assert np.allclose(expm_herm(h, dt), scipy_expm(-1j * dt * h),
+                           atol=1e-12)
 
 
 def test_zero_hamiltonian_gives_identity():
@@ -113,20 +95,18 @@ def test_unbatched_hfun_rejected():
     # one (2, 2) matrix for a whole batch of times is not a time stack
     with pytest.raises(ValueError):
         integrate_tdse(lambda t: np.zeros((2, 2)), 1.0)
+    # and a stack of 3x3 matrices is not one of 2x2 blocks: a three-band
+    # drive is propagated as its coupled block only
+    h3 = lambda t: np.zeros((len(t), 4, 3, 3))
+    with pytest.raises(ValueError, match="2, 2"):
+        integrate_tdse(h3, 1.0)
+    with pytest.raises(ValueError, match="2, 2"):
+        midpoint_fixed(h3, 1.0, 64)
 
 
 def test_tol_range_validated():
     with pytest.raises(ValueError):
         integrate_tdse(constant(np.zeros((2, 2))), horizon=1.0, tol=1e-2)
-
-
-def test_floquet_operator_and_horizon_mismatch():
-    proto = crossstitch_protocol()
-    trace = integrate_tdse(proto.hamiltonian_fn(K8), proto.period, tol=1e-8)
-    u_t = floquet_operator(trace, period=proto.period)
-    assert u_t.shape == (8, 2, 2)
-    with pytest.raises(HorizonMismatch):
-        floquet_operator(trace, period=2 * proto.period)
 
 
 def test_three_period_composition_is_cube_of_floquet_operator():
@@ -188,8 +168,8 @@ def test_chunk_loop_matches_stepwise_product(monkeypatch, scheme, nsteps, budget
 
 @pytest.mark.parametrize("budget", [30, 240, 4096])
 def test_momenta_propagated_together_match_each_alone(monkeypatch, budget):
-    # how many momenta share a chunk changes the chunk width, which must not
-    # change a single bit: a verify sweep split over threads relies on it
+    # the chunk width follows the number of momenta, and it must not change
+    # a single bit of any momentum's evolution
     monkeypatch.setattr(prop, "_CHUNK_EVALS", budget)
     idx = {0, 16, 32, 256}
     together = prop._propagate(*prop._CF4, three_momenta, 1.0, 256, idx)
@@ -200,20 +180,22 @@ def test_momenta_propagated_together_match_each_alone(monkeypatch, budget):
 
 
 def test_chunks_stay_within_the_evaluation_budget(monkeypatch):
-    # memory is bounded in the number of momenta: every hfun call holds at
-    # most the budget of Hamiltonian evaluations, counted over momenta
+    # memory is bounded in the number of momenta: every hfun call, the
+    # Hermiticity check's included, holds at most the budget of Hamiltonian
+    # evaluations, counted over momenta; at 2048 momenta one CF4 step fills it
     monkeypatch.setattr(prop, "MAX_TOTAL_STEPS", 2048)
-    k = np.linspace(-np.pi, np.pi, 1024, endpoint=False)
-    calls = []
+    for n_k in (1024, 2048):
+        k = np.linspace(-np.pi, np.pi, n_k, endpoint=False)
+        calls = []
 
-    def hfun(t):
-        calls.append(len(t) * len(k))
-        hx = np.multiply.outer(np.cos(2 * t), np.cos(k))
-        return hx[..., None, None] * SX + np.multiply.outer(t, k)[..., None, None] * SZ
+        def hfun(t):
+            calls.append(len(t) * len(k))
+            hx = np.multiply.outer(np.cos(2 * t), np.cos(k))
+            return hx[..., None, None] * SX + np.multiply.outer(t, k)[..., None, None] * SZ
 
-    trace = integrate_tdse(hfun, 1.0, tol=1e-6)
-    assert trace.step_count >= 512 and len(calls) > 2
-    assert max(calls) <= prop._CHUNK_EVALS
+        trace = integrate_tdse(hfun, 1.0, tol=1e-6)
+        assert trace.step_count >= 512 and len(calls) > 2
+        assert max(calls) <= prop._CHUNK_EVALS
 
 
 def test_midpoint_convergence_order():

@@ -74,18 +74,24 @@ class TestDrive:
 
 class TestVerification:
     def test_third_level_decoupled(self):
-        # reference: the full 3x3 drive (zero static part) propagated through
-        # the generic eigh + matmul path, against the 2x2 block propagation
+        # reference: the full 3x3 drive (zero static part) propagated by its
+        # own midpoint loop with eigh exponentials, against the 2x2 block
+        # propagation
         proto = su3_protocol(su3_flat(delta=2.0), omega=8.0, a_plus=SQRT2, p=3)
         k = np.array([-2.5, 0.4, 1.9])
+        nsteps = 2048
+        dt = proto.period / nsteps
+        tmid = (np.arange(nsteps) + 0.5) * dt
+        f = np.stack(np.broadcast_arrays(
+            *proto.drive_components(k[None, :], tmid[:, None])))
+        w, v = np.linalg.eigh(np.einsum("a...,aij->...ij", f, OPS3))
+        steps = np.einsum("...ij,...j,...kj->...ik", v, np.exp(-1j * dt * w),
+                          np.conj(v))
+        u3 = np.broadcast_to(np.eye(3, dtype=complex), (len(k), 3, 3))
+        for step in steps:
+            u3 = step @ u3
 
-        def h3(t):
-            f = np.stack(np.broadcast_arrays(
-                *proto.drive_components(k[None, :], t[:, None])))
-            return np.einsum("a...,aij->...ij", f, OPS3)
-
-        u3 = midpoint_fixed(h3, proto.period, 2048)
-        u2 = midpoint_fixed(proto.hamiltonian_fn(k), proto.period, 2048)
+        u2 = midpoint_fixed(proto.hamiltonian_fn(k), proto.period, nsteps)
         assert u3.shape == (3, 3, 3) and u2.shape == (3, 2, 2)
         assert np.max(np.abs(u3[:, :2, :2] - u2)) <= 1e-10
         assert np.max(np.abs(u3[:, 2, :2])) <= 1e-12

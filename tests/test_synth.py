@@ -131,15 +131,17 @@ class TestCrossStitchDrive:
             assert np.max(np.abs(a - b)) <= 1e-12
 
     def test_closed_form_uses_the_given_parameters(self):
-        # the protocol drives with alpha and delta as given, not as
-        # recovered from coefficient samples with rounding error
-        proto = crossstitch_protocol(alpha=1.0, delta=0.3)
+        # the protocol drives with alpha, delta and a_plus as given, not as
+        # recovered from coefficient samples with rounding error; a large
+        # a_plus builds although a_plus sin(2 pi) rounds to a few 1e-12
         k = np.linspace(-np.pi, np.pi, 16, endpoint=False)
-        t = np.linspace(0, proto.period, 16, endpoint=False)
-        direct = crossstitch_drive_components(1.0, 0.3, 8.0, SQRT2, 3,
-                                              k[:, None], t[None, :])
-        for a, b in zip(proto.drive_table(k, t), direct):
-            assert np.array_equal(a, b)
+        for a_plus in (SQRT2, 1e4):
+            proto = crossstitch_protocol(alpha=1.0, delta=0.3, a_plus=a_plus)
+            t = np.linspace(0, proto.period, 16, endpoint=False)
+            direct = crossstitch_drive_components(1.0, 0.3, 8.0, a_plus, 3,
+                                                  k[:, None], t[None, :])
+            for a, b in zip(proto.drive_table(k, t), direct):
+                assert np.array_equal(a, b)
 
 
 class TestGeneralSynthesis:

@@ -18,8 +18,6 @@ import numpy as np
 
 from .errors import HermiticityError
 
-HERMITICITY_TOL = 1e-12
-
 SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 SIGMA_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)
 SIGMA_Z = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
@@ -41,26 +39,6 @@ def assemble_batch(h0, hx, hy, hz) -> np.ndarray:
     out[..., 0, 1] = (hx - 1j * hy) / 2
     out[..., 1, 0] = (hx + 1j * hy) / 2
     return out
-
-
-def check_hermitian(h: np.ndarray, tol: float = HERMITICITY_TOL) -> None:
-    dev = np.max(np.abs(h - np.conj(np.swapaxes(h, -1, -2))))
-    if dev > tol * max(1.0, float(np.max(np.abs(h)))):
-        raise HermiticityError(f"matrix deviates from Hermitian by {dev:.3e}")
-
-
-def eig_bands(h: np.ndarray, tol: float = HERMITICITY_TOL) -> np.ndarray:
-    """Ascending real eigenvalues of a Hermitian 2x2 matrix, by the closed
-    form h0 -+ |h|/2 recovered from the coefficient decomposition."""
-    if h.shape != (2, 2):
-        raise ValueError(f"eig_bands takes one 2x2 matrix, got shape {h.shape}")
-    check_hermitian(h, tol)
-    h0 = float(np.real(h[0, 0] + h[1, 1])) / 2
-    hx = 2 * float(np.real(h[0, 1]))
-    hy = -2 * float(np.imag(h[0, 1]))
-    hz = float(np.real(h[0, 0] - h[1, 1]))
-    r = 0.5 * np.sqrt(hx * hx + hy * hy + hz * hz)
-    return np.array([h0 - r, h0 + r])
 
 
 # ---------------------------------------------------------------------------
@@ -85,6 +63,8 @@ class HamiltonianSpec:
     def coeffs(self, k):
         h0, hx, hy, hz = self.coeff_fn(np.asarray(k, dtype=float))
         out = np.broadcast_arrays(h0, hx, hy, hz)
+        if any(np.iscomplexobj(a) for a in out):
+            raise HermiticityError(f"model {self.name!r} produced complex coefficients")
         if not all(np.all(np.isfinite(a)) for a in out):
             raise ValueError(f"model {self.name!r} produced non-finite coefficients")
         return out

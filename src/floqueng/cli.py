@@ -216,7 +216,7 @@ def cmd_verify(cfg, outdir: Path) -> int:
     report = verify_protocol(proto, k, periods=cfg["periods"], tol=cfg["tol"])
     max_strobe = report.max_strobe_error
     errors = report.strobe_errors
-    k_values = report.k_values.reshape(len(errors), -1)[:, 0]
+    k_labels = report.k_labels
     order = np.argsort(errors)[::-1]
     passed = max_strobe <= cfg["tol"]
 
@@ -236,9 +236,9 @@ def cmd_verify(cfg, outdir: Path) -> int:
         "k,strobe_error",
     ]
     for idx in order[:8]:
-        lines.append(f"{fmt(k_values[idx])},{fmt(errors[idx])}")
+        lines.append(f"{fmt(k_labels[idx])},{fmt(errors[idx])}")
     lines += ["", "[per-k]", "k,strobe_error"]
-    for kv, err in zip(k_values, errors):
+    for kv, err in zip(k_labels, errors):
         lines.append(f"{fmt(kv)},{fmt(err)}")
     path = outdir / f"verify_{cfg['model']}_w{cfg['omega']:g}.txt"
     path.write_text("\n".join(lines) + "\n")
@@ -353,13 +353,10 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         cfg = load_config(args.config) if args.config else {}
-        for key in ("model", "omega", "alpha", "delta", "aplus2", "p",
-                    "kpoints", "tpoints", "periods", "tol", "out"):
+        for key in DEFAULTS:  # a flag's argparse dest is its config key
             value = getattr(args, key, None)
             if value is not None:
                 cfg[key] = value
-        if args.corrupt_fz is not None:
-            cfg["corrupt_fz"] = args.corrupt_fz
         cfg = validate(cfg)
     except (ConfigError, OSError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)

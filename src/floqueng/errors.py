@@ -10,11 +10,13 @@ class HermiticityError(FloquetError):
 
 
 class NonPeriodicGauge(FloquetError):
-    """Micro-motion gauge functions fail the boundary conditions at t = nT."""
+    """A gauge whose z-channel winding p is not an integer, so the
+    micro-motion does not return to a phase times the identity at t = nT."""
 
 
 class NonHermitianInput(FloquetError):
-    """A Hamiltonian handed to the propagator is not Hermitian."""
+    """A Hamiltonian handed to the propagator has complex coefficients
+    (h0, hx, hy, hz), so it is not Hermitian."""
 
 
 class ToleranceNotReached(FloquetError):

@@ -7,7 +7,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import HamiltonianSpec, eig_bands
+from .algebra import HamiltonianSpec
 from .errors import NonUnitaryInput
 
 ENVELOPE_QUAD_SAMPLES = 8192
@@ -31,16 +31,17 @@ class FourierTable:
 
 
 def band_structure(spec: HamiltonianSpec, k_grid) -> BandTable:
-    """Eigenvalues of the assembled Hamiltonian on a momentum grid.
+    """Eigenvalues h0 -+ |h|/2 of the coefficient table on a momentum grid.
 
     A three-band model adds its decoupled third level, the flat band at the
     identity coefficient h0, to the two eigenvalues of the coupled block.
     """
     k_grid = np.asarray(k_grid, dtype=float)
-    energies = np.array([eig_bands(h) for h in spec.matrices(k_grid)])
+    h0, hx, hy, hz = spec.coeffs(k_grid)
+    r = 0.5 * np.sqrt(hx * hx + hy * hy + hz * hz)
+    energies = np.stack([h0 - r, h0 + r], axis=-1)
     if spec.band_count == 3:
-        flat = spec.coeffs(k_grid)[0]
-        energies = np.sort(np.column_stack([energies, flat]), axis=1)
+        energies = np.sort(np.column_stack([energies, h0]), axis=1)
     return BandTable(k_grid=k_grid, energies=energies)
 
 

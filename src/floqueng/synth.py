@@ -209,20 +209,19 @@ class DrivingProtocol:
 
     def hamiltonian_fn(self, k) -> Callable:
         """Full driven Hamiltonian H0 + V(t) as a time-only closure over a
-        fixed momentum grid, for propagation: a 1D time array gives an
-        (n_t, n_k, 2, 2) stack, the coupled block for three-band targets too."""
+        fixed momentum grid, for propagation: a 1D time array gives the real
+        (n_t, n_k, 4) stack of coefficients (h0, hx, hy, hz), those of the
+        coupled block for three-band targets too."""
         k = np.asarray(k, dtype=float)
         km = k[:, None, :] if self.target.dimension == 2 else k[:, None]
         h0s = self.static.coeffs(km)[0]
 
         def fn(t):
             f0, fx, fy, fz = self.drive_components(km, np.asarray(t, dtype=float)[None, :])
-            return np.moveaxis(algebra.assemble_batch(h0s + f0, fx, fy, fz), 1, 0)
+            c = np.stack(np.broadcast_arrays(h0s + f0, fx, fy, fz), axis=-1)
+            return c.swapaxes(0, 1)
 
         return fn
-
-    def target_matrices(self, k) -> np.ndarray:
-        return self.target.matrices(k)
 
 
 def crossstitch_protocol(alpha=1.0, delta=2.0, omega=8.0, a_plus=np.sqrt(2.0),

@@ -64,7 +64,7 @@ def test_criterion_04_micromotion_consistency():
     strobes = [n * T for n in range(1, 6)]
     trace = integrate_tdse(proto.hamiltonian_fn(K8), 5 * T, tol=1e-8,
                            base_steps=5 * 4096, sample_times=samples + strobes)
-    heff = proto.target_matrices(K8)
+    heff = np.stack(proto.target.coeffs(K8), axis=-1)
     closed_err = 0.0
     strobe_err = 0.0
     from floqueng.propagate import expm_herm

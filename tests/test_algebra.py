@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from floqueng import algebra
-from floqueng.algebra import SX, SY, SZ, assemble_batch, eig_bands
+from floqueng.algebra import SX, SY, SZ, assemble_batch
 from floqueng.errors import HermiticityError
 from floqueng.spectra import band_structure
 
@@ -34,7 +34,7 @@ def test_assemble_crossstitch_gamma_point():
     spec = algebra.cross_stitch(1.0, 2.0)
     h = spec.matrices(0.0)
     assert np.allclose(h, [[-2, -4], [-4, -2]])
-    assert np.allclose(eig_bands(h), [-6.0, 2.0])
+    assert np.allclose(band_structure(spec, [0.0]).energies, [[-6.0, 2.0]])
 
 
 def test_assemble_hermitian_property():
@@ -52,39 +52,45 @@ def test_assemble_batch_matches_scalar():
         assert np.allclose(batch[i], h0 * np.eye(2) + hx * SX + hy * SY + hz * SZ)
 
 
-def test_eig_bands_sz():
-    assert np.allclose(eig_bands(np.diag([0.5, -0.5]).astype(complex)), [-0.5, 0.5])
+def test_band_structure_sz():
+    spec = algebra.custom(lambda k: (np.zeros_like(k),) * 3 + (np.ones_like(k),))
+    assert np.allclose(band_structure(spec, [0.0]).energies, [[-0.5, 0.5]])
+    assert np.allclose(np.linalg.eigvalsh(spec.matrices(0.0)), [-0.5, 0.5])
 
 
-def test_eig_bands_closed_form_vs_solver():
-    rng = np.random.default_rng(5)
-    for _ in range(200):
-        h0, hx, hy, hz = rng.uniform(-50, 50, size=4)
-        h = assemble_batch(h0, hx, hy, hz)
-        closed = eig_bands(h)
-        assert np.allclose(closed, np.linalg.eigvalsh(h), atol=1e-12 * max(1, np.max(np.abs(closed))))
-        r = 0.5 * np.hypot(np.hypot(hx, hy), hz)
-        assert np.allclose(closed, [h0 - r, h0 + r], atol=1e-12)
+def test_band_structure_closed_form_vs_solver():
+    # one random coefficient set per grid point, against the dense solver on
+    # the assembled matrices and against h0 -+ |h|/2
+    table = np.random.default_rng(5).uniform(-50, 50, size=(200, 4))
+    spec = algebra.custom(lambda k: tuple(table[k.astype(int)].T))
+    k = np.arange(len(table))
+    closed = band_structure(spec, k).energies
+    solver = np.linalg.eigvalsh(spec.matrices(k))
+    scale = np.maximum(1, np.max(np.abs(closed), axis=1, keepdims=True))
+    assert np.all(np.abs(closed - solver) <= 1e-12 * scale)
+    h0, hx, hy, hz = table.T
+    r = 0.5 * np.hypot(np.hypot(hx, hy), hz)
+    assert np.allclose(closed, np.column_stack([h0 - r, h0 + r]), atol=1e-12)
 
 
-def test_eig_bands_rejects_non_hermitian():
+def test_complex_coefficients_rejected():
+    # a real coefficient set is Hermitian by construction; a complex one is not
+    spec = algebra.custom(lambda k: (np.zeros_like(k), 1j * np.ones_like(k),
+                                     np.zeros_like(k), np.zeros_like(k)))
     with pytest.raises(HermiticityError):
-        eig_bands(np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex))
-    # only the 2x2 closed form exists: no dense-solver fallback for other sizes
-    with pytest.raises(ValueError):
-        eig_bands(np.eye(3, dtype=complex))
+        band_structure(spec, [0.0])
 
 
 def test_crossstitch_band_at_zone_boundary():
     spec = algebra.cross_stitch(1.0, 2.0)
-    vals = eig_bands(spec.matrices(np.pi / 2))
-    assert np.allclose(vals, [-2.0, 2.0])
+    vals = band_structure(spec, [np.pi / 2]).energies
+    assert np.allclose(vals, [[-2.0, 2.0]])
 
 
 def test_crossstitch_flat_band_over_grid():
     spec = algebra.cross_stitch(1.0, 2.0)
     k = np.linspace(-np.pi, np.pi, 97)
-    bands = np.array([eig_bands(h) for h in spec.matrices(k)])
+    bands = band_structure(spec, k).energies
     flat = np.max(bands, axis=1)  # flat band is the upper one for these signs
     assert np.var(flat) <= 1e-24
     disp = np.min(bands, axis=1)
@@ -97,7 +103,9 @@ def test_su3_flat_eigenvalues():
     for kk in (0.0, 0.7, 2.1):
         ex = 2 * np.cos(kk) + 2.0
         r = 0.5 * np.sqrt(2) * abs(ex)
-        assert np.allclose(eig_bands(spec.matrices(kk)), [-r, r], atol=1e-12)
+        assert np.allclose(np.linalg.eigvalsh(spec.matrices(kk)), [-r, r], atol=1e-12)
+        assert np.allclose(band_structure(spec, [kk]).energies, [[-r, 0.0, r]],
+                           atol=1e-12)
         assert spec.coeffs(kk)[0] == 0.0
 
 

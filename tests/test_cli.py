@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from floqueng import cli
+from floqueng.propagate import verify_protocol
 
 SQRT2 = np.sqrt(2.0)
 
@@ -251,3 +252,11 @@ def test_pwave2d_synth(tmp_path):
                 "--kpoints", "8", "--tpoints", "8"]) == 0
     header, rows = read_csv(tmp_path / "drive_pwave2d_w8.csv")
     assert len(rows) == 64
+
+
+def test_pwave2d_verify_labels_each_momentum_by_kx():
+    cfg = cli.validate({"model": "pwave2d", "kpoints": 4})
+    k = cli.k_grid_of(cfg)
+    report = verify_protocol(cli.build_protocol(cfg), k, tol=1e-8)
+    assert report.worst_k == k[np.argmax(report.strobe_errors), 0]
+    assert np.array_equal(report.k_labels, k[:, 0])

@@ -14,7 +14,6 @@ from .algebra import (
 from .errors import (
     FloquetError,
     HermiticityError,
-    NonHermitianInput,
     NonPeriodicGauge,
     NonUnitaryInput,
     RangeOverflow,

@@ -147,6 +147,11 @@ def su3_flat(eta_fn: Callable | None = None, delta: float = 2.0,
     return HamiltonianSpec("su3flat", 3, 1, fn)
 
 
+#: Static Hamiltonian with no channel at all; its scalar coefficients
+#: broadcast against any momentum grid, 1D or 2D.
+ZERO = HamiltonianSpec("zero", 2, 1, lambda k: (0.0, 0.0, 0.0, 0.0))
+
+
 def custom(coeff_fn: Callable, band_count: int = 2, dimension: int = 1,
            name: str = "custom") -> HamiltonianSpec:
     """Wrap a user-supplied k -> (h0, hx, hy, hz) map."""

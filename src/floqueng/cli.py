@@ -22,20 +22,13 @@ import numpy as np
 from . import algebra, lattice, spectra, su3 as su3mod
 from .errors import FloquetError
 from .propagate import verify_protocol
-from .synth import (
-    DrivingProtocol,
-    crossstitch_protocol,
-    general_protocol,
-    su3_protocol,
-)
+from .synth import DrivingProtocol, crossstitch_protocol, general_protocol
 from .gauge import GaugeParams
 
 EXIT_OK = 0
 EXIT_VERIFY_FAILED = 1
 EXIT_BAD_CONFIG = 2
 EXIT_RUNTIME = 3
-
-MODELS = ("crossstitch", "kitaev", "pwave2d", "su3flat")
 
 DEFAULTS = {
     "model": "crossstitch",
@@ -59,10 +52,15 @@ DEFAULTS = {
     "out": ".",
 }
 
-_FLOAT_KEYS = {"alpha", "delta", "omega", "aplus2", "p", "tol", "kitaev_mu",
-               "kitaev_t", "kitaev_delta", "pwave_mu", "pwave_delta",
-               "corrupt_fz"}
-_INT_KEYS = {"kpoints", "tpoints", "periods", "ncoeff", "lattice_sites"}
+#: Each model's target Hamiltonian, built from a validated config.
+TARGETS = {
+    "crossstitch": lambda cfg: algebra.cross_stitch(cfg["alpha"], cfg["delta"]),
+    "kitaev": lambda cfg: algebra.kitaev_chain(cfg["kitaev_mu"], cfg["kitaev_t"],
+                                               cfg["kitaev_delta"]),
+    "pwave2d": lambda cfg: algebra.chiral_p_wave_2d(cfg["pwave_mu"], cfg["pwave_delta"]),
+    "su3flat": lambda cfg: algebra.su3_flat(delta=cfg["delta"]),
+}
+MODELS = tuple(TARGETS)
 
 
 class ConfigError(ValueError):
@@ -85,22 +83,22 @@ def load_config(path: str) -> dict:
 
 
 def _coerce(cfg: dict) -> dict:
+    """``cfg`` over ``DEFAULTS``, each value converted to its default's type."""
     out = dict(DEFAULTS)
     out.update(cfg)
-    for key in sorted(_FLOAT_KEYS | _INT_KEYS):
-        kind = int if key in _INT_KEYS else float
+    for key in sorted(DEFAULTS):
+        kind = type(DEFAULTS[key])
         try:
             out[key] = kind(out[key])
         except ValueError:
             raise ConfigError(f"{key} must be {kind.__name__}, got {out[key]!r}") from None
-    out["model"] = str(out["model"])
     return out
 
 
 def validate(cfg: dict) -> dict:
     cfg = _coerce(cfg)
-    for key in sorted(_FLOAT_KEYS):
-        if not np.isfinite(cfg[key]):
+    for key in sorted(DEFAULTS):
+        if isinstance(DEFAULTS[key], float) and not np.isfinite(cfg[key]):
             raise ConfigError(f"{key} must be finite, got {cfg[key]}")
     if cfg["model"] not in MODELS:
         raise ConfigError(f"model must be one of {MODELS}, got {cfg['model']!r}")
@@ -167,27 +165,15 @@ def t_grid_of(cfg) -> np.ndarray:
 
 
 def build_protocol(cfg) -> DrivingProtocol:
+    """The crossstitch drive in closed form; any other model's target on the
+    general path from the zero static Hamiltonian."""
     a_plus = float(np.sqrt(cfg["aplus2"]))
-    model = cfg["model"]
-    if model == "crossstitch":
+    if cfg["model"] == "crossstitch":
         proto = crossstitch_protocol(cfg["alpha"], cfg["delta"], cfg["omega"],
                                      a_plus, cfg["p"])
-    elif model == "su3flat":
-        spec = algebra.su3_flat(delta=cfg["delta"])
-        proto = su3_protocol(spec, omega=cfg["omega"], a_plus=a_plus, p=cfg["p"])
     else:
-        if model == "kitaev":
-            target = algebra.kitaev_chain(cfg["kitaev_mu"], cfg["kitaev_t"],
-                                          cfg["kitaev_delta"])
-        else:
-            target = algebra.chiral_p_wave_2d(cfg["pwave_mu"], cfg["pwave_delta"])
-        zero = algebra.custom(lambda k: (np.zeros_like(np.asarray(k, dtype=float)[..., 0]
-                                                       if target.dimension == 2 else
-                                                       np.asarray(k, dtype=float)),) * 4,
-                              band_count=2, dimension=target.dimension,
-                              name="zero")
         gauge = GaugeParams(a_plus=a_plus, p=cfg["p"], omega=cfg["omega"])
-        proto = general_protocol(zero, target, gauge)
+        proto = general_protocol(algebra.ZERO, TARGETS[cfg["model"]](cfg), gauge)
     if cfg["corrupt_fz"] != 1.0:
         proto = dataclasses.replace(proto, fz_scale=cfg["corrupt_fz"])
     return proto
@@ -250,31 +236,21 @@ def cmd_verify(cfg, outdir: Path) -> int:
 def cmd_bands(cfg, outdir: Path) -> int:
     model = cfg["model"]
     k = k_grid_of(cfg)
+    spec = TARGETS[model](cfg)
+    table = spectra.band_structure(spec, k)
     if model == "crossstitch":
-        spec = algebra.cross_stitch(cfg["alpha"], cfg["delta"])
         flat = np.full(cfg["kpoints"], cfg["delta"])
         disp = -4 * cfg["alpha"] * np.cos(k) - cfg["delta"]
-        table = spectra.band_structure(spec, k)
         check = np.max(np.abs(np.sort(np.stack([flat, disp], axis=1), axis=1)
                               - table.energies))
         if check > 1e-10:
             raise FloquetError(f"band bookkeeping drifted by {check:.2e}")
         rows = [(kv, f, d) for kv, f, d in zip(k, flat, disp)]
-        header = "k,E_flat,E_disp"
-    elif model == "su3flat":
-        spec = algebra.su3_flat(delta=cfg["delta"])
-        table = spectra.band_structure(spec, k)
-        rows = [(kv, *row) for kv, row in zip(k, table.energies)]
-        header = "k,E_minus,E_flat,E_plus"
     else:
-        spec = (algebra.kitaev_chain(cfg["kitaev_mu"], cfg["kitaev_t"],
-                                     cfg["kitaev_delta"])
-                if model == "kitaev"
-                else algebra.chiral_p_wave_2d(cfg["pwave_mu"], cfg["pwave_delta"]))
-        table = spectra.band_structure(spec, k)
         k_label = k[:, 0] if k.ndim == 2 else k
         rows = [(kv, *row) for kv, row in zip(k_label, table.energies)]
-        header = "k,E_flat,E_disp"  # ascending eigenvalues; schema-fixed names
+    # ascending eigenvalues under schema-fixed names
+    header = "k,E_minus,E_flat,E_plus" if spec.band_count == 3 else "k,E_flat,E_disp"
     path = outdir / f"bands_{model}.csv"
     write_csv(path, header, rows)
     print(f"bands: wrote {len(rows)} momenta to {path}")
@@ -309,7 +285,7 @@ def cmd_lattice(cfg, outdir: Path) -> int:
 
 def cmd_su3(cfg, outdir: Path) -> int:
     a_plus = float(np.sqrt(cfg["aplus2"]))
-    spec = algebra.su3_flat(delta=cfg["delta"])
+    spec = TARGETS["su3flat"](cfg)
     k, t = k_grid_of(cfg), t_grid_of(cfg)
     table = su3mod.su3_drive_table(spec, cfg["omega"], a_plus, cfg["p"], k, t)
     rows = _mesh_rows(k, t, table["fx"], table["fy"], table["fz"])

@@ -14,13 +14,9 @@ class NonPeriodicGauge(FloquetError):
     micro-motion does not return to a phase times the identity at t = nT."""
 
 
-class NonHermitianInput(FloquetError):
-    """A Hamiltonian handed to the propagator has complex coefficients
-    (h0, hx, hy, hz), so it is not Hermitian."""
-
-
 class ToleranceNotReached(FloquetError):
-    """Step doubling exhausted the step budget, or a round was not finite."""
+    """Step doubling exhausted the step budget, stalled above the tolerance
+    after converging at the scheme's rate, or a round was not finite."""
 
 
 class NonUnitaryInput(FloquetError):

@@ -27,13 +27,14 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import NonHermitianInput, ToleranceNotReached
+from .errors import HermiticityError, ToleranceNotReached
 from .gauge import micromotion_at
 from .synth import DrivingProtocol
 
 MAX_TOTAL_STEPS = 2**24
 DEFAULT_BASE_STEPS = 256
 DEFAULT_TOL = 1e-9
+MICROMOTION_SAMPLES = 64  # per period; divides DEFAULT_BASE_STEPS, so they sit on every grid
 _CHUNK_EVALS = 4096  # Hamiltonian evaluations (nodes x steps x momenta) held at once
 
 # A scheme: (node offsets in units of dt, stage weights over nodes), stages in order
@@ -99,7 +100,7 @@ def _ordered_product(e: np.ndarray) -> np.ndarray:
 def _eval_h(hfun, ts: np.ndarray, base_shape: tuple | None = None) -> np.ndarray:
     """H on a 1D batch of times as a real (n_t, ..., 4) coefficient stack,
     whose trailing shape must equal ``base_shape`` when given.  Complex
-    coefficients raise NonHermitianInput; any other shape raises ValueError."""
+    coefficients raise HermiticityError; any other shape raises ValueError."""
     c = np.asarray(hfun(ts))
     if (c.ndim < 2 or c.shape[0] != len(ts) or c.shape[-1] != 4
             or base_shape not in (None, c.shape[1:])):
@@ -108,8 +109,8 @@ def _eval_h(hfun, ts: np.ndarray, base_shape: tuple | None = None) -> np.ndarray
         raise ValueError(f"hfun must map {len(ts)} times to shape {expected}, "
                          f"got {c.shape}")
     if np.iscomplexobj(c):
-        raise NonHermitianInput("hfun returned complex coefficients; "
-                                "a Hermitian H has real (h0, hx, hy, hz)")
+        raise HermiticityError("hfun returned complex coefficients; "
+                               "a Hermitian H has real (h0, hx, hy, hz)")
     return c
 
 
@@ -161,14 +162,17 @@ def integrate_tdse(hfun: Callable, horizon: float, tol: float = DEFAULT_TOL,
 
     ``hfun`` maps a 1D array of n_t times to a real (n_t, ..., 4) stack of
     coefficients (h0, hx, hy, hz); complex coefficients raise
-    NonHermitianInput and any other shape raises ValueError.  Batching
+    HermiticityError and any other shape raises ValueError.  Batching
     propagates every index between the time axis and the coefficient axis
-    independently.  The
-    fourth-order commutator-free scheme doubles its step count from a coarse
-    ``base_steps`` until two successive horizon unitaries differ by less than
-    ``tol`` in max-entry norm; the Richardson error estimate of the accepted
-    run is ``diff/15``.  A round whose horizon unitary is not finite raises
-    at once; overflow inside a round is left to that check instead of warning.
+    independently.  The fourth-order commutator-free scheme doubles its step
+    count from a coarse ``base_steps`` until two successive horizon unitaries
+    differ by less than ``tol`` in max-entry norm; the Richardson error
+    estimate of the accepted run is ``diff/15``.  A round whose horizon
+    unitary is not finite raises at once; overflow inside a round is left to
+    that check instead of warning.  Once one doubling has cut the difference
+    8x (the scheme's order predicts 16x), the first later doubling that cuts
+    it less than 2x has reached the rounding floor above ``tol`` and raises
+    with the round differences.
 
     ``sample_times`` must lie on the base step grid so that snapshots remain
     exact as the step count doubles.
@@ -182,7 +186,7 @@ def integrate_tdse(hfun: Callable, horizon: float, tol: float = DEFAULT_TOL,
         raise ValueError("sample_times must fall on the base step grid")
     base_idx = np.round(base_idx).astype(int).tolist()
 
-    nsteps, prev_u = base_steps, None
+    nsteps, prev_u, diffs, converging = base_steps, None, [], False
     while True:
         idx = {i * (nsteps // base_steps) for i in base_idx}
         with np.errstate(over="ignore", invalid="ignore"):
@@ -200,6 +204,14 @@ def integrate_tdse(hfun: Callable, horizon: float, tol: float = DEFAULT_TOL,
                     step_count=nsteps,
                     estimated_error=diff / 15.0,
                 )
+            if diffs and diffs[-1] >= 8 * diff:
+                converging = True
+            elif converging and diffs[-1] < 2 * diff:
+                raise ToleranceNotReached(
+                    f"round differences {', '.join(f'{d:.1e}' for d in diffs + [diff])} "
+                    f"stopped shrinking at {nsteps} steps above tol {tol:.1e}"
+                )
+            diffs.append(diff)
         prev_u = u[-1].copy()  # not a view that would keep every snapshot alive
         nsteps *= 2
         if nsteps > MAX_TOTAL_STEPS:
@@ -238,7 +250,6 @@ class VerificationReport:
     max_strobe_error: float
     max_micromotion_error: float
     strobe_phase_used: complex
-    k_values: np.ndarray
     k_labels: np.ndarray  # one per momentum: k, or kx on a 2D grid
     strobe_errors: np.ndarray
     periods: int = 1
@@ -255,20 +266,19 @@ class VerificationReport:
 
 
 def verify_protocol(protocol: DrivingProtocol, k_grid, periods: int = 1,
-                    tol: float = DEFAULT_TOL,
-                    micromotion_samples: int = 64) -> VerificationReport:
+                    tol: float = DEFAULT_TOL) -> VerificationReport:
     """Integrate the synthesized drive and compare against the target.
 
     For every momentum on the grid the time-ordered evolution runs over
     ``periods`` full periods, doubling from ``DEFAULT_BASE_STEPS`` steps per
     period; the strobe error is the Frobenius distance between U(nT) and the
     phase-adjusted target exponential.  The periodic part is also extracted
-    on a uniform grid of ``micromotion_samples``, which must divide the base,
-    over the first period and compared with the closed form.
+    on a uniform grid of ``MICROMOTION_SAMPLES`` over the first period and
+    compared with the closed form.
     """
     k_grid = np.asarray(k_grid, dtype=float)
     T = protocol.period
-    sample_times = np.linspace(0.0, T, micromotion_samples, endpoint=False)
+    sample_times = np.linspace(0.0, T, MICROMOTION_SAMPLES, endpoint=False)
     strobe_times = [n * T for n in range(1, periods + 1)]
     trace = integrate_tdse(
         protocol.hamiltonian_fn(k_grid), periods * T, tol=tol,
@@ -283,18 +293,14 @@ def verify_protocol(protocol: DrivingProtocol, k_grid, periods: int = 1,
     u_end = trace.unitaries[-1]  # the horizon is the last sampled time
     strobe_errors = np.atleast_1d(np.linalg.norm(u_end - target, axis=(-2, -1)))
 
-    p_num = extract_micromotion(trace, c_target)
-    micro_err = 0.0
-    for j, t in enumerate(trace.times):
-        p_ref = micromotion_at(protocol.gauge, k_grid, float(t),
-                               dimension=protocol.target.dimension)
-        micro_err = max(micro_err, float(np.max(np.abs(p_num[j] - p_ref))))
+    p_num = extract_micromotion(trace, c_target)  # (n_t, ..., 2, 2)
+    t = trace.times.reshape((-1,) + (1,) * (p_num.ndim - 3))
+    p_ref = micromotion_at(protocol.gauge, k_grid, t, dimension=protocol.target.dimension)
 
     return VerificationReport(
         max_strobe_error=float(np.max(strobe_errors)),
-        max_micromotion_error=micro_err,
+        max_micromotion_error=float(np.max(np.abs(p_num - p_ref))),
         strobe_phase_used=complex(sign),
-        k_values=k_grid,
         k_labels=np.atleast_1d(k_grid).reshape(len(strobe_errors), -1)[:, 0],
         strobe_errors=strobe_errors,
         periods=periods,

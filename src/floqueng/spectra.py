@@ -51,8 +51,7 @@ def envelope_values(a_plus_squared: float, theta) -> np.ndarray:
     return 1.0 / (1.0 + a_plus_squared * np.sin(theta) ** 2)
 
 
-def envelope_fourier(a_plus_squared: float, n_max: int,
-                     samples: int = ENVELOPE_QUAD_SAMPLES) -> FourierTable:
+def envelope_fourier(a_plus_squared: float, n_max: int) -> FourierTable:
     """Cosine coefficients of the envelope over one period of wt.
 
     The function is even and pi-periodic, so every odd coefficient vanishes
@@ -62,7 +61,7 @@ def envelope_fourier(a_plus_squared: float, n_max: int,
     """
     if a_plus_squared < 0:
         raise ValueError("a_plus_squared must be non-negative")
-    theta = np.linspace(0.0, 2 * np.pi, samples + 1)
+    theta = np.linspace(0.0, 2 * np.pi, ENVELOPE_QUAD_SAMPLES + 1)
     fe = envelope_values(a_plus_squared, theta)
     n = np.arange(n_max + 1)
     cos_basis = np.cos(np.outer(n, theta))
@@ -76,8 +75,7 @@ def envelope_fourier(a_plus_squared: float, n_max: int,
 
 
 def quasienergies(u_t: np.ndarray, omega: float,
-                  strobe_phase: complex = 1.0 + 0j,
-                  unitarity_tol: float = 1e-10) -> np.ndarray:
+                  strobe_phase: complex = 1.0 + 0j) -> np.ndarray:
     """Quasienergies of a one-period evolution, folded into (-w/2, w/2].
 
     Eigenphases theta of U(T)/strobe_phase map to energies -theta/T modulo
@@ -86,7 +84,7 @@ def quasienergies(u_t: np.ndarray, omega: float,
     """
     u_t = np.asarray(u_t, dtype=complex)
     dev = np.max(np.abs(u_t @ np.conj(u_t.T) - np.eye(u_t.shape[-1])))
-    if dev > unitarity_tol:
+    if dev > 1e-10:
         raise NonUnitaryInput(f"input deviates from unitary by {dev:.2e}")
     period = 2 * np.pi / omega
     lam = np.linalg.eigvals(u_t / strobe_phase)

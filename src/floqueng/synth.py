@@ -202,18 +202,15 @@ class DrivingProtocol:
 
     def drive_table(self, k_grid, t_grid):
         """Mesh a momentum grid against a time grid: (n_k, n_t) arrays."""
-        k = np.asarray(k_grid, dtype=float)
-        t = np.asarray(t_grid, dtype=float)
-        km = k[:, None, :] if self.target.dimension == 2 else k[:, None]
-        return self.drive_components(km, t[None, :])
+        return self.drive_components(np.asarray(k_grid, dtype=float)[:, None],
+                                     np.asarray(t_grid, dtype=float)[None, :])
 
     def hamiltonian_fn(self, k) -> Callable:
         """Full driven Hamiltonian H0 + V(t) as a time-only closure over a
         fixed momentum grid, for propagation: a 1D time array gives the real
         (n_t, n_k, 4) stack of coefficients (h0, hx, hy, hz), those of the
         coupled block for three-band targets too."""
-        k = np.asarray(k, dtype=float)
-        km = k[:, None, :] if self.target.dimension == 2 else k[:, None]
+        km = np.asarray(k, dtype=float)[:, None]
         h0s = self.static.coeffs(km)[0]
 
         def fn(t):
@@ -245,17 +242,15 @@ def general_protocol(static: HamiltonianSpec, target: HamiltonianSpec,
 def su3_protocol(eta_spec: HamiltonianSpec, omega=8.0, a_plus=np.sqrt(2.0),
                  p=3) -> DrivingProtocol:
     """Three-band protocol on the coupled two-level block; requires a zero
-    identity channel, so no static Hamiltonian is needed and the third level
-    evolves trivially.  The drive checks that channel at every momentum it
-    is evaluated on and raises ValueError where it is not zero."""
+    identity channel, so the static Hamiltonian is :data:`algebra.ZERO` and
+    the third level evolves trivially.  The drive checks that channel at
+    every momentum it is evaluated on and raises ValueError where it is not
+    zero."""
     g = GaugeParams(a0=0.0, a_plus=float(a_plus), theta=0.0, p=p, omega=float(omega))
-    zero_static = algebra.custom(
-        lambda k: (np.zeros_like(k),) * 4, band_count=3, name="zero3")
-    return DrivingProtocol(target=eta_spec, static=zero_static, gauge=g)
+    return DrivingProtocol(target=eta_spec, static=algebra.ZERO, gauge=g)
 
 
-def static_harmonic_residual(protocol: DrivingProtocol, k,
-                             samples: int = RESIDUAL_SAMPLES) -> np.ndarray:
+def static_harmonic_residual(protocol: DrivingProtocol, k) -> np.ndarray:
     """Zero-frequency harmonic of the drive numerator g(t) = f(t)/f_e(t).
 
     The static-part criterion lives on the numerator polynomial: the envelope
@@ -264,7 +259,7 @@ def static_harmonic_residual(protocol: DrivingProtocol, k,
     (x, y, z) over one period by trapezoid quadrature.
     """
     T = protocol.period
-    t = np.linspace(0.0, T, samples + 1)
+    t = np.linspace(0.0, T, RESIDUAL_SAMPLES + 1)
     _, fx, fy, fz = protocol.drive_components(np.asarray(k, dtype=float), t)
     s = np.sin(protocol.gauge.omega * t)
     numerator = np.stack([fx, fy, fz], axis=0) * (1.0 + protocol.gauge.a_plus**2 * s**2)

@@ -5,6 +5,7 @@ import pytest
 
 from floqueng import cli
 from floqueng.propagate import verify_protocol
+from floqueng.synth import su3_protocol
 
 SQRT2 = np.sqrt(2.0)
 
@@ -260,3 +261,34 @@ def test_pwave2d_verify_labels_each_momentum_by_kx():
     report = verify_protocol(cli.build_protocol(cfg), k, tol=1e-8)
     assert report.worst_k == k[np.argmax(report.strobe_errors), 0]
     assert np.array_equal(report.k_labels, k[:, 0])
+
+
+@pytest.mark.parametrize("model", cli.MODELS)
+@pytest.mark.parametrize("command", ["synth", "bands", "verify"])
+def test_every_model_runs_every_target_command(tmp_path, command, model):
+    assert run([command, "--out", str(tmp_path), "--model", model,
+                "--kpoints", "16"]) == 0
+    (path,) = tmp_path.iterdir()
+    lines = path.read_text().splitlines()
+    if command == "synth":
+        assert lines[0] == "k,t,fx,fy,fz,f0"
+        assert len(lines) == 1 + 16 * cli.DEFAULTS["tpoints"]
+    elif command == "bands":
+        three = model == "su3flat"
+        assert lines[0] == ("k,E_minus,E_flat,E_plus" if three else "k,E_flat,E_disp")
+        assert len(lines) == 1 + 16
+        assert all(len(line.split(",")) == (4 if three else 3) for line in lines)
+    else:
+        assert lines[0] == f"model={model}" and "passed=true" in lines
+        assert len(lines) == lines.index("[per-k]") + 2 + 16
+
+
+def test_su3flat_synth_protocol_is_the_su3_protocol():
+    # the synth and su3 tables of su3flat come from one drive, bit for bit
+    cfg = cli.validate({"model": "su3flat", "kpoints": 16, "tpoints": 8})
+    k, t = cli.k_grid_of(cfg), cli.t_grid_of(cfg)
+    reference = su3_protocol(cli.TARGETS["su3flat"](cfg), omega=cfg["omega"],
+                             a_plus=np.sqrt(cfg["aplus2"]), p=cfg["p"])
+    for got, want in zip(cli.build_protocol(cfg).drive_table(k, t),
+                         reference.drive_table(k, t), strict=True):
+        assert np.array_equal(got, want)

@@ -8,8 +8,8 @@ from hypothesis import strategies as st
 from scipy.linalg import expm as scipy_expm
 
 import floqueng.propagate as prop
-from floqueng.algebra import assemble_batch, custom
-from floqueng.errors import NonHermitianInput, ToleranceNotReached
+from floqueng.algebra import ZERO, assemble_batch, custom
+from floqueng.errors import HermiticityError, ToleranceNotReached
 from floqueng.gauge import GaugeParams, micromotion_at
 from floqueng.propagate import (
     cf4_fixed,
@@ -91,14 +91,36 @@ def test_non_finite_round_fails_fast(monkeypatch):
             integrate_tdse(proto.hamiltonian_fn(K8[:4]), proto.period, tol=1e-8)
 
 
+def test_stalled_round_difference_fails_fast(monkeypatch):
+    # a horizon phase of +-1e-9, alternating between rounds, floors the round
+    # difference near 2e-9 once the scheme has converged: that must raise at
+    # once instead of doubling on to the step budget (lowered here, so that a
+    # loop without the rule ends quickly too)
+    monkeypatch.setattr(prop, "MAX_TOTAL_STEPS", 2**14)
+    propagate, rounds = prop._propagate, []
+
+    def jittered(*args):
+        u = propagate(*args)
+        u[-1] *= np.exp(1e-9j * (-1) ** len(rounds))
+        rounds.append(args[-2])
+        return u
+
+    monkeypatch.setattr(prop, "_propagate", jittered)
+    proto = crossstitch_protocol()
+    with pytest.raises(ToleranceNotReached, match=r"round differences (\S+e-\d+, ){3}") as err:
+        integrate_tdse(proto.hamiltonian_fn(K8[:4]), proto.period, tol=1e-10)
+    assert rounds == [prop.DEFAULT_BASE_STEPS * 2**n for n in range(5)]
+    assert f"at {rounds[-1]} steps" in str(err.value)
+
+
 def test_non_hermitian_input_rejected():
     # complex coefficients are never cast to real: every entry point raises
     hfun = constant([0.0, 1.0, 0.5j, 0.0])
-    with pytest.raises(NonHermitianInput):
+    with pytest.raises(HermiticityError):
         integrate_tdse(hfun, horizon=1.0)
-    with pytest.raises(NonHermitianInput):
+    with pytest.raises(HermiticityError):
         cf4_fixed(hfun, 1.0, 64)
-    with pytest.raises(NonHermitianInput):
+    with pytest.raises(HermiticityError):
         midpoint_fixed(hfun, 1.0, 64)
 
 
@@ -265,8 +287,7 @@ def test_exactness_over_random_trigonometric_targets(channels, omega, p, a_plus,
                                 for n in (1, 2, 3))
                      for c in channels)
 
-    zero = custom(lambda k: (np.zeros_like(np.asarray(k, dtype=float)),) * 4)
-    proto = general_protocol(zero, custom(coeffs),
+    proto = general_protocol(ZERO, custom(coeffs),
                              GaugeParams(a_plus=a_plus, p=p, omega=omega))
     tol = 1e-8
     rep = verify_protocol(proto, np.linspace(-np.pi, np.pi, 4, endpoint=False),

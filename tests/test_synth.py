@@ -182,9 +182,8 @@ class TestGeneralSynthesis:
                         c[3, 0] + c[3, 1] * np.cos(3 * k))
 
             target = algebra.custom(coeff, band_count=2)
-            zero = algebra.custom(lambda k: (np.zeros_like(k),) * 4, band_count=2)
             g = GaugeParams(a_plus=1.2, theta=0.7, p=2, omega=6.0)
-            proto = general_protocol(zero, target, g)
+            proto = general_protocol(algebra.ZERO, target, g)
             k = np.linspace(-np.pi, np.pi, 12, endpoint=False)
             t = np.linspace(0, proto.period, 12, endpoint=False)
             f0, fx, fy, fz = proto.drive_table(k, t)

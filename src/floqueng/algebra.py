@@ -72,6 +72,10 @@ class HamiltonianSpec:
     def matrices(self, k) -> np.ndarray:
         return assemble_batch(*self.coeffs(k))
 
+    def k_labels(self, k) -> np.ndarray:
+        """One label per momentum of the array ``k``: k, or kx on a 2D grid."""
+        return k[..., 0] if self.dimension == 2 else k
+
 
 def cross_stitch(alpha: float = 1.0, delta: float = 2.0) -> HamiltonianSpec:
     """Two-band chain with one flat band at energy ``delta`` and one
@@ -124,25 +128,17 @@ def chiral_p_wave_2d(mu: float = 1.0, pairing: float = 0.5) -> HamiltonianSpec:
     return HamiltonianSpec("pwave2d", 2, 2, fn)
 
 
-def su3_flat(eta_fn: Callable | None = None, delta: float = 2.0,
-             eta0: float = 0.0) -> HamiltonianSpec:
-    """Three-band model whose couplings live on the first two levels.
-
-    ``eta_fn(k) -> (eta_x, eta_y, eta_z)`` defaults to the flat-band profile
-    eta_x = -eta_y = 2 cos(k) + delta, eta_z = 0, whose spectrum is
-    {eta0 - |eta|/2, eta0, eta0 + |eta|/2} with a flat middle band.
+def su3_flat(delta: float = 2.0) -> HamiltonianSpec:
+    """Three-band model whose couplings live on the first two levels: the
+    flat-band profile eta_x = -eta_y = 2 cos(k) + delta, eta_z = 0 with a
+    zero identity channel, whose spectrum is {-|eta|/2, 0, |eta|/2} with a
+    flat middle band.  Other three-band targets are :func:`custom` specs
+    with ``band_count=3``.
     """
 
-    def default_eta(k):
-        base = 2 * np.cos(k) + delta
-        return base, -base, np.zeros_like(k)
-
-    eta = eta_fn if eta_fn is not None else default_eta
-
     def fn(k):
-        ex, ey, ez = eta(k)
-        return np.full_like(k, eta0), np.asarray(ex, dtype=float), \
-            np.asarray(ey, dtype=float), np.asarray(ez, dtype=float)
+        base = 2 * np.cos(k) + delta
+        return np.zeros_like(k), base, -base, np.zeros_like(k)
 
     return HamiltonianSpec("su3flat", 3, 1, fn)
 

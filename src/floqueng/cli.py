@@ -115,8 +115,9 @@ def validate(cfg: dict) -> dict:
     cfg["p"] = int(round(cfg["p"]))
     if cfg["periods"] < 1:
         raise ConfigError("periods must be >= 1")
-    if cfg["ncoeff"] < 1:
-        raise ConfigError("ncoeff must be >= 1")
+    if not 1 <= cfg["ncoeff"] < spectra.ENVELOPE_QUAD_SAMPLES // 2:
+        raise ConfigError("ncoeff must lie in [1, "
+                          f"{spectra.ENVELOPE_QUAD_SAMPLES // 2 - 1}], got {cfg['ncoeff']}")
     if cfg["lattice_sites"] < 8:
         raise ConfigError("lattice_sites must be >= 8 so range-3 hops cannot wrap")
     return cfg
@@ -153,7 +154,7 @@ def _mesh_rows(k_label, t, *fields) -> np.ndarray:
 def k_grid_of(cfg) -> np.ndarray:
     n = cfg["kpoints"]
     k = -np.pi + 2 * np.pi * np.arange(n) / n
-    if cfg["model"] == "pwave2d":
+    if TARGETS[cfg["model"]](cfg).dimension == 2:
         return np.stack([k, np.zeros_like(k)], axis=-1)  # kx sweep at ky = 0
     return k
 
@@ -188,8 +189,7 @@ def cmd_synth(cfg, outdir: Path) -> int:
     k = k_grid_of(cfg)
     t = t_grid_of(cfg)
     f0, fx, fy, fz = proto.drive_table(k, t)
-    k_label = k[:, 0] if k.ndim == 2 else k
-    rows = _mesh_rows(k_label, t, fx, fy, fz, f0)
+    rows = _mesh_rows(proto.target.k_labels(k), t, fx, fy, fz, f0)
     path = outdir / f"drive_{cfg['model']}_w{cfg['omega']:g}.csv"
     write_csv(path, "k,t,fx,fy,fz,f0", rows)
     print(f"synth: wrote {len(rows)} samples to {path}")
@@ -197,13 +197,9 @@ def cmd_synth(cfg, outdir: Path) -> int:
 
 
 def cmd_verify(cfg, outdir: Path) -> int:
-    proto = build_protocol(cfg)
-    k = k_grid_of(cfg)
-    report = verify_protocol(proto, k, periods=cfg["periods"], tol=cfg["tol"])
-    max_strobe = report.max_strobe_error
-    errors = report.strobe_errors
-    k_labels = report.k_labels
-    order = np.argsort(errors)[::-1]
+    report = verify_protocol(build_protocol(cfg), k_grid_of(cfg),
+                             periods=cfg["periods"], tol=cfg["tol"])
+    max_strobe, errors = report.max_strobe_error, report.strobe_errors
     passed = max_strobe <= cfg["tol"]
 
     lines = [
@@ -221,10 +217,10 @@ def cmd_verify(cfg, outdir: Path) -> int:
         "[worst-offenders]",
         "k,strobe_error",
     ]
-    for idx in order[:8]:
-        lines.append(f"{fmt(k_labels[idx])},{fmt(errors[idx])}")
+    for idx in np.argsort(errors)[::-1][:8]:
+        lines.append(f"{fmt(report.k_labels[idx])},{fmt(errors[idx])}")
     lines += ["", "[per-k]", "k,strobe_error"]
-    for kv, err in zip(k_labels, errors):
+    for kv, err in zip(report.k_labels, errors):
         lines.append(f"{fmt(kv)},{fmt(err)}")
     path = outdir / f"verify_{cfg['model']}_w{cfg['omega']:g}.txt"
     path.write_text("\n".join(lines) + "\n")
@@ -237,18 +233,17 @@ def cmd_bands(cfg, outdir: Path) -> int:
     model = cfg["model"]
     k = k_grid_of(cfg)
     spec = TARGETS[model](cfg)
-    table = spectra.band_structure(spec, k)
+    energies = spectra.band_structure(spec, k)
     if model == "crossstitch":
         flat = np.full(cfg["kpoints"], cfg["delta"])
         disp = -4 * cfg["alpha"] * np.cos(k) - cfg["delta"]
         check = np.max(np.abs(np.sort(np.stack([flat, disp], axis=1), axis=1)
-                              - table.energies))
+                              - energies))
         if check > 1e-10:
             raise FloquetError(f"band bookkeeping drifted by {check:.2e}")
         rows = [(kv, f, d) for kv, f, d in zip(k, flat, disp)]
     else:
-        k_label = k[:, 0] if k.ndim == 2 else k
-        rows = [(kv, *row) for kv, row in zip(k_label, table.energies)]
+        rows = [(kv, *row) for kv, row in zip(spec.k_labels(k), energies)]
     # ascending eigenvalues under schema-fixed names
     header = "k,E_minus,E_flat,E_plus" if spec.band_count == 3 else "k,E_flat,E_disp"
     path = outdir / f"bands_{model}.csv"
@@ -258,8 +253,8 @@ def cmd_bands(cfg, outdir: Path) -> int:
 
 
 def cmd_fourier(cfg, outdir: Path) -> int:
-    table = spectra.envelope_fourier(cfg["aplus2"], cfg["ncoeff"])
-    rows = list(zip(table.indices.tolist(), table.coefficients))
+    coeff = spectra.envelope_fourier(cfg["aplus2"], cfg["ncoeff"])
+    rows = list(enumerate(coeff))
     path = outdir / f"fourier_aplus2_{cfg['aplus2']:g}.csv"
     write_csv(path, "n,c_n", rows)
     print(f"fourier: wrote {len(rows)} coefficients to {path}")
@@ -287,8 +282,8 @@ def cmd_su3(cfg, outdir: Path) -> int:
     a_plus = float(np.sqrt(cfg["aplus2"]))
     spec = TARGETS["su3flat"](cfg)
     k, t = k_grid_of(cfg), t_grid_of(cfg)
-    table = su3mod.su3_drive_table(spec, cfg["omega"], a_plus, cfg["p"], k, t)
-    rows = _mesh_rows(k, t, table["fx"], table["fy"], table["fz"])
+    fields = su3mod.su3_drive_table(spec, cfg["omega"], a_plus, cfg["p"], k, t)
+    rows = _mesh_rows(k, t, *fields)
     path = outdir / f"su3_drive_w{cfg['omega']:g}.csv"
     write_csv(path, "k,t,fx,fy,fz", rows)
     print(f"su3: wrote {len(rows)} samples to {path}")

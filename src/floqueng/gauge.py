@@ -2,43 +2,33 @@
 periodic part of the evolution operator.
 
 The periodic part is factorized as
-P(t) = exp(-i m0) exp(-i m_plus S+) exp(-i m_minus S-) exp(-i m_z Sz)
+P(t) = exp(-i m_plus S+) exp(-i m_minus S-) exp(-i m_z Sz)
 with unitarity tying m_minus and Im(m_z) to m_plus.  The gauge family used
-throughout is mu0 = a0 sin(wt), mu_plus = a_plus e^{i theta} sin(wt),
-mu_z_real = p*w*t with integer winding p, and momentum profiles
-phi0(k) (identity channel), e^{ik} (ladder channel), 1 (z channel).
+throughout is mu_plus = a_plus sin(wt) and mu_z_real = p*w*t with integer
+winding p, with momentum profiles e^{ik} (ladder channel) and 1 (z channel).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import NonPeriodicGauge
 
 
-def _zero_phi(k):
-    # scalar zero broadcasts against any momentum-grid shape
-    return 0.0
-
-
 @dataclass(frozen=True)
 class GaugeParams:
-    """Amplitudes and shapes fixing the micro-motion gauge.
+    """Amplitude, winding and frequency fixing the micro-motion gauge.
 
     ``p`` must be an integer: the z-channel winding p*w*t only returns to a
     multiple of 2*pi at t = nT for integer p, and a non-integer value breaks
     periodicity of the micro-motion up to phase.
     """
 
-    a0: float = 0.0
     a_plus: float = 0.0
-    theta: float = 0.0
     p: int = 0
     omega: float = 1.0
-    phi0: Callable = field(default=_zero_phi)
 
     def __post_init__(self):
         if not (np.isfinite(self.omega) and self.omega > 0):
@@ -57,37 +47,32 @@ class GaugeParams:
 
 
 def mu_functions(g: GaugeParams, t):
-    """Evaluate the three gauge shape functions and their time derivatives.
+    """Evaluate the two gauge shape functions and their time derivatives.
 
-    Returns ``(mu0, mu_plus, mu_zr, dmu0, dmu_plus, dmu_zr)`` broadcast over
-    ``t``.  mu_plus carries the constant phase factor e^{i theta}.
+    Returns the real arrays ``(mu_plus, mu_zr, dmu_plus, dmu_zr)`` broadcast
+    over ``t``.
     """
     t = np.asarray(t, dtype=float)
     wt = g.omega * t
-    s, c = np.sin(wt), np.cos(wt)
-    phase = np.exp(1j * g.theta)
-    mu0 = g.a0 * s
-    mu_plus = g.a_plus * phase * s
+    mu_plus = g.a_plus * np.sin(wt)
     mu_zr = g.p * g.omega * t
-    dmu0 = g.a0 * g.omega * c
-    dmu_plus = g.a_plus * phase * g.omega * c
+    dmu_plus = g.a_plus * g.omega * np.cos(wt)
     dmu_zr = g.p * g.omega * np.ones_like(t)
-    return mu0, mu_plus, mu_zr, dmu0, dmu_plus, dmu_zr
+    return mu_plus, mu_zr, dmu_plus, dmu_zr
 
 
-def micromotion_matrix(m0, m_plus, mz_real) -> np.ndarray:
+def micromotion_matrix(m_plus, mz_real) -> np.ndarray:
     """Closed-form 2x2 periodic part for independent variables
-    (m0, m_plus, mz_real); unitary for any finite arguments.
+    (m_plus, mz_real); unitary for any finite arguments.
 
     Broadcasts: array arguments of a common shape give (..., 2, 2).
     """
-    m0 = np.asarray(m0, dtype=float)
     m_plus = np.asarray(m_plus, dtype=complex)
     mz_real = np.asarray(mz_real, dtype=float)
-    m0, m_plus, mz_real = np.broadcast_arrays(m0, m_plus, mz_real)
-    pref = np.exp(-1j * m0) / np.sqrt(1.0 + np.abs(m_plus) ** 2)
+    m_plus, mz_real = np.broadcast_arrays(m_plus, mz_real)
+    pref = 1.0 / np.sqrt(1.0 + np.abs(m_plus) ** 2)
     half = np.exp(0.5j * mz_real)
-    out = np.empty(m0.shape + (2, 2), dtype=complex)
+    out = np.empty(m_plus.shape + (2, 2), dtype=complex)
     out[..., 0, 0] = np.conj(half)
     out[..., 0, 1] = -1j * m_plus * half
     out[..., 1, 0] = -1j * np.conj(m_plus) * np.conj(half)
@@ -106,7 +91,6 @@ def ladder_phase_angle(k, dimension: int = 1):
 
 def micromotion_at(g: GaugeParams, k, t, dimension: int = 1) -> np.ndarray:
     """Micro-motion matrix of the gauge family at momentum k and time t."""
-    k = np.asarray(k, dtype=float)
-    mu0, mu_plus, mu_zr, *_ = mu_functions(g, t)
+    mu_plus, mu_zr, *_ = mu_functions(g, t)
     kphase = np.exp(1j * ladder_phase_angle(k, dimension))
-    return micromotion_matrix(g.phi0(k) * mu0, mu_plus * kphase, mu_zr)
+    return micromotion_matrix(mu_plus * kphase, mu_zr)

@@ -35,7 +35,10 @@ MAX_TOTAL_STEPS = 2**24
 DEFAULT_BASE_STEPS = 256
 DEFAULT_TOL = 1e-9
 MICROMOTION_SAMPLES = 64  # per period; divides DEFAULT_BASE_STEPS, so they sit on every grid
-_CHUNK_EVALS = 4096  # Hamiltonian evaluations (nodes x steps x momenta) held at once
+# Hamiltonian evaluations (nodes x steps x momenta) a chunk aims to hold; a
+# chunk is at least one step over all momenta, so the bound kept is
+# max(_CHUNK_EVALS, nodes x momenta)
+_CHUNK_EVALS = 4096
 
 # A scheme: (node offsets in units of dt, stage weights over nodes), stages in order
 _R = np.sqrt(3.0) / 6.0  # Gauss nodes of CF4 sit at -+_R dt from the midpoint
@@ -118,7 +121,8 @@ def _propagate(nodes, weights, hfun, horizon, nsteps, sample_indices):
     """``nsteps`` equal steps of the scheme (``nodes``, ``weights``) from the
     identity, stacked as U after each step count in ``sample_indices``.
 
-    A chunk of steps holds at most ``_CHUNK_EVALS`` evaluations of H.  Blocks
+    A chunk of steps holds at most max(``_CHUNK_EVALS``, nodes x momenta)
+    evaluations of H: one step over every momentum is never split.  Blocks
     of the largest power of two dividing gcd(nsteps, *sample_indices) steps
     are each one pairwise tree, merged across chunks if need be, so neither
     the chunking nor the number of momenta changes any rounding.
@@ -252,9 +256,8 @@ class VerificationReport:
     strobe_phase_used: complex
     k_labels: np.ndarray  # one per momentum: k, or kx on a 2D grid
     strobe_errors: np.ndarray
-    periods: int = 1
-    integrator_steps: int = 0
-    estimated_error: float = 0.0
+    integrator_steps: int
+    estimated_error: float
 
     def __post_init__(self):
         if self.max_strobe_error < 0 or self.max_micromotion_error < 0:
@@ -301,9 +304,8 @@ def verify_protocol(protocol: DrivingProtocol, k_grid, periods: int = 1,
         max_strobe_error=float(np.max(strobe_errors)),
         max_micromotion_error=float(np.max(np.abs(p_num - p_ref))),
         strobe_phase_used=complex(sign),
-        k_labels=np.atleast_1d(k_grid).reshape(len(strobe_errors), -1)[:, 0],
+        k_labels=np.atleast_1d(protocol.target.k_labels(k_grid)),
         strobe_errors=strobe_errors,
-        periods=periods,
         integrator_steps=trace.step_count,
         estimated_error=trace.estimated_error,
     )

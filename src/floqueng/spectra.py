@@ -3,8 +3,6 @@ drive envelope 1/(1 + a_plus^2 sin^2 wt)."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .algebra import HamiltonianSpec
@@ -13,36 +11,19 @@ from .errors import NonUnitaryInput
 ENVELOPE_QUAD_SAMPLES = 8192
 
 
-@dataclass(frozen=True)
-class BandTable:
-    """Energies per momentum, ascending along the band axis."""
-
-    k_grid: np.ndarray
-    energies: np.ndarray  # (n_k, n_bands)
-
-
-@dataclass(frozen=True)
-class FourierTable:
-    """Cosine-series coefficients c_n of an even periodic function:
-    f(theta) = c_0 + sum_n c_n cos(n theta)."""
-
-    indices: np.ndarray
-    coefficients: np.ndarray
-
-
-def band_structure(spec: HamiltonianSpec, k_grid) -> BandTable:
-    """Eigenvalues h0 -+ |h|/2 of the coefficient table on a momentum grid.
+def band_structure(spec: HamiltonianSpec, k_grid) -> np.ndarray:
+    """Eigenvalues h0 -+ |h|/2 of the coefficient table on a momentum grid,
+    as an (n_k, n_bands) array ascending along the band axis.
 
     A three-band model adds its decoupled third level, the flat band at the
     identity coefficient h0, to the two eigenvalues of the coupled block.
     """
-    k_grid = np.asarray(k_grid, dtype=float)
     h0, hx, hy, hz = spec.coeffs(k_grid)
     r = 0.5 * np.sqrt(hx * hx + hy * hy + hz * hz)
     energies = np.stack([h0 - r, h0 + r], axis=-1)
     if spec.band_count == 3:
         energies = np.sort(np.column_stack([energies, h0]), axis=1)
-    return BandTable(k_grid=k_grid, energies=energies)
+    return energies
 
 
 def envelope_values(a_plus_squared: float, theta) -> np.ndarray:
@@ -51,16 +32,22 @@ def envelope_values(a_plus_squared: float, theta) -> np.ndarray:
     return 1.0 / (1.0 + a_plus_squared * np.sin(theta) ** 2)
 
 
-def envelope_fourier(a_plus_squared: float, n_max: int) -> FourierTable:
-    """Cosine coefficients of the envelope over one period of wt.
+def envelope_fourier(a_plus_squared: float, n_max: int) -> np.ndarray:
+    """Cosine coefficients c_0 .. c_{n_max} of the envelope over one period
+    of wt, so that f(wt) = c_0 + sum_n c_n cos(n wt).
 
     The function is even and pi-periodic, so every odd coefficient vanishes
     and the sine series is identically zero; sine leakage above 1e-13 would
     indicate a quadrature bug and raises.  Trapezoid quadrature on a uniform
-    grid converges spectrally for this smooth periodic integrand.
+    grid converges spectrally for this smooth periodic integrand.  On its
+    N = ``ENVELOPE_QUAD_SAMPLES`` points c_n equals c_{N-n}, so an ``n_max``
+    of N/2 or more raises ValueError before any array is built.
     """
     if a_plus_squared < 0:
         raise ValueError("a_plus_squared must be non-negative")
+    if n_max >= ENVELOPE_QUAD_SAMPLES // 2:
+        raise ValueError(f"n_max must be below {ENVELOPE_QUAD_SAMPLES // 2}, "
+                         f"where the quadrature aliases, got {n_max}")
     theta = np.linspace(0.0, 2 * np.pi, ENVELOPE_QUAD_SAMPLES + 1)
     fe = envelope_values(a_plus_squared, theta)
     n = np.arange(n_max + 1)
@@ -71,7 +58,7 @@ def envelope_fourier(a_plus_squared: float, n_max: int) -> FourierTable:
     sine_leak = np.max(np.abs(np.trapezoid(fe * sin_basis, theta, axis=1) / np.pi))
     if sine_leak > 1e-13:
         raise ValueError(f"sine leakage {sine_leak:.2e} in an even integrand")
-    return FourierTable(indices=n, coefficients=coeff)
+    return coeff
 
 
 def quasienergies(u_t: np.ndarray, omega: float,

@@ -10,8 +10,6 @@ spectrum.
 
 from __future__ import annotations
 
-import numpy as np
-
 from .algebra import HamiltonianSpec
 from .propagate import VerificationReport, verify_protocol
 from .synth import su3_protocol
@@ -32,16 +30,7 @@ def verify_su3(spec: HamiltonianSpec, omega, a_plus, p, k_grid,
 
 
 def su3_drive_table(spec: HamiltonianSpec, omega, a_plus, p, k_grid, t_grid):
-    """Field table over a (k, t) mesh from the general synthesis path.
-
-    Returns a dict of arrays shaped (n_k, n_t) with keys k, t, fx, fy, fz.
-    """
+    """Field arrays ``(fx, fy, fz)``, each (n_k, n_t), over a (k, t) mesh
+    from the general synthesis path."""
     proto = su3_protocol(spec, omega=omega, a_plus=a_plus, p=p)
-    k = np.asarray(k_grid, dtype=float)[:, None]
-    t = np.asarray(t_grid, dtype=float)[None, :]
-    _, fx, fy, fz = proto.drive_table(k_grid, t_grid)
-    return {
-        "k": np.broadcast_to(k, fx.shape),
-        "t": np.broadcast_to(t, fx.shape),
-        "fx": fx, "fy": fy, "fz": fz,
-    }
+    return proto.drive_table(k_grid, t_grid)[1:]

@@ -91,7 +91,7 @@ def _drive_general(target: HamiltonianSpec, static: HamiltonianSpec,
     if np.max(np.abs([hxs, hys, hzs])) > 0:
         raise ValueError("static Hamiltonian must be identity-channel only")
 
-    mu0, mu_plus, mu_zr, dmu0, dmu_plus, dmu_zr = mu_functions(g, t)
+    mu_plus, mu_zr, dmu_plus, dmu_zr = mu_functions(g, t)
     m_plus = kphase * mu_plus
     shape = np.broadcast_shapes(m_plus.shape, np.shape(hxt),
                                 np.shape(mu_zr), np.shape(hzt))
@@ -101,7 +101,7 @@ def _drive_general(target: HamiltonianSpec, static: HamiltonianSpec,
 
     dm = np.stack([
         bc(kphase * dmu_plus),
-        bc(np.conj(kphase) * np.conj(dmu_plus)),
+        bc(np.conj(kphase) * dmu_plus),
         bc(dmu_zr),
     ], axis=-1)
     h_pm = np.stack([
@@ -127,8 +127,7 @@ def _drive_general(target: HamiltonianSpec, static: HamiltonianSpec,
     fx = 2 * np.real(f_pm[..., 0])
     fy = -2 * np.imag(f_pm[..., 0])
     fz = np.real(f_pm[..., 2])
-    f0 = np.broadcast_to(
-        np.real(g.phi0(k) * dmu0 + h0t - h0s) + np.zeros(shape), shape)
+    f0 = np.broadcast_to(h0t - h0s + np.zeros(shape), shape)
     return f0, fx, fy, fz
 
 
@@ -225,7 +224,7 @@ def crossstitch_protocol(alpha=1.0, delta=2.0, omega=8.0, a_plus=np.sqrt(2.0),
                          p=3) -> DrivingProtocol:
     """Standard flat-band engineering setup: bare uncoupled chains driven to
     the cross-linked flat-band spectrum, evaluated in closed form."""
-    g = GaugeParams(a0=0.0, a_plus=float(a_plus), theta=0.0, p=p, omega=float(omega))
+    g = GaugeParams(a_plus=float(a_plus), p=p, omega=float(omega))
     return DrivingProtocol(
         target=algebra.cross_stitch(alpha, delta),
         static=algebra.uncoupled_chains(alpha),
@@ -246,7 +245,7 @@ def su3_protocol(eta_spec: HamiltonianSpec, omega=8.0, a_plus=np.sqrt(2.0),
     the third level evolves trivially.  The drive checks that channel at
     every momentum it is evaluated on and raises ValueError where it is not
     zero."""
-    g = GaugeParams(a0=0.0, a_plus=float(a_plus), theta=0.0, p=p, omega=float(omega))
+    g = GaugeParams(a_plus=float(a_plus), p=p, omega=float(omega))
     return DrivingProtocol(target=eta_spec, static=algebra.ZERO, gauge=g)
 
 

@@ -85,9 +85,9 @@ def test_criterion_04_micromotion_consistency():
 
 
 def test_criterion_05_band_reproduction():
-    table = band_structure(algebra.cross_stitch(1.0, 2.0), K64)
-    flat = np.max(table.energies, axis=1)
-    disp = np.min(table.energies, axis=1)
+    energies = band_structure(algebra.cross_stitch(1.0, 2.0), K64)
+    flat = np.max(energies, axis=1)
+    disp = np.min(energies, axis=1)
     flat_dev = float(np.max(np.abs(flat - 2.0)))
     disp_dev = float(np.max(np.abs(disp - np.minimum(-4 * np.cos(K64) - 2.0, 2.0))))
     ok = np.std(flat) <= 1e-12 and flat_dev <= 1e-12 and disp_dev <= 1e-12
@@ -97,8 +97,7 @@ def test_criterion_05_band_reproduction():
 
 
 def test_criterion_06_envelope_fourier():
-    table = envelope_fourier(2.0, 40)
-    c = table.coefficients
+    c = envelope_fourier(2.0, 40)
     odd_max = float(np.max(np.abs(c[1::2])))
     ratios = np.array([c[2 * n + 2] / c[2 * n] for n in range(1, 11)])
     ratio_dev = float(np.max(np.abs(ratios - (2 - np.sqrt(3.0)))))

@@ -27,14 +27,14 @@ def test_assemble_identity_three_band():
     spec = algebra.custom(lambda k: (np.full_like(k, 1.7),) + (np.zeros_like(k),) * 3,
                           band_count=3)
     assert np.allclose(spec.matrices(0.3), 1.7 * np.eye(2))
-    assert np.allclose(band_structure(spec, [0.3]).energies, [[1.7, 1.7, 1.7]])
+    assert np.allclose(band_structure(spec, [0.3]), [[1.7, 1.7, 1.7]])
 
 
 def test_assemble_crossstitch_gamma_point():
     spec = algebra.cross_stitch(1.0, 2.0)
     h = spec.matrices(0.0)
     assert np.allclose(h, [[-2, -4], [-4, -2]])
-    assert np.allclose(band_structure(spec, [0.0]).energies, [[-6.0, 2.0]])
+    assert np.allclose(band_structure(spec, [0.0]), [[-6.0, 2.0]])
 
 
 def test_assemble_hermitian_property():
@@ -54,7 +54,7 @@ def test_assemble_batch_matches_scalar():
 
 def test_band_structure_sz():
     spec = algebra.custom(lambda k: (np.zeros_like(k),) * 3 + (np.ones_like(k),))
-    assert np.allclose(band_structure(spec, [0.0]).energies, [[-0.5, 0.5]])
+    assert np.allclose(band_structure(spec, [0.0]), [[-0.5, 0.5]])
     assert np.allclose(np.linalg.eigvalsh(spec.matrices(0.0)), [-0.5, 0.5])
 
 
@@ -64,7 +64,7 @@ def test_band_structure_closed_form_vs_solver():
     table = np.random.default_rng(5).uniform(-50, 50, size=(200, 4))
     spec = algebra.custom(lambda k: tuple(table[k.astype(int)].T))
     k = np.arange(len(table))
-    closed = band_structure(spec, k).energies
+    closed = band_structure(spec, k)
     solver = np.linalg.eigvalsh(spec.matrices(k))
     scale = np.maximum(1, np.max(np.abs(closed), axis=1, keepdims=True))
     assert np.all(np.abs(closed - solver) <= 1e-12 * scale)
@@ -83,14 +83,14 @@ def test_complex_coefficients_rejected():
 
 def test_crossstitch_band_at_zone_boundary():
     spec = algebra.cross_stitch(1.0, 2.0)
-    vals = band_structure(spec, [np.pi / 2]).energies
+    vals = band_structure(spec, [np.pi / 2])
     assert np.allclose(vals, [[-2.0, 2.0]])
 
 
 def test_crossstitch_flat_band_over_grid():
     spec = algebra.cross_stitch(1.0, 2.0)
     k = np.linspace(-np.pi, np.pi, 97)
-    bands = band_structure(spec, k).energies
+    bands = band_structure(spec, k)
     flat = np.max(bands, axis=1)  # flat band is the upper one for these signs
     assert np.var(flat) <= 1e-24
     disp = np.min(bands, axis=1)
@@ -104,7 +104,7 @@ def test_su3_flat_eigenvalues():
         ex = 2 * np.cos(kk) + 2.0
         r = 0.5 * np.sqrt(2) * abs(ex)
         assert np.allclose(np.linalg.eigvalsh(spec.matrices(kk)), [-r, r], atol=1e-12)
-        assert np.allclose(band_structure(spec, [kk]).energies, [[-r, 0.0, r]],
+        assert np.allclose(band_structure(spec, [kk]), [[-r, 0.0, r]],
                            atol=1e-12)
         assert spec.coeffs(kk)[0] == 0.0
 

@@ -71,6 +71,7 @@ def test_invalid_winding_exits_2_and_writes_nothing(tmp_path, capsys):
     ["verify", "--aplus2", "nan"],
     ["synth", "--config", "kpoints = 2.5"],
     ["verify", "--config", "omega = abc"],
+    ["fourier", "--config", "ncoeff = 4096"],  # aliased on the quadrature grid
 ])
 def test_config_validation_failures(tmp_path, bad, capsys):
     if "--config" in bad:  # the argument after it is the file's text
@@ -79,6 +80,8 @@ def test_config_validation_failures(tmp_path, bad, capsys):
         cfg.write_text(bad[i] + "\n")
         bad = bad[:i] + [str(cfg)] + bad[i + 1:]
     assert run(bad + ["--out", str(tmp_path)]) == 2
+    written = sorted(path.name for path in tmp_path.iterdir())
+    assert written == (["bad.cfg"] if "--config" in bad else [])
     if "--config" in bad:
         assert cfg.read_text().split()[0] in capsys.readouterr().err
 
@@ -253,6 +256,16 @@ def test_pwave2d_synth(tmp_path):
                 "--kpoints", "8", "--tpoints", "8"]) == 0
     header, rows = read_csv(tmp_path / "drive_pwave2d_w8.csv")
     assert len(rows) == 64
+    kx = cli.k_grid_of(cli.validate({"model": "pwave2d", "kpoints": 8}))[:, 0]
+    assert [float(row[0]) for row in rows] == np.repeat(kx, 8).tolist()
+
+
+def test_pwave2d_bands_label_each_momentum_by_kx(tmp_path):
+    assert run(["bands", "--out", str(tmp_path), "--model", "pwave2d",
+                "--kpoints", "8"]) == 0
+    header, rows = read_csv(tmp_path / "bands_pwave2d.csv")
+    kx = cli.k_grid_of(cli.validate({"model": "pwave2d", "kpoints": 8}))[:, 0]
+    assert [float(row[0]) for row in rows] == kx.tolist()
 
 
 def test_pwave2d_verify_labels_each_momentum_by_kx():

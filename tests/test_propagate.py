@@ -215,10 +215,11 @@ def test_momenta_propagated_together_match_each_alone(monkeypatch, budget):
 
 def test_chunks_stay_within_the_evaluation_budget(monkeypatch):
     # memory is bounded in the number of momenta: every hfun call holds at
-    # most the budget of Hamiltonian evaluations, counted over momenta; at
-    # 2048 momenta one CF4 step fills it
+    # most the budget of Hamiltonian evaluations, counted over momenta, or
+    # one CF4 step (two nodes) over every momentum where that is more; at
+    # 2048 momenta one step fills the budget, at 4096 it is twice over
     monkeypatch.setattr(prop, "MAX_TOTAL_STEPS", 2048)
-    for n_k in (1024, 2048):
+    for n_k in (1024, 2048, 4096):
         k = np.linspace(-np.pi, np.pi, n_k, endpoint=False)
         calls = []
 
@@ -230,7 +231,7 @@ def test_chunks_stay_within_the_evaluation_budget(monkeypatch):
 
         trace = integrate_tdse(hfun, 1.0, tol=1e-6)
         assert trace.step_count >= 512 and len(calls) > 2
-        assert max(calls) <= prop._CHUNK_EVALS
+        assert max(calls) <= max(prop._CHUNK_EVALS, 2 * n_k)
 
 
 def test_midpoint_convergence_order():

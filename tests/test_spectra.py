@@ -4,6 +4,7 @@ import pytest
 from floqueng import algebra
 from floqueng.errors import NonUnitaryInput
 from floqueng.spectra import (
+    ENVELOPE_QUAD_SAMPLES,
     band_structure,
     envelope_fourier,
     envelope_values,
@@ -33,12 +34,12 @@ def envelope_fourier_exact(a_plus_squared, n_max):
 def test_crossstitch_band_table():
     k = np.linspace(-np.pi, np.pi, 65)
     table = band_structure(algebra.cross_stitch(1.0, 2.0), k)
-    flat = table.energies[:, 1]
-    disp = table.energies[:, 0]
+    flat = table[:, 1]
+    disp = table[:, 0]
     assert np.std(flat[np.abs(k) < 3.0]) <= 1e-12  # clear of the band touching
-    assert np.allclose(np.max(table.energies, axis=1),
+    assert np.allclose(np.max(table, axis=1),
                        np.maximum(2.0, -4 * np.cos(k) - 2.0))
-    assert np.allclose(np.min(table.energies, axis=1),
+    assert np.allclose(np.min(table, axis=1),
                        np.minimum(2.0, -4 * np.cos(k) - 2.0))
     assert disp.min() == pytest.approx(-6.0)
 
@@ -46,39 +47,39 @@ def test_crossstitch_band_table():
 def test_flat_limit_without_hopping():
     k = np.linspace(-np.pi, np.pi, 33)
     table = band_structure(algebra.cross_stitch(0.0, 2.0), k)
-    assert np.allclose(table.energies[:, 0], -2.0)
-    assert np.allclose(table.energies[:, 1], 2.0)
+    assert np.allclose(table[:, 0], -2.0)
+    assert np.allclose(table[:, 1], 2.0)
 
 
 def test_three_band_table():
     k = np.linspace(-np.pi, np.pi, 33)
     table = band_structure(algebra.su3_flat(delta=2.0), k)
     r = 0.5 * np.sqrt(2) * np.abs(2 * np.cos(k) + 2.0)
-    assert np.allclose(table.energies[:, 1], 0.0, atol=1e-12)
-    assert np.allclose(table.energies[:, 0], -r, atol=1e-12)
-    assert np.allclose(table.energies[:, 2], r, atol=1e-12)
+    assert np.allclose(table[:, 1], 0.0, atol=1e-12)
+    assert np.allclose(table[:, 0], -r, atol=1e-12)
+    assert np.allclose(table[:, 2], r, atol=1e-12)
 
 
 def test_envelope_constant_when_unmodulated():
     table = envelope_fourier(0.0, 12)
-    assert table.coefficients[0] == pytest.approx(1.0)
-    assert np.max(np.abs(table.coefficients[1:])) <= 1e-13
+    assert table[0] == pytest.approx(1.0)
+    assert np.max(np.abs(table[1:])) <= 1e-13
 
 
 def test_envelope_mean_value():
     table = envelope_fourier(2.0, 12)
-    assert table.coefficients[0] == pytest.approx(1 / np.sqrt(3), abs=1e-10)
+    assert table[0] == pytest.approx(1 / np.sqrt(3), abs=1e-10)
 
 
 def test_envelope_odd_coefficients_vanish():
     for ap2 in (0.5, 1.0, 2.0, 5.0):
         table = envelope_fourier(ap2, 25)
-        assert np.max(np.abs(table.coefficients[1::2])) <= 1e-12
+        assert np.max(np.abs(table[1::2])) <= 1e-12
 
 
 def test_envelope_even_ratio_geometric():
     table = envelope_fourier(2.0, 26)
-    even = table.coefficients[2::2]
+    even = table[2::2]
     ratios = even[1:] / even[:-1]
     assert np.allclose(ratios, RHO, atol=1e-6)
 
@@ -87,22 +88,26 @@ def test_envelope_matches_exact_series():
     for ap2 in (0.5, 2.0, 4.0):
         quad = envelope_fourier(ap2, 30)
         exact = envelope_fourier_exact(ap2, 30)
-        assert np.max(np.abs(quad.coefficients - exact)) <= 1e-12
+        assert np.max(np.abs(quad - exact)) <= 1e-12
 
 
 def test_envelope_partial_sum_reconstruction():
     table = envelope_fourier(2.0, 40)
     theta = np.linspace(0, 2 * np.pi, 1024, endpoint=False)
-    recon = table.coefficients[0] + sum(
-        c * np.cos(n * theta)
-        for n, c in zip(table.indices[1:], table.coefficients[1:])
-    )
+    recon = table[0] + sum(c * np.cos(n * theta) for n, c in enumerate(table) if n)
     assert np.max(np.abs(recon - envelope_values(2.0, theta))) <= 1e-10
 
 
 def test_envelope_rejects_negative_modulation():
     with pytest.raises(ValueError):
         envelope_fourier(-0.1, 4)
+
+
+def test_envelope_rejects_aliased_orders():
+    # on N quadrature points c_n equals c_{N-n}; the bound is checked before
+    # the (n_max + 1) x (N + 1) basis is built
+    with pytest.raises(ValueError, match="aliases"):
+        envelope_fourier(2.0, ENVELOPE_QUAD_SAMPLES // 2)
 
 
 def test_quasienergies_identity():

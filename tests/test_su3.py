@@ -46,9 +46,8 @@ class TestOperators:
 
 class TestDrive:
     def test_initial_sample_x_only_target(self):
-        spec = su3_flat(eta_fn=lambda k: (1.5 * np.ones_like(k),
-                                          np.zeros_like(k),
-                                          np.zeros_like(k)))
+        spec = custom(lambda k: (np.zeros_like(k), 1.5 * np.ones_like(k),
+                                 np.zeros_like(k), np.zeros_like(k)), band_count=3)
         proto = su3_protocol(spec, omega=8.0, a_plus=SQRT2, p=3)
         for k in (0.0, 0.9):
             f0, fx, _, _ = proto.drive_components(k, 0.0)
@@ -56,7 +55,7 @@ class TestDrive:
             assert f0 == 0.0
 
     def test_zero_target_zero_gauge(self):
-        spec = su3_flat(eta_fn=lambda k: (np.zeros_like(k),) * 3)
+        spec = custom(lambda k: (np.zeros_like(k),) * 4, band_count=3)
         proto = su3_protocol(spec, omega=8.0, a_plus=0.0, p=0)
         _, fx, fy, fz = proto.drive_components(0.4, 0.2)
         assert (fx, fy, fz) == (0.0, 0.0, 0.0)
@@ -106,7 +105,7 @@ class TestVerification:
     def test_gauge_only_evolution(self):
         # zero target: the evolution is pure micro-motion, so one period
         # lands on the winding sign in the embedded block and 1 outside
-        spec = su3_flat(eta_fn=lambda k: (np.zeros_like(k),) * 3)
+        spec = custom(lambda k: (np.zeros_like(k),) * 4, band_count=3)
         proto = su3_protocol(spec, omega=8.0, a_plus=SQRT2, p=3)
         trace = integrate_tdse(proto.hamiltonian_fn(np.array([0.5, 2.0])),
                                proto.period, tol=1e-9)
@@ -131,7 +130,9 @@ class TestVerification:
             assert np.allclose(np.sort(eps), expected, atol=1e-7)
 
     def test_eta0_rejected(self):
-        spec = su3_flat(eta_fn=lambda k: (np.ones_like(k),) * 3, eta0=0.3)
+        # a nonzero identity channel eta0 = 0.3 under unit couplings
+        spec = custom(lambda k: (np.full_like(k, 0.3),) + (np.ones_like(k),) * 3,
+                      band_count=3)
         with pytest.raises(ValueError):
             verify_su3(spec, 8.0, SQRT2, 3, K16)
 

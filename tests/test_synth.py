@@ -47,7 +47,7 @@ class TestTransformMatrices:
                 return a * np.sin(w * t) + b * np.sin(2 * w * t)
 
             t0 = rng.uniform(0.05, 1.0)
-            pmat = lambda t: micromotion_matrix(0.0, mp(t), p * w * t)
+            pmat = lambda t: micromotion_matrix(mp(t), p * w * t)
             dp = (pmat(t0 + eps) - pmat(t0 - eps)) / (2 * eps)
             gen = 1j * dp @ pmat(t0).conj().T
             dmp = (mp(t0 + eps) - mp(t0 - eps)) / (2 * eps)
@@ -70,7 +70,7 @@ class TestTransformMatrices:
         for _ in range(50):
             mp = rng.normal() + 1j * rng.normal()
             mzr = 5 * rng.normal()
-            pmat = micromotion_matrix(0.0, mp, mzr)
+            pmat = micromotion_matrix(mp, mzr)
             m2 = transform_m2(mp, mzr)
             for col, op in enumerate((S_PLUS, S_MINUS, SZ)):
                 conj = pmat @ op @ pmat.conj().T
@@ -154,14 +154,6 @@ class TestGeneralSynthesis:
         for comp in proto.drive_table(k, t):
             assert np.max(np.abs(comp)) <= 1e-14
 
-    def test_identity_channel_matches_profile(self):
-        # phi0-carrying gauges feed the identity drive channel only
-        g = GaugeParams(a0=0.5, p=0, omega=8.0, phi0=lambda k: np.cos(k))
-        chains = algebra.uncoupled_chains(1.0)
-        f0, fx, fy, fz = general_protocol(chains, chains, g).drive_components(0.3, 0.0)
-        assert f0 == pytest.approx(np.cos(0.3) * 0.5 * 8.0)
-        assert (fx, fy, fz) == (0.0, 0.0, 0.0)
-
     def test_rejects_static_with_band_structure(self):
         g = GaugeParams(p=3, a_plus=1.0, omega=8.0)
         bad_static = algebra.cross_stitch(1.0, 2.0)
@@ -182,7 +174,7 @@ class TestGeneralSynthesis:
                         c[3, 0] + c[3, 1] * np.cos(3 * k))
 
             target = algebra.custom(coeff, band_count=2)
-            g = GaugeParams(a_plus=1.2, theta=0.7, p=2, omega=6.0)
+            g = GaugeParams(a_plus=1.2, p=2, omega=6.0)
             proto = general_protocol(algebra.ZERO, target, g)
             k = np.linspace(-np.pi, np.pi, 12, endpoint=False)
             t = np.linspace(0, proto.period, 12, endpoint=False)

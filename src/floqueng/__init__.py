@@ -39,7 +39,6 @@ from .synth import (
     crossstitch_protocol,
     general_protocol,
     static_harmonic_residual,
-    su3_protocol,
 )
 
 __version__ = "0.1.0"

@@ -43,11 +43,6 @@ DEFAULTS = {
     "tol": 1e-9,
     "ncoeff": 40,
     "lattice_sites": 8,
-    "kitaev_mu": 1.0,
-    "kitaev_t": 1.0,
-    "kitaev_delta": 1.0,
-    "pwave_mu": 1.0,
-    "pwave_delta": 0.5,
     "corrupt_fz": 1.0,
     "out": ".",
 }
@@ -55,9 +50,8 @@ DEFAULTS = {
 #: Each model's target Hamiltonian, built from a validated config.
 TARGETS = {
     "crossstitch": lambda cfg: algebra.cross_stitch(cfg["alpha"], cfg["delta"]),
-    "kitaev": lambda cfg: algebra.kitaev_chain(cfg["kitaev_mu"], cfg["kitaev_t"],
-                                               cfg["kitaev_delta"]),
-    "pwave2d": lambda cfg: algebra.chiral_p_wave_2d(cfg["pwave_mu"], cfg["pwave_delta"]),
+    "kitaev": lambda cfg: algebra.kitaev_chain(),
+    "pwave2d": lambda cfg: algebra.chiral_p_wave_2d(),
     "su3flat": lambda cfg: algebra.su3_flat(delta=cfg["delta"]),
 }
 MODELS = tuple(TARGETS)
@@ -165,16 +159,19 @@ def t_grid_of(cfg) -> np.ndarray:
     return period * np.arange(n) / n
 
 
+def _gauge(cfg) -> GaugeParams:
+    """The micro-motion gauge of a validated config, a_plus = sqrt(aplus2)."""
+    return GaugeParams(float(np.sqrt(cfg["aplus2"])), cfg["p"], cfg["omega"])
+
+
 def build_protocol(cfg) -> DrivingProtocol:
     """The crossstitch drive in closed form; any other model's target on the
     general path from the zero static Hamiltonian."""
-    a_plus = float(np.sqrt(cfg["aplus2"]))
+    g = _gauge(cfg)
     if cfg["model"] == "crossstitch":
-        proto = crossstitch_protocol(cfg["alpha"], cfg["delta"], cfg["omega"],
-                                     a_plus, cfg["p"])
+        proto = crossstitch_protocol(cfg["alpha"], cfg["delta"], g.omega, g.a_plus, g.p)
     else:
-        gauge = GaugeParams(a_plus=a_plus, p=cfg["p"], omega=cfg["omega"])
-        proto = general_protocol(algebra.ZERO, TARGETS[cfg["model"]](cfg), gauge)
+        proto = general_protocol(algebra.ZERO, TARGETS[cfg["model"]](cfg), g)
     if cfg["corrupt_fz"] != 1.0:
         proto = dataclasses.replace(proto, fz_scale=cfg["corrupt_fz"])
     return proto
@@ -239,7 +236,7 @@ def cmd_bands(cfg, outdir: Path) -> int:
         disp = -4 * cfg["alpha"] * np.cos(k) - cfg["delta"]
         check = np.max(np.abs(np.sort(np.stack([flat, disp], axis=1), axis=1)
                               - energies))
-        if check > 1e-10:
+        if check > 1e-10 * max(1.0, float(np.max(np.abs(energies)))):
             raise FloquetError(f"band bookkeeping drifted by {check:.2e}")
         rows = [(kv, f, d) for kv, f, d in zip(k, flat, disp)]
     else:
@@ -262,27 +259,23 @@ def cmd_fourier(cfg, outdir: Path) -> int:
 
 
 def cmd_lattice(cfg, outdir: Path) -> int:
-    a_plus = float(np.sqrt(cfg["aplus2"]))
-    terms = lattice.expand_to_lattice(cfg["alpha"], cfg["delta"], cfg["omega"],
-                                      a_plus, cfg["p"])
+    g = _gauge(cfg)
+    drive = (cfg["alpha"], cfg["delta"], g.omega, g.a_plus, g.p)
+    terms = lattice.expand_to_lattice(*drive)
     rows = [(term.channel, term.m, term.describe(), term.coefficient)
             for term in terms]
     path = outdir / "lattice_terms.csv"
     write_csv(path, "channel,m,harmonic,coefficient", rows)
     deviation = lattice.lattice_vs_momentum_check(
-        cfg["alpha"], cfg["delta"], cfg["omega"], a_plus, cfg["p"],
-        cfg["lattice_sites"],
-        t_grid_of(cfg)[:min(16, cfg["tpoints"])])
+        *drive, cfg["lattice_sites"], t_grid_of(cfg)[:min(16, cfg["tpoints"])])
     print(f"lattice: wrote {len(rows)} terms to {path}; "
           f"momentum-space roundtrip deviation {deviation:.3e}")
     return EXIT_OK
 
 
 def cmd_su3(cfg, outdir: Path) -> int:
-    a_plus = float(np.sqrt(cfg["aplus2"]))
-    spec = TARGETS["su3flat"](cfg)
     k, t = k_grid_of(cfg), t_grid_of(cfg)
-    fields = su3mod.su3_drive_table(spec, cfg["omega"], a_plus, cfg["p"], k, t)
+    fields = su3mod.su3_drive_table(TARGETS["su3flat"](cfg), _gauge(cfg), k, t)
     rows = _mesh_rows(k, t, *fields)
     path = outdir / f"su3_drive_w{cfg['omega']:g}.csv"
     write_csv(path, "k,t,fx,fy,fz", rows)

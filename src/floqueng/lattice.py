@@ -15,13 +15,14 @@ from typing import Callable
 
 import numpy as np
 
-from .algebra import assemble_batch
+from .algebra import SX, SY, SZ, assemble_batch
 from .errors import HermiticityError, RangeOverflow
 from .spectra import envelope_values
 from .synth import crossstitch_drive_components
 
 MAX_RANGE = 3
 RANGE_TOL = 1e-12
+_SPIN = {"x": SX, "y": SY, "z": SZ}
 
 
 @dataclass(frozen=True)
@@ -156,31 +157,16 @@ def reconstruct_momentum_drive(terms, k, t) -> dict:
 
 
 def _hop_base(channel: str, m: int, k_harmonic: str, L: int) -> np.ndarray:
-    """2L x 2L matrix of the m-site hopping family at unit amplitude.
-
-    Sub-lattice ordering is all A sites then all B sites, periodic wrap.
-    Each family is (K + K^dagger)/4 for the directed kernel K fixed by the
-    channel, with the sin families carrying the -i/+i twist.
-    """
-    a = np.arange(L)
-    b = (a + m) % L
-    K = np.zeros((2 * L, 2 * L), dtype=complex)
-    if channel == "x":
-        K[a, L + b] = 1.0
-        K[L + a, b] = 1.0
-        weight = 1.0 if k_harmonic == "cos" else 1j
-    elif channel == "y":
-        K[a, L + b] = 1.0
-        K[L + a, b] = -1.0
-        weight = -1j if k_harmonic == "cos" else 1.0
-    elif channel == "z":
-        K[a, b] = 1.0
-        K[L + a, L + b] = -1.0
-        weight = 1.0 if k_harmonic == "cos" else 1j
-    else:
+    """2L x 2L matrix of the m-site hopping family at unit amplitude: the
+    Kronecker product of the channel's spin matrix, on the leading
+    sub-lattice index (all A sites then all B sites), with the cos or sin
+    hop of range m on the periodic dimer index."""
+    if channel not in _SPIN:
         raise ValueError(f"unknown channel {channel!r}")
-    K = weight * K
-    return (K + K.conj().T) / 4.0
+    hop = np.eye(L, k=m) + np.eye(L, k=m - L)  # hop[a, (a + m) % L] = 1
+    hop = (hop + hop.T) * 0.5 if k_harmonic == "cos" else (hop - hop.T) * 0.5j
+    base = _SPIN[channel][:, None, :, None] * hop[None, :, None, :]
+    return base.reshape(2 * L, 2 * L) + 0.0  # + 0.0 turns each -0.0 into 0.0
 
 
 def assemble_lattice_hamiltonian(terms, L: int, t: float) -> np.ndarray:

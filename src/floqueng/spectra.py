@@ -38,26 +38,25 @@ def envelope_fourier(a_plus_squared: float, n_max: int) -> np.ndarray:
 
     The function is even and pi-periodic, so every odd coefficient vanishes
     and the sine series is identically zero; sine leakage above 1e-13 would
-    indicate a quadrature bug and raises.  Trapezoid quadrature on a uniform
-    grid converges spectrally for this smooth periodic integrand.  On its
-    N = ``ENVELOPE_QUAD_SAMPLES`` points c_n equals c_{N-n}, so an ``n_max``
-    of N/2 or more raises ValueError before any array is built.
+    indicate a quadrature bug and raises.  Trapezoid quadrature converges
+    spectrally for this smooth periodic integrand, and on the uniform grid
+    of N = ``ENVELOPE_QUAD_SAMPLES`` points it is the DFT X of the samples:
+    c_n = (2/N) Re X_n, with c_0 halved.  There c_n equals c_{N-n}, so an
+    ``n_max`` of N/2 or more raises ValueError.
     """
     if a_plus_squared < 0:
         raise ValueError("a_plus_squared must be non-negative")
-    if n_max >= ENVELOPE_QUAD_SAMPLES // 2:
-        raise ValueError(f"n_max must be below {ENVELOPE_QUAD_SAMPLES // 2}, "
+    n = ENVELOPE_QUAD_SAMPLES
+    if n_max >= n // 2:
+        raise ValueError(f"n_max must be below {n // 2}, "
                          f"where the quadrature aliases, got {n_max}")
-    theta = np.linspace(0.0, 2 * np.pi, ENVELOPE_QUAD_SAMPLES + 1)
-    fe = envelope_values(a_plus_squared, theta)
-    n = np.arange(n_max + 1)
-    cos_basis = np.cos(np.outer(n, theta))
-    sin_basis = np.sin(np.outer(n, theta))
-    coeff = np.trapezoid(fe * cos_basis, theta, axis=1) / np.pi
-    coeff[0] /= 2.0
-    sine_leak = np.max(np.abs(np.trapezoid(fe * sin_basis, theta, axis=1) / np.pi))
+    theta = np.linspace(0.0, 2 * np.pi, n, endpoint=False)
+    spectrum = np.fft.rfft(envelope_values(a_plus_squared, theta))[:n_max + 1]
+    sine_leak = 2 / n * np.max(np.abs(spectrum.imag))
     if sine_leak > 1e-13:
         raise ValueError(f"sine leakage {sine_leak:.2e} in an even integrand")
+    coeff = 2 / n * spectrum.real
+    coeff[0] /= 2.0
     return coeff
 
 

@@ -1,23 +1,25 @@
 """Three-band drive engineering as an embedding of the two-band path.
 
 The couplings of the three-band target act on the first two levels only and
-close the spin-1/2 commutator table, so synthesis and propagation run on that
-2x2 block unchanged.  The third level carries nothing but the identity
-channel, which synthesis requires to be zero: it never couples, its
-evolution is exactly 1, and it hosts the flat band of the engineered
-spectrum.
+close the spin-1/2 commutator table, so the three-band protocol is
+:func:`floqueng.synth.general_protocol` from the zero static Hamiltonian,
+and synthesis and propagation run on that 2x2 block unchanged.  The third
+level carries nothing but the identity channel, which synthesis requires to
+be zero: it never couples, its evolution is exactly 1, and it hosts the flat
+band of the engineered spectrum.
 """
 
 from __future__ import annotations
 
-from .algebra import HamiltonianSpec
+from .algebra import ZERO, HamiltonianSpec
+from .gauge import GaugeParams
 from .propagate import VerificationReport, verify_protocol
-from .synth import su3_protocol
+from .synth import general_protocol
 
 
-def verify_su3(spec: HamiltonianSpec, omega, a_plus, p, k_grid,
-               tol: float = 1e-9, periods: int = 1) -> VerificationReport:
-    """Propagate the three-band drive and compare against the target.
+def verify_su3(spec: HamiltonianSpec, gauge: GaugeParams, k_grid,
+               tol: float = 1e-9) -> VerificationReport:
+    """Propagate the three-band drive over one period against the target.
 
     ``spec`` is a three-band target such as :func:`floqueng.algebra.su3_flat`
     with a zero identity channel, which the drive checks at every momentum
@@ -25,12 +27,10 @@ def verify_su3(spec: HamiltonianSpec, omega, a_plus, p, k_grid,
     the third level's evolution and target entries are both exactly 1, so it
     adds zero error.
     """
-    proto = su3_protocol(spec, omega=omega, a_plus=a_plus, p=p)
-    return verify_protocol(proto, k_grid, periods=periods, tol=tol)
+    return verify_protocol(general_protocol(ZERO, spec, gauge), k_grid, tol=tol)
 
 
-def su3_drive_table(spec: HamiltonianSpec, omega, a_plus, p, k_grid, t_grid):
+def su3_drive_table(spec: HamiltonianSpec, gauge: GaugeParams, k_grid, t_grid):
     """Field arrays ``(fx, fy, fz)``, each (n_k, n_t), over a (k, t) mesh
     from the general synthesis path."""
-    proto = su3_protocol(spec, omega=omega, a_plus=a_plus, p=p)
-    return proto.drive_table(k_grid, t_grid)[1:]
+    return general_protocol(ZERO, spec, gauge).drive_table(k_grid, t_grid)[1:]

@@ -187,16 +187,19 @@ class DrivingProtocol:
         return self.gauge.period
 
     def drive_components(self, k, t):
-        """Arrays (f0, fx, fy, fz) broadcast over momentum and time."""
-        if self.closed_form is not None:
-            alpha, delta = self.closed_form
-            f0, fx, fy, fz = crossstitch_drive_components(
-                alpha, delta, self.gauge.omega, self.gauge.a_plus,
-                self.gauge.p, k, t)
-        else:
-            f0, fx, fy, fz = _drive_general(self.target, self.static, self.gauge, k, t)
-        if self.fz_scale != 1.0:
-            fz = self.fz_scale * fz
+        """Arrays (f0, fx, fy, fz) broadcast over momentum and time; a drive
+        that overflows raises ValueError."""
+        g = self.gauge
+        with np.errstate(over="ignore", invalid="ignore"):
+            if self.closed_form is not None:
+                f0, fx, fy, fz = crossstitch_drive_components(
+                    *self.closed_form, g.omega, g.a_plus, g.p, k, t)
+            else:
+                f0, fx, fy, fz = _drive_general(self.target, self.static, g, k, t)
+            if self.fz_scale != 1.0:
+                fz = self.fz_scale * fz
+        if not all(np.isfinite(f).all() for f in (f0, fx, fy, fz)):
+            raise ValueError("drive is not finite at this gauge amplitude and frequency")
         return f0, fx, fy, fz
 
     def drive_table(self, k_grid, t_grid):
@@ -236,17 +239,6 @@ def crossstitch_protocol(alpha=1.0, delta=2.0, omega=8.0, a_plus=np.sqrt(2.0),
 def general_protocol(static: HamiltonianSpec, target: HamiltonianSpec,
                      g: GaugeParams) -> DrivingProtocol:
     return DrivingProtocol(target=target, static=static, gauge=g)
-
-
-def su3_protocol(eta_spec: HamiltonianSpec, omega=8.0, a_plus=np.sqrt(2.0),
-                 p=3) -> DrivingProtocol:
-    """Three-band protocol on the coupled two-level block; requires a zero
-    identity channel, so the static Hamiltonian is :data:`algebra.ZERO` and
-    the third level evolves trivially.  The drive checks that channel at
-    every momentum it is evaluated on and raises ValueError where it is not
-    zero."""
-    g = GaugeParams(a_plus=float(a_plus), p=p, omega=float(omega))
-    return DrivingProtocol(target=eta_spec, static=algebra.ZERO, gauge=g)
 
 
 def static_harmonic_residual(protocol: DrivingProtocol, k) -> np.ndarray:

@@ -4,10 +4,9 @@ line with the measured figure of merit at the stated tolerance."""
 import time
 
 import numpy as np
-import pytest
 
 from floqueng import algebra
-from floqueng.gauge import micromotion_at
+from floqueng.gauge import GaugeParams, micromotion_at
 from floqueng.lattice import expand_to_lattice, lattice_vs_momentum_check
 from floqueng.propagate import (
     cf4_fixed,
@@ -15,13 +14,12 @@ from floqueng.propagate import (
     midpoint_fixed,
     verify_protocol,
 )
-from floqueng.spectra import band_structure, envelope_fourier, quasienergies
+from floqueng.spectra import band_structure, envelope_fourier
 from floqueng.su3 import verify_su3
 from floqueng.synth import (
     crossstitch_protocol,
     general_protocol,
     static_harmonic_residual,
-    su3_protocol,
 )
 
 SQRT2 = np.sqrt(2.0)
@@ -163,9 +161,10 @@ def test_criterion_10_three_band_case():
     worst_strobe = 0.0
     worst_flat_phase = 0.0
     for omega in (8.0, 4.0):
-        rep = verify_su3(spec, omega, SQRT2, 3, K64, tol=1e-8)
+        gauge = GaugeParams(a_plus=SQRT2, p=3, omega=omega)
+        rep = verify_su3(spec, gauge, K64, tol=1e-8)
         worst_strobe = max(worst_strobe, rep.max_strobe_error)
-        proto = su3_protocol(spec, omega=omega, a_plus=SQRT2, p=3)
+        proto = general_protocol(algebra.ZERO, spec, gauge)
         trace = integrate_tdse(proto.hamiltonian_fn(K64), proto.period, tol=1e-8)
         # the coupled block plus the decoupled third level, whose evolution is 1
         u_t = np.zeros((len(K64), 3, 3), dtype=complex)

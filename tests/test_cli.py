@@ -5,7 +5,6 @@ import pytest
 
 from floqueng import cli
 from floqueng.propagate import verify_protocol
-from floqueng.synth import su3_protocol
 
 SQRT2 = np.sqrt(2.0)
 
@@ -72,6 +71,9 @@ def test_invalid_winding_exits_2_and_writes_nothing(tmp_path, capsys):
     ["synth", "--config", "kpoints = 2.5"],
     ["verify", "--config", "omega = abc"],
     ["fourier", "--config", "ncoeff = 4096"],  # aliased on the quadrature grid
+    # model parameters are the library defaults, not config keys
+    ["synth", "--config", "kitaev_mu = 0.5"],
+    ["synth", "--config", "pwave_delta = 0.7"],
 ])
 def test_config_validation_failures(tmp_path, bad, capsys):
     if "--config" in bad:  # the argument after it is the file's text
@@ -121,6 +123,19 @@ def test_bands_flat_column(tmp_path):
     k = np.array([float(r[0]) for r in rows])
     assert np.all(flat == 2.0)
     assert np.allclose(disp, -4 * np.cos(k) - 2.0)
+
+
+def test_bands_bookkeeping_scales_with_the_energies(tmp_path):
+    # energies of size 1e7 carry rounding far above an absolute 1e-10
+    assert run(["bands", "--out", str(tmp_path), "--delta", "1e7"]) == 0
+    assert (tmp_path / "bands_crossstitch.csv").exists()
+
+
+def test_overflowing_drive_exits_3_and_writes_nothing(tmp_path, capsys):
+    assert run(["synth", "--out", str(tmp_path), "--aplus2", "1e308",
+                "--kpoints", "4", "--tpoints", "4"]) == 3
+    assert list(tmp_path.iterdir()) == []
+    assert "not finite" in capsys.readouterr().err
 
 
 def test_bands_three_band_model(tmp_path):
@@ -296,12 +311,11 @@ def test_every_model_runs_every_target_command(tmp_path, command, model):
         assert len(lines) == lines.index("[per-k]") + 2 + 16
 
 
-def test_su3flat_synth_protocol_is_the_su3_protocol():
-    # the synth and su3 tables of su3flat come from one drive, bit for bit
-    cfg = cli.validate({"model": "su3flat", "kpoints": 16, "tpoints": 8})
-    k, t = cli.k_grid_of(cfg), cli.t_grid_of(cfg)
-    reference = su3_protocol(cli.TARGETS["su3flat"](cfg), omega=cfg["omega"],
-                             a_plus=np.sqrt(cfg["aplus2"]), p=cfg["p"])
-    for got, want in zip(cli.build_protocol(cfg).drive_table(k, t),
-                         reference.drive_table(k, t), strict=True):
-        assert np.array_equal(got, want)
+def test_su3_table_is_the_su3flat_synth_table_without_f0(tmp_path):
+    # both tables come from one drive: byte for byte, once f0 is cut
+    args = ["--out", str(tmp_path), "--kpoints", "16", "--tpoints", "8"]
+    assert run(["su3"] + args) == 0
+    assert run(["synth", "--model", "su3flat"] + args) == 0
+    synth = (tmp_path / "drive_su3flat_w8.csv").read_text().splitlines()
+    su3 = (tmp_path / "su3_drive_w8.csv").read_text().splitlines()
+    assert su3 == [line.rsplit(",", 1)[0] for line in synth]

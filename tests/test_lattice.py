@@ -1,7 +1,6 @@
 import numpy as np
 import pytest
 
-from floqueng.errors import HermiticityError
 from floqueng.lattice import (
     MAX_RANGE,
     LatticeTerm,
@@ -81,6 +80,12 @@ def test_onsite_imbalance_assembly():
     term = LatticeTerm("z", 0, "cos", "1", g, lambda t: g)
     mat = assemble_lattice_hamiltonian([term], L=8, t=0.0)
     assert np.allclose(mat, np.diag([g / 2] * 8 + [-g / 2] * 8))
+
+
+def test_unknown_channel_rejected():
+    term = LatticeTerm("w", 1, "cos", "1", 1.0, lambda t: 1.0)
+    with pytest.raises(ValueError, match="unknown channel 'w'"):
+        assemble_lattice_hamiltonian([term], L=8, t=0.0)
 
 
 def test_assembled_matrix_is_hermitian_and_banded():

@@ -296,6 +296,32 @@ def test_exactness_over_random_trigonometric_targets(channels, omega, p, a_plus,
     assert rep.max_strobe_error <= tol
 
 
+_CHANNEL_2D = st.tuples(*[st.floats(-2.0, 2.0)] * 9)
+
+#: Four (kx, ky) momenta with distinct kx + ky, the angle of the ladder phase.
+K2D = np.array([[-np.pi, 0.5], [-1.2, -2.9], [0.0, 1.7], [2.3, -0.8]])
+
+
+@settings(max_examples=10, derandomize=True, deadline=None, database=None)
+@given(channels=st.tuples(*[_CHANNEL_2D] * 4), omega=st.floats(3.0, 12.0),
+       p=st.integers(1, 6), a_plus=st.floats(1.0, 2.0))
+def test_exactness_over_random_two_dimensional_targets(channels, omega, p, a_plus):
+    # every channel of the target is c0 plus a cos and a sin of each of the
+    # angles kx, ky, kx + ky and kx - ky
+    def coeffs(k):
+        kx, ky = k[..., 0], k[..., 1]
+        angles = (kx, ky, kx + ky, kx - ky)
+        return tuple(c[0] + sum(c[2 * n + 1] * np.cos(q) + c[2 * n + 2] * np.sin(q)
+                                for n, q in enumerate(angles))
+                     for c in channels)
+
+    proto = general_protocol(ZERO, custom(coeffs, dimension=2),
+                             GaugeParams(a_plus=a_plus, p=p, omega=omega))
+    tol = 1e-8
+    rep = verify_protocol(proto, K2D, tol=tol)
+    assert rep.max_strobe_error <= tol
+
+
 def test_extract_micromotion_trivial_drive():
     c0 = np.array([0.0, 0.0, 0.0, 0.8])
     trace = integrate_tdse(constant(c0), horizon=1.5, tol=1e-10, base_steps=192,

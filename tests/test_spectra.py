@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -104,10 +106,21 @@ def test_envelope_rejects_negative_modulation():
 
 
 def test_envelope_rejects_aliased_orders():
-    # on N quadrature points c_n equals c_{N-n}; the bound is checked before
-    # the (n_max + 1) x (N + 1) basis is built
+    # on N quadrature points c_n equals c_{N-n}
     with pytest.raises(ValueError, match="aliases"):
         envelope_fourier(2.0, ENVELOPE_QUAD_SAMPLES // 2)
+
+
+def test_envelope_memory_does_not_grow_with_the_order():
+    # one transform of the N samples, not an (n_max + 1) x N basis, which
+    # peaked at 160 MiB at n_max = 511
+    tracemalloc.start()
+    try:
+        envelope_fourier(2.0, 511)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2**20
 
 
 def test_quasienergies_identity():

@@ -1,12 +1,14 @@
 import numpy as np
 import pytest
 
-from floqueng.algebra import S_MINUS, S_PLUS, SX, SY, SZ, custom, su3_flat
+from floqueng.algebra import S_MINUS, S_PLUS, SX, SY, SZ, ZERO, custom, su3_flat
+from floqueng.gauge import GaugeParams
 from floqueng.propagate import integrate_tdse, midpoint_fixed
 from floqueng.su3 import su3_drive_table, verify_su3
-from floqueng.synth import su3_protocol
+from floqueng.synth import general_protocol
 
 SQRT2 = np.sqrt(2.0)
+GAUGE = GaugeParams(a_plus=SQRT2, p=3, omega=8.0)
 K16 = np.linspace(-np.pi, np.pi, 16, endpoint=False)
 
 #: (I, Lx, Ly, Lz) on three levels: the spin-1/2 set on the first two.
@@ -48,7 +50,7 @@ class TestDrive:
     def test_initial_sample_x_only_target(self):
         spec = custom(lambda k: (np.zeros_like(k), 1.5 * np.ones_like(k),
                                  np.zeros_like(k), np.zeros_like(k)), band_count=3)
-        proto = su3_protocol(spec, omega=8.0, a_plus=SQRT2, p=3)
+        proto = general_protocol(ZERO, spec, GAUGE)
         for k in (0.0, 0.9):
             f0, fx, _, _ = proto.drive_components(k, 0.0)
             assert fx == pytest.approx(2 * SQRT2 * 8.0 * np.cos(k) + 1.5)
@@ -56,12 +58,12 @@ class TestDrive:
 
     def test_zero_target_zero_gauge(self):
         spec = custom(lambda k: (np.zeros_like(k),) * 4, band_count=3)
-        proto = su3_protocol(spec, omega=8.0, a_plus=0.0, p=0)
+        proto = general_protocol(ZERO, spec, GaugeParams(a_plus=0.0, p=0, omega=8.0))
         _, fx, fy, fz = proto.drive_components(0.4, 0.2)
         assert (fx, fy, fz) == (0.0, 0.0, 0.0)
 
     def test_time_periodicity(self):
-        proto = su3_protocol(su3_flat(delta=2.0), omega=8.0, a_plus=SQRT2, p=3)
+        proto = general_protocol(ZERO, su3_flat(delta=2.0), GAUGE)
         rng = np.random.default_rng(8)
         T = proto.period
         for _ in range(10):
@@ -76,7 +78,7 @@ class TestVerification:
         # reference: the full 3x3 drive (zero static part) propagated by its
         # own midpoint loop with eigh exponentials, against the 2x2 block
         # propagation
-        proto = su3_protocol(su3_flat(delta=2.0), omega=8.0, a_plus=SQRT2, p=3)
+        proto = general_protocol(ZERO, su3_flat(delta=2.0), GAUGE)
         k = np.array([-2.5, 0.4, 1.9])
         nsteps = 2048
         dt = proto.period / nsteps
@@ -99,14 +101,15 @@ class TestVerification:
 
     @pytest.mark.parametrize("omega", [8.0, 4.0])
     def test_strobe_exactness(self, omega):
-        rep = verify_su3(su3_flat(delta=2.0), omega, SQRT2, 3, K16, tol=1e-8)
+        gauge = GaugeParams(a_plus=SQRT2, p=3, omega=omega)
+        rep = verify_su3(su3_flat(delta=2.0), gauge, K16, tol=1e-8)
         assert rep.max_strobe_error <= 1e-8
 
     def test_gauge_only_evolution(self):
         # zero target: the evolution is pure micro-motion, so one period
         # lands on the winding sign in the embedded block and 1 outside
         spec = custom(lambda k: (np.zeros_like(k),) * 4, band_count=3)
-        proto = su3_protocol(spec, omega=8.0, a_plus=SQRT2, p=3)
+        proto = general_protocol(ZERO, spec, GAUGE)
         trace = integrate_tdse(proto.hamiltonian_fn(np.array([0.5, 2.0])),
                                proto.period, tol=1e-9)
         u = with_unit_third_level(trace.unitaries[-1])
@@ -117,7 +120,8 @@ class TestVerification:
         from floqueng.spectra import quasienergies
 
         omega = 8.0
-        proto = su3_protocol(su3_flat(delta=2.0), omega=omega, a_plus=SQRT2, p=3)
+        proto = general_protocol(ZERO, su3_flat(delta=2.0),
+                                 GaugeParams(a_plus=SQRT2, p=3, omega=omega))
         trace = integrate_tdse(proto.hamiltonian_fn(K16), proto.period, tol=1e-8)
         u = with_unit_third_level(trace.unitaries[-1])
         phase = np.diag([-1.0, -1.0, 1.0])
@@ -134,7 +138,7 @@ class TestVerification:
         spec = custom(lambda k: (np.full_like(k, 0.3),) + (np.ones_like(k),) * 3,
                       band_count=3)
         with pytest.raises(ValueError):
-            verify_su3(spec, 8.0, SQRT2, 3, K16)
+            verify_su3(spec, GAUGE, K16)
 
     def test_identity_channel_checked_at_every_evaluated_momentum(self):
         # h0 = 1 - cos 6k vanishes at k = 0, +-pi/3, +-2pi/3 and +-pi, so a
@@ -144,6 +148,6 @@ class TestVerification:
                                  -(2 * np.cos(k) + 2), np.zeros_like(k)),
                       band_count=3)
         with pytest.raises(ValueError, match="zero identity channel"):
-            su3_drive_table(spec, 8.0, SQRT2, 3, k101, np.linspace(0, 0.5, 4))
+            su3_drive_table(spec, GAUGE, k101, np.linspace(0, 0.5, 4))
         with pytest.raises(ValueError, match="zero identity channel"):
-            verify_su3(spec, 8.0, SQRT2, 3, k101)
+            verify_su3(spec, GAUGE, k101)

@@ -161,6 +161,18 @@ class TestGeneralSynthesis:
         with pytest.raises(ValueError):
             proto.drive_components(0.0, 0.0)
 
+    @pytest.mark.parametrize("proto", [
+        # a_plus^2 h sin^2 overflows in the closed form
+        crossstitch_protocol(a_plus=1e154),
+        # a_plus^2 overflows to inf and the M1/M2 path turns it into nan,
+        # which no pairing comparison catches
+        general_protocol(algebra.ZERO, algebra.su3_flat(),
+                         GaugeParams(a_plus=1e200, p=3, omega=8.0)),
+    ])
+    def test_overflowing_drive_raises(self, proto):
+        with pytest.raises(ValueError, match="not finite"):
+            proto.drive_components(np.array([0.3]), np.array([0.1]))
+
     def test_components_stay_real_for_random_targets(self):
         rng = np.random.default_rng(3)
         for trial in range(10):

@@ -20,12 +20,6 @@ from .errors import (
     ToleranceNotReached,
 )
 from .gauge import GaugeParams
-from .lattice import (
-    LatticeTerm,
-    assemble_lattice_hamiltonian,
-    expand_to_lattice,
-    lattice_vs_momentum_check,
-)
 from .propagate import (
     VerificationReport,
     cf4_fixed,

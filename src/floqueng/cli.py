@@ -259,15 +259,14 @@ def cmd_fourier(cfg, outdir: Path) -> int:
 
 
 def cmd_lattice(cfg, outdir: Path) -> int:
-    g = _gauge(cfg)
-    drive = (cfg["alpha"], cfg["delta"], g.omega, g.a_plus, g.p)
-    terms = lattice.expand_to_lattice(*drive)
+    proto = build_protocol(cfg)
+    terms = lattice.expand_to_lattice(proto)
+    deviation = lattice.lattice_vs_momentum_check(
+        proto, terms, cfg["lattice_sites"], t_grid_of(cfg)[:min(16, cfg["tpoints"])])
     rows = [(term.channel, term.m, term.describe(), term.coefficient)
             for term in terms]
     path = outdir / "lattice_terms.csv"
     write_csv(path, "channel,m,harmonic,coefficient", rows)
-    deviation = lattice.lattice_vs_momentum_check(
-        *drive, cfg["lattice_sites"], t_grid_of(cfg)[:min(16, cfg["tpoints"])])
     print(f"lattice: wrote {len(rows)} terms to {path}; "
           f"momentum-space roundtrip deviation {deviation:.3e}")
     return EXIT_OK
@@ -322,6 +321,8 @@ def main(argv=None) -> int:
             if value is not None:
                 cfg[key] = value
         cfg = validate(cfg)
+        if args.command == "lattice" and cfg["model"] != "crossstitch":
+            raise ConfigError(f"lattice expands model crossstitch only, got {cfg['model']!r}")
     except (ConfigError, OSError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_BAD_CONFIG

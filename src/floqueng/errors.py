@@ -15,8 +15,8 @@ class NonPeriodicGauge(FloquetError):
 
 
 class ToleranceNotReached(FloquetError):
-    """Step doubling exhausted the step budget, stalled above the tolerance
-    after converging at the scheme's rate, or a round was not finite."""
+    """Step doubling exhausted or cannot resolve within the step budget, or
+    stalled above the tolerance after converging, or a round was not finite."""
 
 
 class NonUnitaryInput(FloquetError):

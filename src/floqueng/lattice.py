@@ -1,9 +1,12 @@
 """Real-space form of the flat-band drive: finite-range time-dependent
 hoppings on a two-sub-lattice periodic chain.
 
-Every momentum-space drive component is a degree-3 trigonometric polynomial
-in k once the shared envelope f_e(t) is factored out, so the drive needs
-hopping ranges 0..3 only.  Channel labels follow the operator the harmonic
+The terms are the rows of the closed-form drive's hopping-harmonic table,
+:func:`floqueng.synth.crossstitch_rows`: once the shared envelope f_e(t) is
+factored out, every momentum-space drive component is a degree-3
+trigonometric polynomial in k, so the drive needs hopping ranges 0..3 only.
+Both checks hold the table against the other derivation of the same drive,
+the general M1/M2 path.  Channel labels follow the operator the harmonic
 multiplies: 'x' couples the sub-lattices symmetrically, 'y'
 antisymmetrically, 'z' acts as an on-sub-lattice imbalance.
 """
@@ -18,9 +21,9 @@ import numpy as np
 from .algebra import SX, SY, SZ, assemble_batch
 from .errors import HermiticityError, RangeOverflow
 from .spectra import envelope_values
-from .synth import crossstitch_drive_components
+from .synth import (MAX_RANGE, TIME_LABELS, DrivingProtocol, crossstitch_rows,
+                    general_protocol, harmonic_time_factors)
 
-MAX_RANGE = 3
 RANGE_TOL = 1e-12
 _SPIN = {"x": SX, "y": SY, "z": SZ}
 
@@ -45,115 +48,51 @@ class LatticeTerm:
         return f"{self.k_harmonic}({self.m}k)*{self.time_label}"
 
 
-def _time_factors(omega: float, p: int) -> dict:
-    w = omega
-    return {
-        "1": lambda t: np.ones_like(np.asarray(t, dtype=float)),
-        "cos(wt)": lambda t: np.cos(w * t),
-        "sin(wt)": lambda t: np.sin(w * t),
-        "cos(2wt)": lambda t: np.cos(2 * w * t),
-        "cos(pwt)": lambda t: np.cos(p * w * t),
-        "sin(pwt)": lambda t: np.sin(p * w * t),
-        "sin(wt)cos(pwt)": lambda t: np.sin(w * t) * np.cos(p * w * t),
-        "sin(wt)sin(pwt)": lambda t: np.sin(w * t) * np.sin(p * w * t),
-        "sin2(wt)cos(pwt)": lambda t: np.sin(w * t) ** 2 * np.cos(p * w * t),
-        "sin2(wt)sin(pwt)": lambda t: np.sin(w * t) ** 2 * np.sin(p * w * t),
-    }
-
-
-def expand_to_lattice(alpha: float, delta: float, omega: float,
-                      a_plus: float, p: int) -> list[LatticeTerm]:
-    """Decompose the closed-form drive into hopping terms of range <= 3.
-
-    The k-harmonic content is extracted analytically (product-to-sum on the
-    drive numerators); a numerical Fourier cross-check over k rejects the
-    expansion if any range beyond 3 carries weight above 1e-12.
-    """
-    ap, w = a_plus, omega
-    factors = _time_factors(omega, p)
-
-    # (channel, m, k_harmonic, time_label, coefficient)
-    rows = [
-        ("x", 1, "cos", "cos(wt)", 2 * ap * w),
-        ("x", 1, "sin", "sin(wt)", -2 * ap * p * w),
-        ("x", 1, "cos", "cos(pwt)", -4 * alpha),
-        ("x", 0, "cos", "cos(pwt)", -2 * delta),
-        ("x", 3, "cos", "sin2(wt)cos(pwt)", -2 * ap**2 * alpha),
-        ("x", 3, "sin", "sin2(wt)sin(pwt)", 2 * ap**2 * alpha),
-        ("x", 1, "cos", "sin2(wt)cos(pwt)", -2 * ap**2 * alpha),
-        ("x", 1, "sin", "sin2(wt)sin(pwt)", 2 * ap**2 * alpha),
-        ("x", 2, "cos", "sin2(wt)cos(pwt)", -2 * ap**2 * delta),
-        ("x", 2, "sin", "sin2(wt)sin(pwt)", 2 * ap**2 * delta),
-        ("y", 1, "sin", "cos(wt)", -2 * ap * w),
-        ("y", 1, "cos", "sin(wt)", -2 * ap * p * w),
-        ("y", 1, "cos", "sin(pwt)", -4 * alpha),
-        ("y", 0, "cos", "sin(pwt)", -2 * delta),
-        ("y", 3, "sin", "sin2(wt)cos(pwt)", 2 * ap**2 * alpha),
-        ("y", 3, "cos", "sin2(wt)sin(pwt)", 2 * ap**2 * alpha),
-        ("y", 1, "sin", "sin2(wt)cos(pwt)", 2 * ap**2 * alpha),
-        ("y", 1, "cos", "sin2(wt)sin(pwt)", 2 * ap**2 * alpha),
-        ("y", 2, "sin", "sin2(wt)cos(pwt)", 2 * ap**2 * delta),
-        ("y", 2, "cos", "sin2(wt)sin(pwt)", 2 * ap**2 * delta),
-        ("z", 0, "cos", "1", p * w * (1 - ap**2 / 2)),
-        ("z", 0, "cos", "cos(2wt)", p * w * ap**2 / 2),
-        ("z", 0, "cos", "sin(wt)sin(pwt)", -4 * alpha * ap),
-        ("z", 2, "sin", "sin(wt)cos(pwt)", -4 * alpha * ap),
-        ("z", 2, "cos", "sin(wt)sin(pwt)", -4 * alpha * ap),
-        ("z", 1, "sin", "sin(wt)cos(pwt)", -4 * delta * ap),
-        ("z", 1, "cos", "sin(wt)sin(pwt)", -4 * delta * ap),
-    ]
-
+def expand_to_lattice(proto: DrivingProtocol) -> list[LatticeTerm]:
+    """The hopping terms of range <= 3 of the closed-form cross-stitch drive
+    ``proto``, one per row of its hopping-harmonic table.  The expansion is
+    rejected if a Fourier analysis over k of the general path finds weight
+    above 1e-12 beyond range 3, or if the table misses the general path."""
+    if proto.closed_form is None:
+        raise ValueError("only the closed-form crossstitch drive has a harmonic table")
+    g = proto.gauge
+    alpha, delta = proto.closed_form
     # drop coefficients at float-noise level (e.g. the constant z term when
     # a_plus^2 lands on 2 only up to rounding)
-    scale = max(1.0, abs(p * w), 4 * abs(alpha), 4 * abs(delta), abs(ap * w))
+    scale = max(1.0, abs(g.p * g.omega), 4 * abs(alpha), 4 * abs(delta),
+                abs(g.a_plus * g.omega))
     terms = []
-    for channel, m, kfn, label, coef in rows:
+    for channel, m, kfn, label, coef in crossstitch_rows(alpha, delta, g):
         if abs(coef) <= 1e-12 * scale:
             continue
-        base = factors[label]
 
-        def amp(t, _c=coef, _b=base):
-            return _c * _b(t) * envelope_values(ap**2, w * np.asarray(t, dtype=float))
+        def amp(t, _c=coef, _f=TIME_LABELS.index(label)):
+            return _c * harmonic_time_factors(g, t)[_f]
 
         terms.append(LatticeTerm(channel, m, kfn, label, float(coef), amp))
 
-    _check_range_bound(terms, alpha, delta, omega, ap, p)
+    _check_range_bound(proto)
     return terms
 
 
-def _check_range_bound(terms, alpha, delta, omega, a_plus, p,
-                       n_k: int = 64, n_t: int = 7) -> None:
-    """Fourier-analyze the drive numerator over k and reject weight at
-    ranges beyond MAX_RANGE, and also reject expansion/drive mismatch."""
+def _check_range_bound(proto: DrivingProtocol, n_k: int = 64, n_t: int = 7) -> None:
+    """Fourier-analyze the general path's drive numerator over k and reject
+    weight at ranges beyond MAX_RANGE, and also reject a table that misses
+    the general path."""
+    g = proto.gauge
     k = 2 * np.pi * np.arange(n_k) / n_k
-    t_grid = (2 * np.pi / omega) * (np.arange(n_t) + 0.31) / n_t
-    for t in t_grid:
-        _, fx, fy, fz = crossstitch_drive_components(
-            alpha, delta, omega, a_plus, p, k, t)
-        fe = envelope_values(a_plus**2, omega * t)
-        scale = max(1.0, float(np.max(np.abs([fx, fy, fz]))))
-        for comp in (fx, fy, fz):
-            spectrum = np.fft.rfft(comp / fe) / n_k
-            high = np.max(np.abs(spectrum[MAX_RANGE + 1:]))
-            if high > RANGE_TOL * scale:
-                raise RangeOverflow(
-                    f"harmonic beyond range {MAX_RANGE} carries weight {high:.2e}"
-                )
-        recon = reconstruct_momentum_drive(terms, k, t)
-        dev = max(np.max(np.abs(recon[c] - f))
-                  for c, f in zip("xyz", (fx, fy, fz)))
-        if dev > 1e-10 * scale:
-            raise RangeOverflow(f"harmonic table misses the drive by {dev:.2e}")
-
-
-def reconstruct_momentum_drive(terms, k, t) -> dict:
-    """Sum the harmonic table back into momentum space, per channel."""
-    k = np.asarray(k, dtype=float)
-    out = {c: np.zeros_like(k) for c in "xyz"}
-    for term in terms:
-        kpart = np.cos(term.m * k) if term.k_harmonic == "cos" else np.sin(term.m * k)
-        out[term.channel] = out[term.channel] + term.amplitude(t) * kpart
-    return out
+    t = g.period * (np.arange(n_t) + 0.31) / n_t
+    table = np.stack(proto.drive_table(k, t)[1:])  # (3, n_k, n_t)
+    general = np.stack(general_protocol(proto.static, proto.target, g).drive_table(k, t)[1:])
+    scale = np.maximum(1.0, np.max(np.abs(general), axis=(0, 1)))  # per time
+    fe = envelope_values(g.a_plus**2, g.omega * t)
+    spectrum = np.fft.rfft(general / fe, axis=1) / n_k
+    high = np.max(np.abs(spectrum[:, MAX_RANGE + 1:]), axis=(0, 1))
+    if np.any(high > RANGE_TOL * scale):
+        raise RangeOverflow(f"weight {np.max(high):.2e} beyond hopping range {MAX_RANGE}")
+    dev = np.max(np.abs(table - general), axis=(0, 1))
+    if np.any(dev > 1e-10 * scale):
+        raise RangeOverflow(f"harmonic table misses the general path by {np.max(dev):.2e}")
 
 
 def _hop_base(channel: str, m: int, k_harmonic: str, L: int) -> np.ndarray:
@@ -184,32 +123,30 @@ def assemble_lattice_hamiltonian(terms, L: int, t: float) -> np.ndarray:
     return out
 
 
-def momentum_block(v_lattice: np.ndarray, L: int, k: float) -> np.ndarray:
-    """Project the lattice matrix onto one allowed momentum 2pi*n/L.
+def momentum_block(v_lattice: np.ndarray, L: int, k) -> np.ndarray:
+    """Project the lattice matrix onto allowed momenta 2pi*n/L: a 2x2 block
+    per entry of ``k``, as a (..., 2, 2) stack over its shape.
 
     Uses the plane-wave spinor with annihilation convention
     c_k = L^{-1/2} sum_n c_n e^{+ikn}, so rows carry e^{+ikn}.
     """
-    n = np.arange(L)
-    wave = np.exp(1j * k * n) / np.sqrt(L)
-    u = np.zeros((2, 2 * L), dtype=complex)
-    u[0, :L] = wave
-    u[1, L:] = wave
-    return u @ v_lattice @ u.conj().T
+    wave = np.exp(1j * np.multiply.outer(k, np.arange(L))) / np.sqrt(L)
+    u = np.zeros(np.shape(k) + (2, 2 * L), dtype=complex)
+    u[..., 0, :L] = wave
+    u[..., 1, L:] = wave
+    return u @ v_lattice @ np.conj(np.swapaxes(u, -1, -2))
 
 
-def lattice_vs_momentum_check(alpha, delta, omega, a_plus, p, L: int,
+def lattice_vs_momentum_check(proto: DrivingProtocol, terms, L: int,
                               t_grid) -> float:
-    """Max entry deviation between the Fourier-projected lattice drive and
-    the momentum-space closed form at every allowed momentum."""
-    terms = expand_to_lattice(alpha, delta, omega, a_plus, p)
-    k_allowed = 2 * np.pi * np.arange(L) / L
+    """Max entry deviation between the Fourier-projected lattice drive of
+    ``terms``, the expansion of ``proto``, and the general-path drive at
+    every allowed momentum."""
+    k = 2 * np.pi * np.arange(L) / L
+    general = general_protocol(proto.static, proto.target, proto.gauge)
+    ref = assemble_batch(*general.drive_table(k, t_grid))  # (L, n_t, 2, 2)
     worst = 0.0
-    for t in np.asarray(t_grid, dtype=float):
-        v_lat = assemble_lattice_hamiltonian(terms, L, float(t))
-        ref = assemble_batch(*crossstitch_drive_components(
-            alpha, delta, omega, a_plus, p, k_allowed, float(t)))
-        for i, k in enumerate(k_allowed):
-            block = momentum_block(v_lat, L, float(k))
-            worst = max(worst, float(np.max(np.abs(block - ref[i]))))
+    for j, t in enumerate(t_grid):
+        blocks = momentum_block(assemble_lattice_hamiltonian(terms, L, float(t)), L, k)
+        worst = max(worst, float(np.max(np.abs(blocks - ref[:, j]))))
     return worst

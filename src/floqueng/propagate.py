@@ -176,7 +176,9 @@ def integrate_tdse(hfun: Callable, horizon: float, tol: float = DEFAULT_TOL,
     that check instead of warning.  Once one doubling has cut the difference
     8x (the scheme's order predicts 16x), the first later doubling that cuts
     it less than 2x has reached the rounding floor above ``tol`` and raises
-    with the round differences.
+    with the round differences.  A round difference above ``tol`` raises too
+    when even ``MAX_TOTAL_STEPS`` steps leave a phase per step, max|h|
+    horizon / (2 MAX_TOTAL_STEPS) over the first round's samples, above pi.
 
     ``sample_times`` must lie on the base step grid so that snapshots remain
     exact as the step count doubles.
@@ -190,11 +192,20 @@ def integrate_tdse(hfun: Callable, horizon: float, tol: float = DEFAULT_TOL,
         raise ValueError("sample_times must fall on the base step grid")
     base_idx = np.round(base_idx).astype(int).tolist()
 
+    h_max = 0.0  # the largest |(hx, hy, hz)| among the first round's samples
+
+    def first_round(ts):
+        nonlocal h_max
+        c = _eval_h(hfun, ts)
+        h_max = max(h_max, float(np.max(np.linalg.norm(c[..., 1:], axis=-1))))
+        return c
+
     nsteps, prev_u, diffs, converging = base_steps, None, [], False
     while True:
         idx = {i * (nsteps // base_steps) for i in base_idx}
         with np.errstate(over="ignore", invalid="ignore"):
-            u = _propagate(*_CF4, hfun, horizon, nsteps, idx)
+            u = _propagate(*_CF4, hfun if prev_u is not None else first_round,
+                           horizon, nsteps, idx)
         if not np.all(np.isfinite(u[-1])):
             raise ToleranceNotReached(
                 f"horizon unitary is not finite after the {nsteps}-step round"
@@ -207,6 +218,12 @@ def integrate_tdse(hfun: Callable, horizon: float, tol: float = DEFAULT_TOL,
                     unitaries=u,
                     step_count=nsteps,
                     estimated_error=diff / 15.0,
+                )
+            phase = h_max * horizon / (2 * MAX_TOTAL_STEPS)
+            if phase > math.pi:
+                raise ToleranceNotReached(
+                    f"round difference {diff:.1e} above tol {tol:.1e}, and even "
+                    f"{MAX_TOTAL_STEPS} steps leave a phase of {phase:.1e} > pi per step"
                 )
             if diffs and diffs[-1] >= 8 * diff:
                 converging = True

@@ -19,7 +19,10 @@ def band_structure(spec: HamiltonianSpec, k_grid) -> np.ndarray:
     identity coefficient h0, to the two eigenvalues of the coupled block.
     """
     h0, hx, hy, hz = spec.coeffs(k_grid)
-    r = 0.5 * np.sqrt(hx * hx + hy * hy + hz * hz)
+    # scaling by a power of two is exact: no square overflows, and wherever
+    # the plain squares are finite |h| is their root bit for bit
+    scale = np.ldexp(0.5, np.frexp(np.maximum(np.maximum(abs(hx), abs(hy)), abs(hz)))[1])
+    r = scale * (0.5 * np.sqrt((hx / scale) ** 2 + (hy / scale) ** 2 + (hz / scale) ** 2))
     energies = np.stack([h0 - r, h0 + r], axis=-1)
     if spec.band_count == 3:
         energies = np.sort(np.column_stack([energies, h0]), axis=1)

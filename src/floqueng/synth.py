@@ -9,12 +9,16 @@ multiplies S+, the second S-, the third Sz.  The drive solves
 
 with m_plus = mu_plus(t) e^{ik}, mz_real = p*w*t, and dm the derivative
 triple (dm_plus, conj(dm_plus), dmz_real).  Both transformation matrices are
-the identity at t = nT, which is what makes the protocol exact.
+the identity at t = nT, which is what makes the protocol exact.  The flat-band
+chain's drive has a closed form, kept once as a hopping-harmonic table
+(:func:`crossstitch_rows`) that lattice hoppings are built from and that
+checks compare with this general path.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable
 
 import numpy as np
@@ -131,38 +135,70 @@ def _drive_general(target: HamiltonianSpec, static: HamiltonianSpec,
     return f0, fx, fy, fz
 
 
-def crossstitch_drive_components(alpha, delta, omega, a_plus, p, k, t):
-    """Closed-form drive for the flat-band chain target, as arrays.
+#: Longest hop of the cross-stitch drive, in dimers (its degree in k)
+MAX_RANGE = 3
+#: The time factors T_f(t) of the hopping-harmonic table, in stacking order
+TIME_LABELS = ("1", "cos(wt)", "sin(wt)", "cos(2wt)", "cos(pwt)", "sin(pwt)",
+               "sin(wt)cos(pwt)", "sin(wt)sin(pwt)", "sin2(wt)cos(pwt)",
+               "sin2(wt)sin(pwt)")
 
-    The three components share the envelope f_e = 1/(1 + a_plus^2 sin^2 wt).
-    x and y are twice the real and negated imaginary parts of the ladder
-    coefficient; z is the Sz coefficient directly.
-    """
+
+def crossstitch_rows(alpha: float, delta: float, g: GaugeParams) -> list[tuple]:
+    """Rows (channel, m, k_harmonic, time_label, coefficient), product-to-sum
+    on the drive numerators: f_c(k, t) = f_e(t) sum over the rows of channel
+    c of coefficient T(t) k_harmonic(m k), f_e = 1/(1 + a_plus^2 sin^2 wt)."""
+    ap, w, p = g.a_plus, g.omega, g.p
+    return [
+        ("x", 1, "cos", "cos(wt)", 2 * ap * w),
+        ("x", 1, "sin", "sin(wt)", -2 * ap * p * w),
+        ("x", 1, "cos", "cos(pwt)", -4 * alpha),
+        ("x", 0, "cos", "cos(pwt)", -2 * delta),
+        ("x", 3, "cos", "sin2(wt)cos(pwt)", -2 * ap**2 * alpha),
+        ("x", 3, "sin", "sin2(wt)sin(pwt)", 2 * ap**2 * alpha),
+        ("x", 1, "cos", "sin2(wt)cos(pwt)", -2 * ap**2 * alpha),
+        ("x", 1, "sin", "sin2(wt)sin(pwt)", 2 * ap**2 * alpha),
+        ("x", 2, "cos", "sin2(wt)cos(pwt)", -2 * ap**2 * delta),
+        ("x", 2, "sin", "sin2(wt)sin(pwt)", 2 * ap**2 * delta),
+        ("y", 1, "sin", "cos(wt)", -2 * ap * w),
+        ("y", 1, "cos", "sin(wt)", -2 * ap * p * w),
+        ("y", 1, "cos", "sin(pwt)", -4 * alpha),
+        ("y", 0, "cos", "sin(pwt)", -2 * delta),
+        ("y", 3, "sin", "sin2(wt)cos(pwt)", 2 * ap**2 * alpha),
+        ("y", 3, "cos", "sin2(wt)sin(pwt)", 2 * ap**2 * alpha),
+        ("y", 1, "sin", "sin2(wt)cos(pwt)", 2 * ap**2 * alpha),
+        ("y", 1, "cos", "sin2(wt)sin(pwt)", 2 * ap**2 * alpha),
+        ("y", 2, "sin", "sin2(wt)cos(pwt)", 2 * ap**2 * delta),
+        ("y", 2, "cos", "sin2(wt)sin(pwt)", 2 * ap**2 * delta),
+        ("z", 0, "cos", "1", p * w * (1 - ap**2 / 2)),
+        ("z", 0, "cos", "cos(2wt)", p * w * ap**2 / 2),
+        ("z", 0, "cos", "sin(wt)sin(pwt)", -4 * alpha * ap),
+        ("z", 2, "sin", "sin(wt)cos(pwt)", -4 * alpha * ap),
+        ("z", 2, "cos", "sin(wt)sin(pwt)", -4 * alpha * ap),
+        ("z", 1, "sin", "sin(wt)cos(pwt)", -4 * delta * ap),
+        ("z", 1, "cos", "sin(wt)sin(pwt)", -4 * delta * ap),
+    ]
+
+
+def harmonic_time_factors(g: GaugeParams, t) -> np.ndarray:
+    """f_e(t) T_f(t) for every label of ``TIME_LABELS``, stacked on a
+    leading axis over the shape of ``t``."""
+    wt = g.omega * np.asarray(t, dtype=float)
+    s, cp, sp = np.sin(wt), np.cos(g.p * wt), np.sin(g.p * wt)
+    s2 = s * s
+    fe = 1.0 / (1.0 + g.a_plus**2 * s2)
+    return fe * np.stack([np.ones_like(wt), np.cos(wt), s, np.cos(2 * wt), cp, sp,
+                          s * cp, s * sp, s2 * cp, s2 * sp])
+
+
+def _table_drive(c: np.ndarray, g: GaugeParams, k, t):
+    """f_c(k, t) = sum over f, b of f_e(t) T_f(t) C[f, c, b] H_b(k) as the
+    arrays (fx, fy, fz), broadcast over momentum and time."""
     k = np.asarray(k, dtype=float)
-    t = np.asarray(t, dtype=float)
-    h = -(2 * alpha * np.cos(k) + delta)
-    wt = omega * t
-    s, c = np.sin(wt), np.cos(wt)
-    fe = 1.0 / (1.0 + a_plus**2 * s**2)
-    fx = 2 * fe * (
-        a_plus * omega * c * np.cos(k)
-        - a_plus * p * omega * s * np.sin(k)
-        + h * np.cos(p * wt)
-        + a_plus**2 * h * s**2 * np.cos(2 * k + p * wt)
-    )
-    fy = -2 * fe * (
-        a_plus * omega * c * np.sin(k)
-        + a_plus * p * omega * s * np.cos(k)
-        - h * np.sin(p * wt)
-        + a_plus**2 * h * s**2 * np.sin(2 * k + p * wt)
-    )
-    fz = fe * (
-        p * omega * (1 - a_plus**2 / 2)
-        + 0.5 * p * omega * a_plus**2 * np.cos(2 * wt)
-        + 4 * a_plus * h * s * np.sin(k + p * wt)
-    )
-    f0 = np.zeros(np.broadcast_shapes(k.shape, t.shape))
-    return f0, fx, fy, fz
+    mk = np.multiply.outer(np.arange(1, MAX_RANGE + 1), k)
+    harmonics = np.concatenate([np.ones((1,) + k.shape), np.stack(
+        [np.cos(mk), np.sin(mk)], axis=1).reshape((2 * MAX_RANGE,) + k.shape)])
+    per_harmonic = np.einsum("fcb,f...->cb...", c, harmonic_time_factors(g, t))
+    return np.einsum("cb...,b...->c...", per_harmonic, harmonics)
 
 
 @dataclass(frozen=True)
@@ -170,8 +206,9 @@ class DrivingProtocol:
     """An evaluable drive f(k, t) plus everything needed to verify it.
 
     ``closed_form`` holds the (alpha, delta) of the flat-band chain target
-    when the drive is evaluated in closed form; ``None`` selects the general
-    M1/M2 synthesis path.  ``fz_scale`` deliberately detunes the z component
+    when the drive is evaluated in closed form, from the hopping-harmonic
+    table of :func:`crossstitch_rows`; ``None`` selects the general M1/M2
+    synthesis path.  ``fz_scale`` deliberately detunes the z component
     and exists only so sensitivity tests can confirm that verification
     catches a broken drive.
     """
@@ -186,14 +223,24 @@ class DrivingProtocol:
     def period(self) -> float:
         return self.gauge.period
 
+    @cached_property
+    def _harmonic_tensor(self) -> np.ndarray:
+        """C[f, c, b]: the table's coefficient of time factor f in channel c
+        (x, y, z) at momentum harmonic b (1, cos k, sin k, ..., sin 3k)."""
+        c = np.zeros((len(TIME_LABELS), 3, 2 * MAX_RANGE + 1))
+        for channel, m, kfn, label, coef in crossstitch_rows(*self.closed_form, self.gauge):
+            b = 2 * m - (kfn == "cos") if m else 0
+            c[TIME_LABELS.index(label), "xyz".index(channel), b] += coef
+        return c
+
     def drive_components(self, k, t):
         """Arrays (f0, fx, fy, fz) broadcast over momentum and time; a drive
         that overflows raises ValueError."""
         g = self.gauge
         with np.errstate(over="ignore", invalid="ignore"):
             if self.closed_form is not None:
-                f0, fx, fy, fz = crossstitch_drive_components(
-                    *self.closed_form, g.omega, g.a_plus, g.p, k, t)
+                fx, fy, fz = _table_drive(self._harmonic_tensor, g, k, t)
+                f0 = np.zeros(fx.shape)
             else:
                 f0, fx, fy, fz = _drive_general(self.target, self.static, g, k, t)
             if self.fz_scale != 1.0:

@@ -135,20 +135,21 @@ def test_criterion_08_closed_form_vs_general():
 
 
 def test_criterion_09_real_space_locality_and_equivalence():
-    terms = expand_to_lattice(1.0, 2.0, 8.0, SQRT2, 3)
+    proto = crossstitch_protocol(1.0, 2.0, 8.0, SQRT2, 3)
+    terms = expand_to_lattice(proto)
     max_range = max(t.m for t in terms)
     k = 2 * np.pi * np.arange(64) / 64
-    from floqueng.synth import crossstitch_drive_components
+    general = general_protocol(proto.static, proto.target, proto.gauge)
 
     leak = 0.0
     for t in (0.0, 0.13, 0.29, 0.55):
-        _, fx, fy, fz = crossstitch_drive_components(1.0, 2.0, 8.0, SQRT2, 3, k, t)
+        _, fx, fy, fz = general.drive_components(k, t)
         fe = 1.0 / (1.0 + 2.0 * np.sin(8.0 * t) ** 2)
         for comp in (fx, fy, fz):
             spectrum = np.abs(np.fft.rfft(comp / fe)) / 64
             leak = max(leak, float(np.max(spectrum[4:])))
     t_grid = (2 * np.pi / 8.0) * np.arange(16) / 16
-    dev = lattice_vs_momentum_check(1.0, 2.0, 8.0, SQRT2, 3, L=8, t_grid=t_grid)
+    dev = lattice_vs_momentum_check(proto, terms, L=8, t_grid=t_grid)
     ok = max_range <= 3 and leak <= 1e-12 and dev <= 1e-10
     report(9, ok,
            f"max hopping range {max_range} <= 3 with harmonic leakage "

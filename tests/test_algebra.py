@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -71,6 +73,23 @@ def test_band_structure_closed_form_vs_solver():
     h0, hx, hy, hz = table.T
     r = 0.5 * np.hypot(np.hypot(hx, hy), hz)
     assert np.allclose(closed, np.column_stack([h0 - r, h0 + r]), atol=1e-12)
+
+
+def test_band_structure_is_the_plain_root_without_its_overflow():
+    # bit for bit h0 -+ sqrt(hx^2 + hy^2 + hz^2)/2 wherever the squares are
+    # finite, and finite for couplings of 1e300, whose squares overflow
+    table = np.random.default_rng(6).uniform(-50, 50, size=(200, 4))
+    k = np.arange(len(table))
+    h0, hx, hy, hz = table.T
+    r = 0.5 * np.sqrt(hx * hx + hy * hy + hz * hz)
+    spec = algebra.custom(lambda k: tuple(table[k.astype(int)].T))
+    assert np.array_equal(band_structure(spec, k), np.column_stack([h0 - r, h0 + r]))
+    huge = algebra.custom(lambda k: tuple(1e300 * table[k.astype(int)].T))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        energies = band_structure(huge, k)
+    assert np.all(np.isfinite(energies))
+    assert np.allclose(energies / 1e300, band_structure(spec, k), rtol=0, atol=1e-12)
 
 
 def test_complex_coefficients_rejected():

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -74,6 +75,10 @@ def test_invalid_winding_exits_2_and_writes_nothing(tmp_path, capsys):
     # model parameters are the library defaults, not config keys
     ["synth", "--config", "kitaev_mu = 0.5"],
     ["synth", "--config", "pwave_delta = 0.7"],
+    # only the crossstitch drive has a hopping-harmonic table
+    ["lattice", "--model", "kitaev"],
+    ["lattice", "--model", "su3flat"],
+    ["lattice", "--config", "model = pwave2d"],
 ])
 def test_config_validation_failures(tmp_path, bad, capsys):
     if "--config" in bad:  # the argument after it is the file's text
@@ -132,10 +137,29 @@ def test_bands_bookkeeping_scales_with_the_energies(tmp_path):
 
 
 def test_overflowing_drive_exits_3_and_writes_nothing(tmp_path, capsys):
-    assert run(["synth", "--out", str(tmp_path), "--aplus2", "1e308",
-                "--kpoints", "4", "--tpoints", "4"]) == 3
+    for command in ("synth", "lattice"):
+        out = tmp_path / command
+        assert run([command, "--out", str(out), "--aplus2", "1e308",
+                    "--kpoints", "4", "--tpoints", "4"]) == 3
+        assert list(out.iterdir()) == []
+        assert "not finite" in capsys.readouterr().err
+
+
+def test_bands_of_huge_couplings_are_finite(tmp_path):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run(["bands", "--out", str(tmp_path), "--model", "su3flat",
+                    "--delta", "1e300", "--kpoints", "8"]) == 0
+    _, rows = read_csv(tmp_path / "bands_su3flat.csv")
+    assert all(math.isfinite(float(v)) for row in rows for v in row)
+
+
+def test_unresolvable_drive_exits_3_at_once(tmp_path, capsys):
+    # a period of 6e300: no step count within the cap resolves the drive
+    assert run(["verify", "--out", str(tmp_path), "--omega", "1e-300",
+                "--kpoints", "4"]) == 3
     assert list(tmp_path.iterdir()) == []
-    assert "not finite" in capsys.readouterr().err
+    assert "> pi per step" in capsys.readouterr().err
 
 
 def test_bands_three_band_model(tmp_path):

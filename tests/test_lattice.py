@@ -1,6 +1,9 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
+from floqueng.errors import RangeOverflow
 from floqueng.lattice import (
     MAX_RANGE,
     LatticeTerm,
@@ -8,16 +11,16 @@ from floqueng.lattice import (
     expand_to_lattice,
     lattice_vs_momentum_check,
     momentum_block,
-    reconstruct_momentum_drive,
 )
-from floqueng.synth import crossstitch_drive_components
+from floqueng.synth import crossstitch_protocol, general_protocol
 
 SQRT2 = np.sqrt(2.0)
-DEFAULTS = dict(alpha=1.0, delta=2.0, omega=8.0, a_plus=SQRT2, p=3)
+PROTO = crossstitch_protocol(alpha=1.0, delta=2.0, omega=8.0, a_plus=SQRT2, p=3)
+GENERAL = general_protocol(PROTO.static, PROTO.target, PROTO.gauge)
 
 
 def terms_default():
-    return expand_to_lattice(**DEFAULTS)
+    return expand_to_lattice(PROTO)
 
 
 def test_ranges_bounded_by_three():
@@ -27,12 +30,11 @@ def test_ranges_bounded_by_three():
 
 
 def test_no_weight_beyond_range_three():
-    # independent check in momentum space: the drive numerator is a
-    # degree-3 trigonometric polynomial in k
+    # independent check in momentum space: the drive numerator of the
+    # general path is a degree-3 trigonometric polynomial in k
     k = 2 * np.pi * np.arange(128) / 128
     for t in (0.0, 0.11, 0.37):
-        _, fx, fy, fz = crossstitch_drive_components(k=k, t=t, **{
-            "alpha": 1.0, "delta": 2.0, "omega": 8.0, "a_plus": SQRT2, "p": 3})
+        _, fx, fy, fz = GENERAL.drive_components(k, t)
         fe = 1.0 / (1.0 + 2.0 * np.sin(8.0 * t) ** 2)
         for comp in (fx, fy, fz):
             spec = np.abs(np.fft.rfft(comp / fe)) / 128
@@ -65,7 +67,8 @@ def test_x_channel_longest_hop_amplitudes():
 
 def test_pure_dimer_coupling_without_gauge():
     # no micro-motion, no flat-band offset: only the hopping-born coupling
-    terms = expand_to_lattice(alpha=1.0, delta=0.0, omega=8.0, a_plus=0.0, p=0)
+    terms = expand_to_lattice(crossstitch_protocol(alpha=1.0, delta=0.0, omega=8.0,
+                                                   a_plus=0.0, p=0))
     assert {(t.channel, t.m) for t in terms} == {("x", 1), ("y", 1)}
     x1 = [t for t in terms if t.channel == "x"][0]
     assert x1.coefficient == pytest.approx(-4.0)
@@ -73,6 +76,17 @@ def test_pure_dimer_coupling_without_gauge():
     # y channel amplitude must vanish for all t: sin(p w t) = 0 at p = 0
     y1 = [t for t in terms if t.channel == "y"][0]
     assert y1.amplitude(0.123) == pytest.approx(0.0)
+
+
+def test_only_the_closed_form_expands():
+    with pytest.raises(ValueError, match="harmonic table"):
+        expand_to_lattice(GENERAL)
+
+
+def test_corrupted_table_is_caught():
+    # the table is checked against the general path, so a detuned drive fails
+    with pytest.raises(RangeOverflow, match="misses the general path"):
+        expand_to_lattice(dataclasses.replace(PROTO, fz_scale=1.5))
 
 
 def test_onsite_imbalance_assembly():
@@ -108,12 +122,15 @@ def test_minimum_size_enforced():
 
 
 def test_reconstruction_matches_drive():
+    # the terms summed back into momentum space match the general path
     terms = terms_default()
     k = 2 * np.pi * np.arange(16) / 16
     for t in (0.0, 0.2, 0.4):
-        recon = reconstruct_momentum_drive(terms, k, t)
-        _, fx, fy, fz = crossstitch_drive_components(k=k, t=t, **{
-            "alpha": 1.0, "delta": 2.0, "omega": 8.0, "a_plus": SQRT2, "p": 3})
+        recon = {c: np.zeros_like(k) for c in "xyz"}
+        for term in terms:
+            kpart = (np.cos if term.k_harmonic == "cos" else np.sin)(term.m * k)
+            recon[term.channel] += term.amplitude(t) * kpart
+        _, fx, fy, fz = GENERAL.drive_components(k, t)
         assert np.max(np.abs(recon["x"] - fx)) <= 1e-11
         assert np.max(np.abs(recon["y"] - fy)) <= 1e-11
         assert np.max(np.abs(recon["z"] - fz)) <= 1e-11
@@ -121,20 +138,21 @@ def test_reconstruction_matches_drive():
 
 def test_fourier_roundtrip_at_allowed_momenta():
     t_grid = (2 * np.pi / 8.0) * np.arange(16) / 16
-    dev = lattice_vs_momentum_check(L=8, t_grid=t_grid, **DEFAULTS)
+    dev = lattice_vs_momentum_check(PROTO, terms_default(), L=8, t_grid=t_grid)
     assert dev <= 1e-10
 
 
 def test_roundtrip_independent_of_chain_length():
     t_grid = (2 * np.pi / 8.0) * np.array([0.0, 0.3, 0.77])
-    dev8 = lattice_vs_momentum_check(L=8, t_grid=t_grid, **DEFAULTS)
-    dev12 = lattice_vs_momentum_check(L=12, t_grid=t_grid, **DEFAULTS)
+    terms = terms_default()
+    dev8 = lattice_vs_momentum_check(PROTO, terms, L=8, t_grid=t_grid)
+    dev12 = lattice_vs_momentum_check(PROTO, terms, L=12, t_grid=t_grid)
     assert dev8 <= 1e-10 and dev12 <= 1e-10
 
 
 def test_zero_drive_roundtrip():
-    dev = lattice_vs_momentum_check(alpha=1.0, delta=0.0, omega=8.0,
-                                    a_plus=0.0, p=0, L=8,
+    proto = crossstitch_protocol(alpha=1.0, delta=0.0, omega=8.0, a_plus=0.0, p=0)
+    dev = lattice_vs_momentum_check(proto, expand_to_lattice(proto), L=8,
                                     t_grid=np.array([0.0, 0.1]))
     assert dev <= 1e-12
 

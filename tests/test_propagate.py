@@ -113,6 +113,22 @@ def test_stalled_round_difference_fails_fast(monkeypatch):
     assert f"at {rounds[-1]} steps" in str(err.value)
 
 
+def test_unresolvable_drive_fails_after_two_rounds(monkeypatch):
+    # |h| = 1e3 over a horizon of 1e6 leaves a phase of about 30 per step even
+    # at the 2^24-step cap: the first round difference above tol must raise
+    propagate, rounds = prop._propagate, []
+
+    def counted(*args):
+        rounds.append(args[-2])
+        return propagate(*args)
+
+    monkeypatch.setattr(prop, "_propagate", counted)
+    hfun = lambda t: np.multiply.outer(np.cos(t), [0.0, 1e3, 0.0, 0.0])
+    with pytest.raises(ToleranceNotReached, match=r"> pi per step"):
+        integrate_tdse(hfun, horizon=1e6, tol=1e-8)
+    assert rounds == [prop.DEFAULT_BASE_STEPS, 2 * prop.DEFAULT_BASE_STEPS]
+
+
 def test_non_hermitian_input_rejected():
     # complex coefficients are never cast to real: every entry point raises
     hfun = constant([0.0, 1.0, 0.5j, 0.0])

@@ -5,7 +5,6 @@ from floqueng import algebra
 from floqueng.algebra import S_MINUS, S_PLUS, SZ
 from floqueng.gauge import GaugeParams, micromotion_matrix
 from floqueng.synth import (
-    crossstitch_drive_components,
     crossstitch_protocol,
     general_protocol,
     static_harmonic_residual,
@@ -89,8 +88,7 @@ class TestTransformMatrices:
 
 class TestCrossStitchDrive:
     def test_initial_sample(self):
-        f0, fx, fy, fz = crossstitch_drive_components(1.0, 2.0, 8.0, SQRT2, 3,
-                                                      k=0.0, t=0.0)
+        f0, fx, fy, fz = crossstitch_protocol().drive_components(0.0, 0.0)
         assert fx == pytest.approx(16 * SQRT2 - 8)
         assert fy == pytest.approx(0.0)
         assert fz == pytest.approx(24.0)
@@ -106,8 +104,8 @@ class TestCrossStitchDrive:
     def test_zero_gauge_drive_is_target_coupling(self):
         # with no micro-motion the drive is the constant difference
         # between target and bare Hamiltonians
-        _, fx, fy, fz = crossstitch_drive_components(1.0, 2.0, 8.0, 0.0, 0,
-                                                     k=0.7, t=0.123)
+        proto = crossstitch_protocol(a_plus=0.0, p=0)
+        _, fx, fy, fz = proto.drive_components(0.7, 0.123)
         heff = -(2 * np.cos(0.7) + 2.0)
         assert fx == pytest.approx(2 * heff)
         assert fy == pytest.approx(0.0)
@@ -115,11 +113,12 @@ class TestCrossStitchDrive:
 
     def test_time_periodicity(self):
         rng = np.random.default_rng(12)
+        proto = crossstitch_protocol()
         T = 2 * np.pi / 8.0
         for _ in range(25):
             k, t = rng.uniform(-np.pi, np.pi), rng.uniform(0, T)
-            s1 = crossstitch_drive_components(1.0, 2.0, 8.0, SQRT2, 3, k, t)
-            s2 = crossstitch_drive_components(1.0, 2.0, 8.0, SQRT2, 3, k, t + T)
+            s1 = proto.drive_components(k, t)
+            s2 = proto.drive_components(k, t + T)
             assert np.allclose(s1[1:], s2[1:], atol=1e-12)
 
     def test_closed_form_equals_general_path(self):
@@ -130,6 +129,20 @@ class TestCrossStitchDrive:
         for a, b in zip(closed.drive_table(k, t), general.drive_table(k, t)):
             assert np.max(np.abs(a - b)) <= 1e-12
 
+    def test_table_equals_general_path_over_random_drives(self):
+        # the hopping-harmonic table and the M1/M2 path are independent
+        # derivations of one drive, for any target, gauge and winding
+        rng = np.random.default_rng(21)
+        k = np.linspace(-np.pi, np.pi, 16, endpoint=False)
+        for _ in range(40):
+            alpha, delta = rng.uniform(-3, 3, 2)
+            closed = crossstitch_protocol(alpha, delta, omega=rng.uniform(0.5, 12),
+                                          a_plus=rng.uniform(0, 3), p=int(rng.integers(-4, 5)))
+            general = general_protocol(closed.static, closed.target, closed.gauge)
+            t = np.linspace(0, closed.period, 16, endpoint=False)
+            a, b = np.stack(closed.drive_table(k, t)), np.stack(general.drive_table(k, t))
+            assert np.max(np.abs(a - b)) <= 1e-12 * max(1.0, np.max(np.abs(b)))
+
     def test_closed_form_uses_the_given_parameters(self):
         # the protocol drives with alpha, delta and a_plus as given, not as
         # recovered from coefficient samples with rounding error; a large
@@ -137,11 +150,13 @@ class TestCrossStitchDrive:
         k = np.linspace(-np.pi, np.pi, 16, endpoint=False)
         for a_plus in (SQRT2, 1e4):
             proto = crossstitch_protocol(alpha=1.0, delta=0.3, a_plus=a_plus)
+            assert proto.closed_form == (1.0, 0.3) and proto.gauge.a_plus == a_plus
+            general = general_protocol(proto.static, proto.target, proto.gauge)
             t = np.linspace(0, proto.period, 16, endpoint=False)
-            direct = crossstitch_drive_components(1.0, 0.3, 8.0, a_plus, 3,
-                                                  k[:, None], t[None, :])
+            direct = general.drive_table(k, t)
+            scale = max(1.0, max(np.max(np.abs(b)) for b in direct))
             for a, b in zip(proto.drive_table(k, t), direct):
-                assert np.array_equal(a, b)
+                assert np.max(np.abs(a - b)) <= 1e-12 * scale
 
 
 class TestGeneralSynthesis:

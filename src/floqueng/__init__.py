@@ -22,7 +22,6 @@ from .errors import (
 from .gauge import GaugeParams
 from .propagate import (
     VerificationReport,
-    cf4_fixed,
     integrate_tdse,
     verify_protocol,
 )

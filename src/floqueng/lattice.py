@@ -14,6 +14,7 @@ antisymmetrically, 'z' acts as an on-sub-lattice imbalance.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache, partial
 from typing import Callable
 
 import numpy as np
@@ -32,9 +33,9 @@ _SPIN = {"x": SX, "y": SY, "z": SZ}
 class LatticeTerm:
     """One elementary hopping family: amplitude(t) * [k-harmonic] * S_channel.
 
-    ``amplitude(t)`` already contains the envelope f_e(t).  ``coefficient``
-    is the constant prefactor of the time factor, kept separate so term
-    tables can be exported as scalars.
+    ``amplitude(t)`` of a scalar time t already contains the envelope
+    f_e(t).  ``coefficient`` is the constant prefactor of the time factor,
+    kept separate so term tables can be exported as scalars.
     """
 
     channel: str          # 'x' | 'y' | 'z'
@@ -61,13 +62,14 @@ def expand_to_lattice(proto: DrivingProtocol) -> list[LatticeTerm]:
     # a_plus^2 lands on 2 only up to rounding)
     scale = max(1.0, abs(g.p * g.omega), 4 * abs(alpha), 4 * abs(delta),
                 abs(g.a_plus * g.omega))
+    factors = lru_cache(maxsize=1)(partial(harmonic_time_factors, g))  # shared by the terms
     terms = []
     for channel, m, kfn, label, coef in crossstitch_rows(alpha, delta, g):
         if abs(coef) <= 1e-12 * scale:
             continue
 
         def amp(t, _c=coef, _f=TIME_LABELS.index(label)):
-            return _c * harmonic_time_factors(g, t)[_f]
+            return _c * factors(float(t))[_f]
 
         terms.append(LatticeTerm(channel, m, kfn, label, float(coef), amp))
 
@@ -141,7 +143,8 @@ def lattice_vs_momentum_check(proto: DrivingProtocol, terms, L: int,
                               t_grid) -> float:
     """Max entry deviation between the Fourier-projected lattice drive of
     ``terms``, the expansion of ``proto``, and the general-path drive at
-    every allowed momentum."""
+    every allowed momentum; a deviation above 1e-10 times the largest drive
+    entry (or 1 if that is smaller) raises RangeOverflow."""
     k = 2 * np.pi * np.arange(L) / L
     general = general_protocol(proto.static, proto.target, proto.gauge)
     ref = assemble_batch(*general.drive_table(k, t_grid))  # (L, n_t, 2, 2)
@@ -149,4 +152,6 @@ def lattice_vs_momentum_check(proto: DrivingProtocol, terms, L: int,
     for j, t in enumerate(t_grid):
         blocks = momentum_block(assemble_lattice_hamiltonian(terms, L, float(t)), L, k)
         worst = max(worst, float(np.max(np.abs(blocks - ref[:, j]))))
+    if worst > 1e-10 * max(1.0, float(np.max(np.abs(ref)))):
+        raise RangeOverflow(f"lattice round trip misses the general path by {worst:.2e}")
     return worst

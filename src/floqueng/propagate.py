@@ -2,21 +2,22 @@
 Hamiltonians, micro-motion extraction, and protocol verification.
 
 A Hamiltonian stays a real coefficient stack (h0, hx, hy, hz), Hermitian by
-construction, down to the exponential: scheme stages are weighted sums of
-coefficients, and only the exponential forms 2x2 unitaries.
+construction, down to the exponential: a step's exponent is built from the
+coefficients at its nodes, and only the exponential forms 2x2 unitaries.
 
 Three-band drives are propagated as their coupled 2x2 block: the third level
 carries no drive and no target energy, so its evolution is exactly 1 and adds
 nothing to any comparison.
 
-Two independent schemes share one chunk loop.  The workhorse is a
-fourth-order commutator-free scheme: each step multiplies by two exactly
-unitary exponentials of weighted averages of H at the two Gauss nodes, with
-global step doubling until two successive horizon unitaries agree.  The
-cross-check is a fixed-step second-order midpoint exponential,
-exp(-i dt H(t + dt/2)) per step.  Verification always compares unitaries,
-never extracted Hamiltonians, so quasienergy folding can never introduce a
-logarithm branch choice.
+Two independent schemes share one chunk loop.  The workhorse is the
+three-node sixth-order Magnus integrator: su(2) plus the identity is closed,
+so a step's Magnus exponent is four real coefficients, with A = -i a.S a
+commutator [A, B] is the cross product a x b, and each step takes one exactly
+unitary exponential; the step count doubles until two successive horizon
+unitaries agree.  The cross-check is a fixed-step second-order midpoint
+exponential, exp(-i dt H(t + dt/2)) per step.
+Verification always compares unitaries, never extracted Hamiltonians, so
+quasienergy folding can never introduce a logarithm branch choice.
 """
 
 from __future__ import annotations
@@ -32,18 +33,13 @@ from .gauge import micromotion_at
 from .synth import DrivingProtocol
 
 MAX_TOTAL_STEPS = 2**24
-DEFAULT_BASE_STEPS = 256
+DEFAULT_BASE_STEPS = 64
 DEFAULT_TOL = 1e-9
 MICROMOTION_SAMPLES = 64  # per period; divides DEFAULT_BASE_STEPS, so they sit on every grid
 # Hamiltonian evaluations (nodes x steps x momenta) a chunk aims to hold; a
 # chunk is at least one step over all momenta, so the bound kept is
 # max(_CHUNK_EVALS, nodes x momenta)
 _CHUNK_EVALS = 4096
-
-# A scheme: (node offsets in units of dt, stage weights over nodes), stages in order
-_R = np.sqrt(3.0) / 6.0  # Gauss nodes of CF4 sit at -+_R dt from the midpoint
-_MIDPOINT = ((0.0,), ((1.0,),))
-_CF4 = ((-_R, _R), ((0.25 + _R, 0.25 - _R), (0.25 - _R, 0.25 + _R)))
 
 
 def expm_herm(c: np.ndarray, scale: float = 1.0) -> np.ndarray:
@@ -90,6 +86,33 @@ def _matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return out
 
 
+def _bracket(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """[-i a.S, -i b.S] = -i (a x b).S for (..., 4) stacks, by component
+    (np.cross spends most of its time moving axes)."""
+    out = np.zeros(np.broadcast_shapes(a.shape, b.shape))
+    for i, j, k in ((1, 2, 3), (2, 3, 1), (3, 1, 2)):
+        out[..., i] = a[..., j] * b[..., k] - a[..., k] * b[..., j]
+    return out
+
+
+def _magnus6(h: np.ndarray, dt: float) -> np.ndarray:
+    """Sixth-order Magnus exponent of each step, U = expm_herm(result), as a
+    (steps, ..., 4) stack from H at its three Gauss nodes, h (steps, 3, ...,
+    4) (Blanes, Casas, Oteo & Ros, Phys. Rep. 470, 151 (2009), sections 4-5);
+    the identity channel is the Gauss rule dt (5 h0_1 + 8 h0_2 + 5 h0_3)/18."""
+    h1, h2, h3 = h[:, 0], h[:, 1], h[:, 2]
+    a1, a2 = dt * h2, (math.sqrt(15.0) * dt / 3) * (h3 - h1)
+    a3 = (10 * dt / 3) * (h3 - 2 * h2 + h1)
+    c1 = _bracket(a1, a2)
+    c2 = _bracket(a1, 2 * a3 + c1) / -60
+    return a1 + a3 / 12 + _bracket(-20 * a1 - a3 + c1, a2 + c2) / 240
+
+
+# A scheme: (node offsets in units of dt, exponent of each step from H at its nodes)
+_MIDPOINT = ((0.0,), lambda h, dt: dt * h[:, 0])
+_MAGNUS6 = ((-math.sqrt(0.15), 0.0, math.sqrt(0.15)), _magnus6)  # Gauss nodes
+
+
 def _ordered_product(e: np.ndarray) -> np.ndarray:
     """Product e[-1] @ ... @ e[0] of a (n, ..., 2, 2) stack, reduced pairwise
     so the work stays in large batched products."""
@@ -117,8 +140,8 @@ def _eval_h(hfun, ts: np.ndarray, base_shape: tuple | None = None) -> np.ndarray
     return c
 
 
-def _propagate(nodes, weights, hfun, horizon, nsteps, sample_indices):
-    """``nsteps`` equal steps of the scheme (``nodes``, ``weights``) from the
+def _propagate(nodes, exponent, hfun, horizon, nsteps, sample_indices):
+    """``nsteps`` equal steps of the scheme (``nodes``, ``exponent``) from the
     identity, stacked as U after each step count in ``sample_indices``.
 
     A chunk of steps holds at most max(``_CHUNK_EVALS``, nodes x momenta)
@@ -141,10 +164,9 @@ def _propagate(nodes, weights, hfun, horizon, nsteps, sample_indices):
     for j in range(0, nsteps, width):
         tmid = (np.arange(j, min(j + width, nsteps)) + 0.5) * dt
         h = _eval_h(hfun, (tmid[:, None] + np.asarray(nodes) * dt).ravel(), base_shape)
-        # every stage of every step in one exponential batch, steps leading
-        e = expm_herm(np.stack([sum(w * h[n::len(nodes)] for n, w in enumerate(ws))
-                                for ws in weights], axis=1), dt)
-        e = e.reshape((-1, part * len(weights)) + u_shape).swapaxes(0, 1)
+        # every step of the chunk in one exponential batch, steps leading
+        e = expm_herm(exponent(h.reshape((len(tmid), len(nodes)) + base_shape), dt))
+        e = e.reshape((-1, part) + u_shape).swapaxes(0, 1)
         for p in _ordered_product(e):
             n = part
             while pending and pending[-1][0] == n:
@@ -168,17 +190,19 @@ def integrate_tdse(hfun: Callable, horizon: float, tol: float = DEFAULT_TOL,
     coefficients (h0, hx, hy, hz); complex coefficients raise
     HermiticityError and any other shape raises ValueError.  Batching
     propagates every index between the time axis and the coefficient axis
-    independently.  The fourth-order commutator-free scheme doubles its step
-    count from a coarse ``base_steps`` until two successive horizon unitaries
-    differ by less than ``tol`` in max-entry norm; the Richardson error
-    estimate of the accepted run is ``diff/15``.  A round whose horizon
-    unitary is not finite raises at once; overflow inside a round is left to
-    that check instead of warning.  Once one doubling has cut the difference
-    8x (the scheme's order predicts 16x), the first later doubling that cuts
-    it less than 2x has reached the rounding floor above ``tol`` and raises
-    with the round differences.  A round difference above ``tol`` raises too
-    when even ``MAX_TOTAL_STEPS`` steps leave a phase per step, max|h|
-    horizon / (2 MAX_TOTAL_STEPS) over the first round's samples, above pi.
+    independently.  The sixth-order Magnus scheme doubles its step count
+    from a coarse ``base_steps`` until two successive horizon unitaries
+    differ by less than ``tol`` in max-entry norm.  The Richardson estimate
+    ``diff/63`` is within 2% of the error while the differences shrink 64x,
+    but 1.4-94x below it near the rounding floor (about 1e-13): no bound.
+    Once a doubling has cut the difference 32x (the order's 64x holds from
+    64 steps per period on), the first later cut under 2x (rounding-floor
+    cuts measured 0.3-2.4x) raises with the round differences.  A round that
+    is not finite raises at once (overflow inside a round is left to that
+    check instead of warning), as does a round difference above ``tol`` when
+    even ``MAX_TOTAL_STEPS`` steps leave a phase per step, max|h| horizon /
+    (2 MAX_TOTAL_STEPS) over the first round's samples, above pi; either
+    error then names that phase.
 
     ``sample_times`` must lie on the base step grid so that snapshots remain
     exact as the step count doubles.
@@ -204,53 +228,40 @@ def integrate_tdse(hfun: Callable, horizon: float, tol: float = DEFAULT_TOL,
     while True:
         idx = {i * (nsteps // base_steps) for i in base_idx}
         with np.errstate(over="ignore", invalid="ignore"):
-            u = _propagate(*_CF4, hfun if prev_u is not None else first_round,
+            u = _propagate(*_MAGNUS6, hfun if prev_u is not None else first_round,
                            horizon, nsteps, idx)
+        phase = h_max * horizon / (2 * MAX_TOTAL_STEPS)
+        unresolvable = (f", and even {MAX_TOTAL_STEPS} steps leave a phase of "
+                        f"{phase:.1e} > pi per step" if phase > math.pi else "")
         if not np.all(np.isfinite(u[-1])):
             raise ToleranceNotReached(
-                f"horizon unitary is not finite after the {nsteps}-step round"
-            )
+                f"horizon unitary is not finite after the {nsteps}-step round{unresolvable}")
         if prev_u is not None:
             diff = float(np.max(np.abs(u[-1] - prev_u)))
             if diff < tol:
-                return PropagatorTrace(
-                    times=sample_times,
-                    unitaries=u,
-                    step_count=nsteps,
-                    estimated_error=diff / 15.0,
-                )
-            phase = h_max * horizon / (2 * MAX_TOTAL_STEPS)
-            if phase > math.pi:
+                return PropagatorTrace(times=sample_times, unitaries=u, step_count=nsteps,
+                                       estimated_error=diff / 63.0)
+            if unresolvable:
                 raise ToleranceNotReached(
-                    f"round difference {diff:.1e} above tol {tol:.1e}, and even "
-                    f"{MAX_TOTAL_STEPS} steps leave a phase of {phase:.1e} > pi per step"
-                )
-            if diffs and diffs[-1] >= 8 * diff:
+                    f"round difference {diff:.1e} above tol {tol:.1e}{unresolvable}")
+            if diffs and diffs[-1] >= 32 * diff:
                 converging = True
             elif converging and diffs[-1] < 2 * diff:
                 raise ToleranceNotReached(
                     f"round differences {', '.join(f'{d:.1e}' for d in diffs + [diff])} "
-                    f"stopped shrinking at {nsteps} steps above tol {tol:.1e}"
-                )
+                    f"stopped shrinking at {nsteps} steps above tol {tol:.1e}")
             diffs.append(diff)
         prev_u = u[-1].copy()  # not a view that would keep every snapshot alive
         nsteps *= 2
         if nsteps > MAX_TOTAL_STEPS:
             raise ToleranceNotReached(
-                f"step doubling exceeded {MAX_TOTAL_STEPS} steps without reaching {tol:.1e}"
-            )
+                f"step doubling exceeded {MAX_TOTAL_STEPS} steps without reaching {tol:.1e}")
 
 
 def midpoint_fixed(hfun: Callable, horizon: float, nsteps: int) -> np.ndarray:
     """Fixed-step midpoint-exponential run through the chunk loop of
     ``integrate_tdse``, as its independent reference; returns U(horizon)."""
     return _propagate(*_MIDPOINT, hfun, horizon, nsteps, {nsteps})[-1]
-
-
-def cf4_fixed(hfun: Callable, horizon: float, nsteps: int) -> np.ndarray:
-    """Fixed-step run of the CF4 scheme that ``integrate_tdse`` doubles,
-    through the same chunk loop; returns U(horizon)."""
-    return _propagate(*_CF4, hfun, horizon, nsteps, {nsteps})[-1]
 
 
 def extract_micromotion(trace: PropagatorTrace, c_eff: np.ndarray) -> np.ndarray:

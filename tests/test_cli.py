@@ -1,10 +1,11 @@
+import dataclasses
 import math
 import warnings
 
 import numpy as np
 import pytest
 
-from floqueng import cli
+from floqueng import cli, lattice
 from floqueng.propagate import verify_protocol
 
 SQRT2 = np.sqrt(2.0)
@@ -185,6 +186,30 @@ def test_lattice_dataset(tmp_path):
     header, rows = read_csv(tmp_path / "lattice_terms.csv")
     assert header == ["channel", "m", "harmonic", "coefficient"]
     assert max(int(r[1]) for r in rows) == 3
+
+
+def test_lattice_round_trip_miss_exits_3_and_writes_nothing(tmp_path, monkeypatch,
+                                                            capsys):
+    # one term 1% off: the table check reads the table, not the terms, so
+    # only the round trip through the lattice matrix can catch it
+    expand = lattice.expand_to_lattice
+
+    def one_wrong(proto):
+        first, *rest = expand(proto)
+        wrong = dataclasses.replace(first, coefficient=1.01 * first.coefficient,
+                                    amplitude=lambda t: 1.01 * first.amplitude(t))
+        return [wrong] + rest
+
+    monkeypatch.setattr(lattice, "expand_to_lattice", one_wrong)
+    assert run(["lattice", "--out", str(tmp_path)]) == 3
+    assert list(tmp_path.iterdir()) == []
+    assert "round trip misses the general path" in capsys.readouterr().err
+
+
+def test_huge_lattice_drive_passes_its_round_trip(tmp_path):
+    # a deviation of 1e285 is 1e-16 of a drive of size 1e301
+    assert run(["lattice", "--out", str(tmp_path), "--omega", "1e300"]) == 0
+    assert (tmp_path / "lattice_terms.csv").exists()
 
 
 def test_su3_dataset(tmp_path):

@@ -12,7 +12,6 @@ from floqueng.algebra import ZERO, assemble_batch, custom
 from floqueng.errors import HermiticityError, ToleranceNotReached
 from floqueng.gauge import GaugeParams, micromotion_at
 from floqueng.propagate import (
-    cf4_fixed,
     expm_herm,
     extract_micromotion,
     integrate_tdse,
@@ -72,9 +71,10 @@ def test_unitarity_preserved_along_trace():
 
 
 def test_tolerance_not_reached(monkeypatch):
-    monkeypatch.setattr(prop, "MAX_TOTAL_STEPS", 256)
+    # Magnus-6 meets this tol at 128 steps, so the cap sits below that
+    monkeypatch.setattr(prop, "MAX_TOTAL_STEPS", 64)
     hfun = lambda t: np.multiply.outer(np.exp(-t) * 80, [0.0, 1.0, 0.0, 0.0])
-    with pytest.raises(ToleranceNotReached):
+    with pytest.raises(ToleranceNotReached, match="exceeded 64 steps"):
         integrate_tdse(hfun, horizon=3.0, tol=1e-12, base_steps=16)
 
 
@@ -135,7 +135,7 @@ def test_non_hermitian_input_rejected():
     with pytest.raises(HermiticityError):
         integrate_tdse(hfun, horizon=1.0)
     with pytest.raises(HermiticityError):
-        cf4_fixed(hfun, 1.0, 64)
+        magnus6_fixed(hfun, 1.0, 64)
     with pytest.raises(HermiticityError):
         midpoint_fixed(hfun, 1.0, 64)
 
@@ -182,34 +182,54 @@ def three_momenta(t):
     return np.stack([np.zeros_like(hx), hx, hy, hz], axis=-1)
 
 
+def magnus6_fixed(hfun, horizon, nsteps):
+    """Fixed-step run of the Magnus-6 scheme that integrate_tdse doubles,
+    through the same chunk loop; returns U(horizon)."""
+    return prop._propagate(*prop._MAGNUS6, hfun, horizon, nsteps, {nsteps})[-1]
+
+
+def commutator(a, b):
+    return a @ b - b @ a
+
+
 def stepwise_reference(scheme, hfun, horizon, nsteps):
-    """U after every step, one step and one stage at a time with scipy's expm."""
-    nodes, weights = scheme
+    """U after every step, one step at a time with scipy's expm of the step's
+    exponent, formed from 2x2 matrices: A = -i H at the nodes and, for
+    Magnus-6, their matrix commutators."""
     dt = horizon / nsteps
     u = np.broadcast_to(np.eye(2, dtype=complex), (len(K3), 2, 2))
     out = [u]
     for i in range(nsteps):
-        h = hfun((i + 0.5 + np.asarray(nodes)) * dt)
-        for ws in weights:
-            stage = matrices(sum(w * hn for w, hn in zip(ws, h)))
-            u = np.stack([scipy_expm(-1j * dt * hk) @ uk for hk, uk in zip(stage, u)])
+        if scheme == "midpoint":
+            omega = -1j * dt * matrices(hfun(np.array([(i + 0.5) * dt]))[0])
+        else:
+            g = np.sqrt(15.0) / 10
+            a = [-1j * matrices(hfun(np.array([(i + 0.5 + c) * dt]))[0])
+                 for c in (-g, 0.0, g)]
+            a1 = dt * a[1]
+            a2 = (np.sqrt(15.0) * dt / 3) * (a[2] - a[0])
+            a3 = (10 * dt / 3) * (a[2] - 2 * a[1] + a[0])
+            c1 = commutator(a1, a2)
+            c2 = -commutator(a1, 2 * a3 + c1) / 60
+            omega = a1 + a3 / 12 + commutator(-20 * a1 - a3 + c1, a2 + c2) / 240
+        u = np.stack([scipy_expm(om) @ uk for om, uk in zip(omega, u)])
         out.append(u)
     return out
 
 
-@pytest.mark.parametrize("scheme", ["cf4", "midpoint"])
+@pytest.mark.parametrize("scheme", ["magnus6", "midpoint"])
 @pytest.mark.parametrize("nsteps", [64, 48, 52])
 @pytest.mark.parametrize("budget", [30, 42, 240, 4096])
 def test_chunk_loop_matches_stepwise_product(monkeypatch, scheme, nsteps, budget):
     # samples at a quarter and a half of the horizon cut the run into blocks
-    # of 16, 4 and 1 steps.  For CF4 on three momenta, budgets of 30 and 42
-    # evaluations fit 5 and 7 steps, so a 16-step block spans four chunks;
-    # 240 fits whole blocks with a short last chunk at 48 steps; 4096 holds
-    # the whole run
-    scheme = prop._CF4 if scheme == "cf4" else prop._MIDPOINT
+    # of 16, 4 and 1 steps.  For Magnus-6 on three momenta, budgets of 30 and
+    # 42 evaluations fit 3 and 4 steps, so a 16-step block spans eight or four
+    # chunks and 52 steps end on a short chunk; 240 fits 26 steps, so whole
+    # blocks; 4096 holds the whole run
     monkeypatch.setattr(prop, "_CHUNK_EVALS", budget)
     idx = [0, nsteps // 4, nsteps // 2, nsteps]
-    snaps = prop._propagate(*scheme, three_momenta, 1.0, nsteps, set(idx))
+    snaps = prop._propagate(*(prop._MAGNUS6 if scheme == "magnus6" else prop._MIDPOINT),
+                            three_momenta, 1.0, nsteps, set(idx))
     ref = stepwise_reference(scheme, three_momenta, 1.0, nsteps)
     assert snaps.shape == (len(idx), len(K3), 2, 2)
     for i, snap in zip(idx, snaps):
@@ -222,9 +242,9 @@ def test_momenta_propagated_together_match_each_alone(monkeypatch, budget):
     # a single bit of any momentum's evolution
     monkeypatch.setattr(prop, "_CHUNK_EVALS", budget)
     idx = {0, 16, 32, 256}
-    together = prop._propagate(*prop._CF4, three_momenta, 1.0, 256, idx)
+    together = prop._propagate(*prop._MAGNUS6, three_momenta, 1.0, 256, idx)
     for m in range(len(K3)):
-        alone = prop._propagate(*prop._CF4, lambda t: three_momenta(t)[:, m:m + 1],
+        alone = prop._propagate(*prop._MAGNUS6, lambda t: three_momenta(t)[:, m:m + 1],
                                 1.0, 256, idx)
         assert np.array_equal(together[:, m:m + 1], alone)
 
@@ -232,8 +252,8 @@ def test_momenta_propagated_together_match_each_alone(monkeypatch, budget):
 def test_chunks_stay_within_the_evaluation_budget(monkeypatch):
     # memory is bounded in the number of momenta: every hfun call holds at
     # most the budget of Hamiltonian evaluations, counted over momenta, or
-    # one CF4 step (two nodes) over every momentum where that is more; at
-    # 2048 momenta one step fills the budget, at 4096 it is twice over
+    # one Magnus-6 step (three nodes) over every momentum where that is more;
+    # at 2048 and 4096 momenta one step is over the budget
     monkeypatch.setattr(prop, "MAX_TOTAL_STEPS", 2048)
     for n_k in (1024, 2048, 4096):
         k = np.linspace(-np.pi, np.pi, n_k, endpoint=False)
@@ -245,15 +265,17 @@ def test_chunks_stay_within_the_evaluation_budget(monkeypatch):
             zero = np.zeros_like(hx)
             return np.stack([zero, hx, zero, np.multiply.outer(t, k)], axis=-1)
 
-        trace = integrate_tdse(hfun, 1.0, tol=1e-6)
+        # Magnus-6 meets this tol within two rounds from any start, so the
+        # run starts at 256 steps to end at 512, over many chunks
+        trace = integrate_tdse(hfun, 1.0, tol=1e-6, base_steps=256)
         assert trace.step_count >= 512 and len(calls) > 2
-        assert max(calls) <= max(prop._CHUNK_EVALS, 2 * n_k)
+        assert max(calls) <= max(prop._CHUNK_EVALS, 3 * n_k)
 
 
 def test_midpoint_convergence_order():
     proto = crossstitch_protocol()
     hfun = proto.hamiltonian_fn(np.array([0.9]))
-    ref = cf4_fixed(hfun, proto.period, 16384)
+    ref = magnus6_fixed(hfun, proto.period, 4096)
     steps = np.array([256, 512, 1024, 2048])
     errs = np.array([
         np.max(np.abs(midpoint_fixed(hfun, proto.period, int(n)) - ref))
@@ -263,17 +285,17 @@ def test_midpoint_convergence_order():
     assert 1.8 <= slope <= 2.2
 
 
-def test_cf4_convergence_order():
+def test_magnus6_convergence_order():
     proto = crossstitch_protocol()
     hfun = proto.hamiltonian_fn(np.array([0.9]))
-    ref = cf4_fixed(hfun, proto.period, 16384)
-    steps = np.array([64, 128, 256, 512])
+    ref = magnus6_fixed(hfun, proto.period, 4096)
+    steps = np.array([32, 64, 128, 256])
     errs = np.array([
-        np.max(np.abs(cf4_fixed(hfun, proto.period, int(n)) - ref))
+        np.max(np.abs(magnus6_fixed(hfun, proto.period, int(n)) - ref))
         for n in steps
     ])
     slope = -np.polyfit(np.log(steps), np.log(errs), 1)[0]
-    assert 3.7 <= slope <= 4.3
+    assert 5.7 <= slope <= 6.3
 
 
 @pytest.mark.parametrize("omega", [8.0, 4.0])

@@ -192,16 +192,55 @@ def commutator(a, b):
     return a @ b - b @ a
 
 
+_R = np.sqrt(3.0) / 6  # CF4's Gauss nodes sit at -+_R dt from the midpoint
+_CF4_WEIGHTS = ((0.25 + _R, 0.25 - _R), (0.25 - _R, 0.25 + _R))  # first stage first
+
+
+def _cf4_exponent(h, dt):
+    """The fourth-order commutator-free step exp(-i dt B2) exp(-i dt B1),
+    B_s = sum of weight x H over the two nodes, as one exponent: su(2) plus
+    the identity is closed, so the two rotations compose as unit quaternions
+    (w, v) and the step is expm_herm of (b0_1 + b0_2, 2 atan2(|v|, w) v/|v|)."""
+    b1, b2 = (dt * (w1 * h[:, 0] + w2 * h[:, 1]) for w1, w2 in _CF4_WEIGHTS)
+
+    def quaternion(b):
+        r = np.linalg.norm(b[..., 1:], axis=-1, keepdims=True)
+        v = np.divide(np.sin(r / 2) * b[..., 1:], r, out=np.zeros_like(r * b[..., 1:]),
+                      where=r > 0)
+        return np.cos(r / 2), v
+
+    (c1, v1), (c2, v2) = quaternion(b1), quaternion(b2)
+    w = c1 * c2 - np.sum(v1 * v2, axis=-1, keepdims=True)
+    v = c2 * v1 + c1 * v2 + np.cross(v2, v1)
+    s = np.linalg.norm(v, axis=-1, keepdims=True)
+    axis = np.divide(v, s, out=np.zeros_like(v), where=s > 0)
+    return np.concatenate([b1[..., :1] + b2[..., :1], 2 * np.arctan2(s, w) * axis], axis=-1)
+
+
+# a two-node scheme in the chunk loop: its chunks hold other step counts than
+# the one- and three-node schemes of integrate_tdse and midpoint_fixed
+CF4 = ((-_R, _R), _cf4_exponent)
+SCHEMES = {"cf4": CF4, "magnus6": prop._MAGNUS6, "midpoint": prop._MIDPOINT}
+
+
 def stepwise_reference(scheme, hfun, horizon, nsteps):
     """U after every step, one step at a time with scipy's expm of the step's
     exponent, formed from 2x2 matrices: A = -i H at the nodes and, for
-    Magnus-6, their matrix commutators."""
+    Magnus-6, their matrix commutators; CF4 multiplies its two stages."""
     dt = horizon / nsteps
     u = np.broadcast_to(np.eye(2, dtype=complex), (len(K3), 2, 2))
     out = [u]
     for i in range(nsteps):
         if scheme == "midpoint":
             omega = -1j * dt * matrices(hfun(np.array([(i + 0.5) * dt]))[0])
+        elif scheme == "cf4":
+            a = [-1j * dt * matrices(hfun(np.array([(i + 0.5 + c) * dt]))[0])
+                 for c in (-_R, _R)]
+            for w1, w2 in _CF4_WEIGHTS:
+                u = np.stack([scipy_expm(w1 * a0 + w2 * a1) @ uk
+                              for a0, a1, uk in zip(a[0], a[1], u)])
+            out.append(u)
+            continue
         else:
             g = np.sqrt(15.0) / 10
             a = [-1j * matrices(hfun(np.array([(i + 0.5 + c) * dt]))[0])
@@ -217,19 +256,18 @@ def stepwise_reference(scheme, hfun, horizon, nsteps):
     return out
 
 
-@pytest.mark.parametrize("scheme", ["magnus6", "midpoint"])
+@pytest.mark.parametrize("scheme", ["cf4", "magnus6", "midpoint"])
 @pytest.mark.parametrize("nsteps", [64, 48, 52])
 @pytest.mark.parametrize("budget", [30, 42, 240, 4096])
 def test_chunk_loop_matches_stepwise_product(monkeypatch, scheme, nsteps, budget):
     # samples at a quarter and a half of the horizon cut the run into blocks
-    # of 16, 4 and 1 steps.  For Magnus-6 on three momenta, budgets of 30 and
-    # 42 evaluations fit 3 and 4 steps, so a 16-step block spans eight or four
-    # chunks and 52 steps end on a short chunk; 240 fits 26 steps, so whole
-    # blocks; 4096 holds the whole run
+    # of 16, 4 and 1 steps.  On three momenta, budgets of 30 and 42
+    # evaluations fit 3 and 4 Magnus-6 steps or 5 and 7 CF4 steps, so a
+    # 16-step block spans several chunks and 52 steps end on a short chunk;
+    # 240 fits 26 or 40 steps, so whole blocks; 4096 holds the whole run
     monkeypatch.setattr(prop, "_CHUNK_EVALS", budget)
     idx = [0, nsteps // 4, nsteps // 2, nsteps]
-    snaps = prop._propagate(*(prop._MAGNUS6 if scheme == "magnus6" else prop._MIDPOINT),
-                            three_momenta, 1.0, nsteps, set(idx))
+    snaps = prop._propagate(*SCHEMES[scheme], three_momenta, 1.0, nsteps, set(idx))
     ref = stepwise_reference(scheme, three_momenta, 1.0, nsteps)
     assert snaps.shape == (len(idx), len(K3), 2, 2)
     for i, snap in zip(idx, snaps):

@@ -42,7 +42,6 @@ DEFAULTS = {
     "periods": 1,
     "tol": 1e-9,
     "ncoeff": 40,
-    "lattice_sites": 8,
     "corrupt_fz": 1.0,
     "out": ".",
 }
@@ -112,8 +111,6 @@ def validate(cfg: dict) -> dict:
     if not 1 <= cfg["ncoeff"] < spectra.ENVELOPE_QUAD_SAMPLES // 2:
         raise ConfigError("ncoeff must lie in [1, "
                           f"{spectra.ENVELOPE_QUAD_SAMPLES // 2 - 1}], got {cfg['ncoeff']}")
-    if cfg["lattice_sites"] < 8:
-        raise ConfigError("lattice_sites must be >= 8 so range-3 hops cannot wrap")
     return cfg
 
 
@@ -262,9 +259,9 @@ def cmd_lattice(cfg, outdir: Path) -> int:
     proto = build_protocol(cfg)
     terms = lattice.expand_to_lattice(proto)
     deviation = lattice.lattice_vs_momentum_check(
-        proto, terms, cfg["lattice_sites"], t_grid_of(cfg)[:min(16, cfg["tpoints"])])
-    rows = [(term.channel, term.m, term.describe(), term.coefficient)
-            for term in terms]
+        proto, terms, 2 * lattice.MAX_RANGE + 2, t_grid_of(cfg)[:min(16, cfg["tpoints"])])
+    rows = [(term.channel, term.m, f"{term.k_harmonic}({term.m}k)*{term.time_label}",
+             term.coefficient) for term in terms]
     path = outdir / "lattice_terms.csv"
     write_csv(path, "channel,m,harmonic,coefficient", rows)
     print(f"lattice: wrote {len(rows)} terms to {path}; "

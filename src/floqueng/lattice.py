@@ -13,14 +13,13 @@ antisymmetrically, 'z' acts as an on-sub-lattice imbalance.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from functools import lru_cache, partial
-from typing import Callable
+from typing import NamedTuple
 
 import numpy as np
 
 from .algebra import SX, SY, SZ, assemble_batch
 from .errors import HermiticityError, RangeOverflow
+from .gauge import GaugeParams
 from .spectra import envelope_values
 from .synth import (MAX_RANGE, TIME_LABELS, DrivingProtocol, crossstitch_rows,
                     general_protocol, harmonic_time_factors)
@@ -29,24 +28,16 @@ RANGE_TOL = 1e-12
 _SPIN = {"x": SX, "y": SY, "z": SZ}
 
 
-@dataclass(frozen=True)
-class LatticeTerm:
-    """One elementary hopping family: amplitude(t) * [k-harmonic] * S_channel.
-
-    ``amplitude(t)`` of a scalar time t already contains the envelope
-    f_e(t).  ``coefficient`` is the constant prefactor of the time factor,
-    kept separate so term tables can be exported as scalars.
-    """
+class LatticeTerm(NamedTuple):
+    """One elementary hopping family, a row of the hopping-harmonic table:
+    coefficient * f_e(t) T(t) * [k-harmonic] * S_channel, with T(t) the
+    time factor named by ``time_label``."""
 
     channel: str          # 'x' | 'y' | 'z'
     m: int                # hopping range in sites, 0..3
     k_harmonic: str       # 'cos' | 'sin'
-    time_label: str
+    time_label: str       # one of TIME_LABELS
     coefficient: float
-    amplitude: Callable
-
-    def describe(self) -> str:
-        return f"{self.k_harmonic}({self.m}k)*{self.time_label}"
 
 
 def expand_to_lattice(proto: DrivingProtocol) -> list[LatticeTerm]:
@@ -62,17 +53,9 @@ def expand_to_lattice(proto: DrivingProtocol) -> list[LatticeTerm]:
     # a_plus^2 lands on 2 only up to rounding)
     scale = max(1.0, abs(g.p * g.omega), 4 * abs(alpha), 4 * abs(delta),
                 abs(g.a_plus * g.omega))
-    factors = lru_cache(maxsize=1)(partial(harmonic_time_factors, g))  # shared by the terms
-    terms = []
-    for channel, m, kfn, label, coef in crossstitch_rows(alpha, delta, g):
-        if abs(coef) <= 1e-12 * scale:
-            continue
-
-        def amp(t, _c=coef, _f=TIME_LABELS.index(label)):
-            return _c * factors(float(t))[_f]
-
-        terms.append(LatticeTerm(channel, m, kfn, label, float(coef), amp))
-
+    terms = [LatticeTerm(channel, m, kfn, label, float(coef))
+             for channel, m, kfn, label, coef in crossstitch_rows(alpha, delta, g)
+             if abs(coef) > 1e-12 * scale]
     _check_range_bound(proto)
     return terms
 
@@ -110,18 +93,22 @@ def _hop_base(channel: str, m: int, k_harmonic: str, L: int) -> np.ndarray:
     return base.reshape(2 * L, 2 * L) + 0.0  # + 0.0 turns each -0.0 into 0.0
 
 
-def assemble_lattice_hamiltonian(terms, L: int, t: float) -> np.ndarray:
-    """Single-particle drive matrix at time t on L dimers with periodic
-    boundary; L >= 8 keeps the longest hop free of self-wrap ambiguity."""
+def assemble_lattice_hamiltonian(terms, gauge: GaugeParams, L: int, t) -> np.ndarray:
+    """Single-particle drive matrix on L dimers with periodic boundary at
+    each time of ``t``, as a (*t.shape, 2L, 2L) stack: the hopping operator
+    of every time factor is summed once and weighted by
+    ``harmonic_time_factors(gauge, t)``.  L >= 8 keeps the longest hop free
+    of self-wrap ambiguity."""
     if L < 2 * MAX_RANGE + 2:
         raise ValueError(f"need at least {2 * MAX_RANGE + 2} dimers, got {L}")
-    out = np.zeros((2 * L, 2 * L), dtype=complex)
+    ops = np.zeros((len(TIME_LABELS), 2 * L, 2 * L), dtype=complex)
     for term in terms:
-        out += complex(term.amplitude(t)) * _hop_base(
+        ops[TIME_LABELS.index(term.time_label)] += term.coefficient * _hop_base(
             term.channel, term.m, term.k_harmonic, L)
-    dev = np.max(np.abs(out - out.conj().T))
-    if dev > 1e-13 * max(1.0, float(np.max(np.abs(out)))):
-        raise HermiticityError(f"assembled drive deviates from Hermitian by {dev:.2e}")
+    out = np.tensordot(harmonic_time_factors(gauge, t), ops, axes=(0, 0))
+    dev = np.max(np.abs(out - np.conj(np.swapaxes(out, -1, -2))), axis=(-2, -1))
+    if np.any(dev > 1e-13 * np.maximum(1.0, np.max(np.abs(out), axis=(-2, -1)))):
+        raise HermiticityError(f"assembled drive deviates from Hermitian by {np.max(dev):.2e}")
     return out
 
 
@@ -148,10 +135,10 @@ def lattice_vs_momentum_check(proto: DrivingProtocol, terms, L: int,
     k = 2 * np.pi * np.arange(L) / L
     general = general_protocol(proto.static, proto.target, proto.gauge)
     ref = assemble_batch(*general.drive_table(k, t_grid))  # (L, n_t, 2, 2)
-    worst = 0.0
-    for j, t in enumerate(t_grid):
-        blocks = momentum_block(assemble_lattice_hamiltonian(terms, L, float(t)), L, k)
-        worst = max(worst, float(np.max(np.abs(blocks - ref[:, j]))))
+    v_lattice = assemble_lattice_hamiltonian(terms, proto.gauge, L,
+                                             np.asarray(t_grid, dtype=float))
+    blocks = momentum_block(v_lattice[:, None], L, k)  # (n_t, L, 2, 2)
+    worst = float(np.max(np.abs(blocks - ref.swapaxes(0, 1))))
     if worst > 1e-10 * max(1.0, float(np.max(np.abs(ref)))):
         raise RangeOverflow(f"lattice round trip misses the general path by {worst:.2e}")
     return worst

@@ -9,7 +9,10 @@ multiplies S+, the second S-, the third Sz.  The drive solves
 
 with m_plus = mu_plus(t) e^{ik}, mz_real = p*w*t, and dm the derivative
 triple (dm_plus, conj(dm_plus), dmz_real).  Both transformation matrices are
-the identity at t = nT, which is what makes the protocol exact.  The flat-band
+the identity at t = nT, which is what makes the protocol exact.  Momentum
+enters them only as the phase of m_plus, a conjugation by
+Phi = diag(e^{ik}, e^{-ik}, 1), so they are formed once per time and the
+phase is applied per momentum.  The flat-band
 chain's drive has a closed form, kept once as a hopping-harmonic table
 (:func:`crossstitch_rows`) that lattice hoppings are built from and that
 checks compare with this general path.
@@ -79,13 +82,14 @@ def _drive_general(target: HamiltonianSpec, static: HamiltonianSpec,
     """Ladder-basis synthesis via the M1/M2 matrices, returned as the real
     Cartesian arrays (f0, fx, fy, fz).
 
+    M(e^{ik} mu_plus) = Phi M(mu_plus) Phi^dagger, so both matrices are
+    formed on the time samples alone:
+    f = Phi [M1(mu_plus) dmu + M2(mu_plus, mz_real) Phi^dagger h].
     Momentum and time follow plain numpy broadcasting; to mesh a k-grid
     against a t-grid pass k with a trailing singleton axis.
     """
     k = np.asarray(k, dtype=float)
-    t = np.asarray(t, dtype=float)
-    kang = ladder_phase_angle(k, target.dimension)
-    kphase = np.exp(1j * kang)
+    kphase = np.exp(1j * ladder_phase_angle(k, target.dimension))
 
     h0t, hxt, hyt, hzt = target.coeffs(k)
     if target.band_count == 3 and np.any(h0t != 0):
@@ -96,43 +100,24 @@ def _drive_general(target: HamiltonianSpec, static: HamiltonianSpec,
         raise ValueError("static Hamiltonian must be identity-channel only")
 
     mu_plus, mu_zr, dmu_plus, dmu_zr = mu_functions(g, t)
-    m_plus = kphase * mu_plus
-    shape = np.broadcast_shapes(m_plus.shape, np.shape(hxt),
-                                np.shape(mu_zr), np.shape(hzt))
+    h_rot = np.stack(np.broadcast_arrays(np.conj(kphase) * (hxt - 1j * hyt) / 2,
+                                         kphase * (hxt + 1j * hyt) / 2, hzt + 0j), axis=-1)
+    f_rot = np.einsum("...ij,...j->...i", transform_m1(mu_plus),
+                      np.stack([dmu_plus, dmu_plus, dmu_zr], axis=-1)) + \
+        np.einsum("...ij,...j->...i", transform_m2(mu_plus, mu_zr), h_rot)
 
-    def bc(a):
-        return np.broadcast_to(np.asarray(a, dtype=complex), shape)
-
-    dm = np.stack([
-        bc(kphase * dmu_plus),
-        bc(np.conj(kphase) * dmu_plus),
-        bc(dmu_zr),
-    ], axis=-1)
-    h_pm = np.stack([
-        bc((hxt - 1j * hyt) / 2),
-        bc((hxt + 1j * hyt) / 2),
-        bc(hzt),
-    ], axis=-1)
-
-    m1 = transform_m1(np.broadcast_to(m_plus, shape))
-    m2 = transform_m2(np.broadcast_to(m_plus, shape),
-                      np.broadcast_to(mu_zr, shape))
-    f_pm = np.einsum("...ij,...j->...i", m1, dm) + \
-        np.einsum("...ij,...j->...i", m2, h_pm)
-
-    conj_gap = np.max(np.abs(f_pm[..., 1] - np.conj(f_pm[..., 0])))
-    imag_leak = np.max(np.abs(np.imag(f_pm[..., 2])))
-    scale = max(1.0, float(np.max(np.abs(f_pm))))
+    # Phi only rotates phases, so the pairing is checked before it is applied
+    conj_gap = np.max(np.abs(f_rot[..., 1] - np.conj(f_rot[..., 0])))
+    imag_leak = np.max(np.abs(np.imag(f_rot[..., 2])))
+    scale = max(1.0, float(np.max(np.abs(f_rot))))
     if max(conj_gap, imag_leak) > IMAG_LEAK_TOL * scale:
         raise HermiticityError(
             f"ladder components lost conjugate pairing by {max(conj_gap, imag_leak):.3e}"
         )
 
-    fx = 2 * np.real(f_pm[..., 0])
-    fy = -2 * np.imag(f_pm[..., 0])
-    fz = np.real(f_pm[..., 2])
-    f0 = np.broadcast_to(h0t - h0s + np.zeros(shape), shape)
-    return f0, fx, fy, fz
+    f_plus = kphase * f_rot[..., 0]
+    fz = np.real(f_rot[..., 2])
+    return h0t - h0s + np.zeros(fz.shape), 2 * np.real(f_plus), -2 * np.imag(f_plus), fz
 
 
 #: Longest hop of the cross-stitch drive, in dimers (its degree in k)

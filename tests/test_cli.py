@@ -1,4 +1,3 @@
-import dataclasses
 import math
 import warnings
 
@@ -120,6 +119,14 @@ def test_verify_multi_period(tmp_path):
     assert code == 0
 
 
+def test_periods_beyond_the_step_cap_exit_3_and_write_nothing(tmp_path, capsys):
+    # 300000 periods need 1.92e7 base steps, above the 2^24 cap
+    assert run(["verify", "--periods", "300000", "--kpoints", "2",
+                "--out", str(tmp_path)]) == 3
+    assert list(tmp_path.iterdir()) == []
+    assert "cap of 16777216 steps" in capsys.readouterr().err
+
+
 def test_bands_flat_column(tmp_path):
     assert run(["bands", "--out", str(tmp_path), "--kpoints", "32"]) == 0
     header, rows = read_csv(tmp_path / "bands_crossstitch.csv")
@@ -196,8 +203,7 @@ def test_lattice_round_trip_miss_exits_3_and_writes_nothing(tmp_path, monkeypatc
 
     def one_wrong(proto):
         first, *rest = expand(proto)
-        wrong = dataclasses.replace(first, coefficient=1.01 * first.coefficient,
-                                    amplitude=lambda t: 1.01 * first.amplitude(t))
+        wrong = first._replace(coefficient=1.01 * first.coefficient)
         return [wrong] + rest
 
     monkeypatch.setattr(lattice, "expand_to_lattice", one_wrong)

@@ -12,7 +12,8 @@ from floqueng.lattice import (
     lattice_vs_momentum_check,
     momentum_block,
 )
-from floqueng.synth import crossstitch_protocol, general_protocol
+from floqueng.synth import (TIME_LABELS, crossstitch_protocol, general_protocol,
+                            harmonic_time_factors)
 
 SQRT2 = np.sqrt(2.0)
 PROTO = crossstitch_protocol(alpha=1.0, delta=2.0, omega=8.0, a_plus=SQRT2, p=3)
@@ -21,6 +22,11 @@ GENERAL = general_protocol(PROTO.static, PROTO.target, PROTO.gauge)
 
 def terms_default():
     return expand_to_lattice(PROTO)
+
+
+def amplitude(term, gauge, t):
+    """The term's time-dependent amplitude, envelope f_e(t) included."""
+    return term.coefficient * harmonic_time_factors(gauge, t)[TIME_LABELS.index(term.time_label)]
 
 
 def test_ranges_bounded_by_three():
@@ -67,15 +73,15 @@ def test_x_channel_longest_hop_amplitudes():
 
 def test_pure_dimer_coupling_without_gauge():
     # no micro-motion, no flat-band offset: only the hopping-born coupling
-    terms = expand_to_lattice(crossstitch_protocol(alpha=1.0, delta=0.0, omega=8.0,
-                                                   a_plus=0.0, p=0))
+    proto = crossstitch_protocol(alpha=1.0, delta=0.0, omega=8.0, a_plus=0.0, p=0)
+    terms = expand_to_lattice(proto)
     assert {(t.channel, t.m) for t in terms} == {("x", 1), ("y", 1)}
     x1 = [t for t in terms if t.channel == "x"][0]
     assert x1.coefficient == pytest.approx(-4.0)
-    assert x1.amplitude(0.123) == pytest.approx(-4.0)
+    assert amplitude(x1, proto.gauge, 0.123) == pytest.approx(-4.0)
     # y channel amplitude must vanish for all t: sin(p w t) = 0 at p = 0
     y1 = [t for t in terms if t.channel == "y"][0]
-    assert y1.amplitude(0.123) == pytest.approx(0.0)
+    assert amplitude(y1, proto.gauge, 0.123) == pytest.approx(0.0)
 
 
 def test_only_the_closed_form_expands():
@@ -91,20 +97,20 @@ def test_corrupted_table_is_caught():
 
 def test_onsite_imbalance_assembly():
     g = 1.7
-    term = LatticeTerm("z", 0, "cos", "1", g, lambda t: g)
-    mat = assemble_lattice_hamiltonian([term], L=8, t=0.0)
+    term = LatticeTerm("z", 0, "cos", "1", g)
+    mat = assemble_lattice_hamiltonian([term], PROTO.gauge, L=8, t=0.0)
     assert np.allclose(mat, np.diag([g / 2] * 8 + [-g / 2] * 8))
 
 
 def test_unknown_channel_rejected():
-    term = LatticeTerm("w", 1, "cos", "1", 1.0, lambda t: 1.0)
+    term = LatticeTerm("w", 1, "cos", "1", 1.0)
     with pytest.raises(ValueError, match="unknown channel 'w'"):
-        assemble_lattice_hamiltonian([term], L=8, t=0.0)
+        assemble_lattice_hamiltonian([term], PROTO.gauge, L=8, t=0.0)
 
 
 def test_assembled_matrix_is_hermitian_and_banded():
     terms = terms_default()
-    mat = assemble_lattice_hamiltonian(terms, L=12, t=0.05)
+    mat = assemble_lattice_hamiltonian(terms, PROTO.gauge, L=12, t=0.05)
     assert np.max(np.abs(mat - mat.conj().T)) <= 1e-13
     # range bound: circulant distance beyond 3 carries nothing
     for i in range(12):
@@ -116,9 +122,20 @@ def test_assembled_matrix_is_hermitian_and_banded():
                 assert mat[i, 12 + j] == 0
 
 
+def test_assembly_broadcasts_over_time():
+    # one call over a time grid stacks the matrices of one call per time
+    terms = terms_default()
+    t = np.array([[0.0, 0.05], [0.31, 0.7]])
+    stack = assemble_lattice_hamiltonian(terms, PROTO.gauge, L=8, t=t)
+    assert stack.shape == (2, 2, 16, 16)
+    for idx in np.ndindex(t.shape):
+        single = assemble_lattice_hamiltonian(terms, PROTO.gauge, L=8, t=float(t[idx]))
+        assert np.max(np.abs(stack[idx] - single)) <= 1e-14
+
+
 def test_minimum_size_enforced():
     with pytest.raises(ValueError):
-        assemble_lattice_hamiltonian(terms_default(), L=6, t=0.0)
+        assemble_lattice_hamiltonian(terms_default(), PROTO.gauge, L=6, t=0.0)
 
 
 def test_reconstruction_matches_drive():
@@ -129,7 +146,7 @@ def test_reconstruction_matches_drive():
         recon = {c: np.zeros_like(k) for c in "xyz"}
         for term in terms:
             kpart = (np.cos if term.k_harmonic == "cos" else np.sin)(term.m * k)
-            recon[term.channel] += term.amplitude(t) * kpart
+            recon[term.channel] += amplitude(term, PROTO.gauge, t) * kpart
         _, fx, fy, fz = GENERAL.drive_components(k, t)
         assert np.max(np.abs(recon["x"] - fx)) <= 1e-11
         assert np.max(np.abs(recon["y"] - fy)) <= 1e-11
@@ -159,8 +176,8 @@ def test_zero_drive_roundtrip():
 
 def test_momentum_block_projection():
     # single x-channel cos(k) hopping projects back to cos(k) * Sx
-    term = LatticeTerm("x", 1, "cos", "1", 2.0, lambda t: 2.0)
-    mat = assemble_lattice_hamiltonian([term], L=8, t=0.0)
+    term = LatticeTerm("x", 1, "cos", "1", 2.0)
+    mat = assemble_lattice_hamiltonian([term], PROTO.gauge, L=8, t=0.0)
     for n in range(8):
         k = 2 * np.pi * n / 8
         block = momentum_block(mat, 8, k)

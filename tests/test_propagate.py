@@ -78,6 +78,38 @@ def test_tolerance_not_reached(monkeypatch):
         integrate_tdse(hfun, horizon=3.0, tol=1e-12, base_steps=16)
 
 
+def test_long_horizon_sample_grid_accepted(monkeypatch):
+    # 2^18 periods put grid indices near 1.7e7, where the rounding of
+    # n T / (P T) * 64 P already exceeds an absolute 1e-9; a stub propagator
+    # that returns identities keeps the run short, and a doubled cap lets it
+    # reach the second round
+    monkeypatch.setattr(prop, "MAX_TOTAL_STEPS", 2**25)
+    periods = 2**18
+    period = 2 * np.pi / 8.0
+    sample_times = [n * period for n in range(1, periods + 1)]
+    base_steps = prop.DEFAULT_BASE_STEPS * periods
+    idx = np.asarray(sample_times) / (periods * period) * base_steps
+    assert np.max(np.abs(idx - np.round(idx))) > 1e-9
+
+    def identities(nodes, exponent, hfun, horizon, nsteps, sample_indices):
+        return np.broadcast_to(np.eye(2, dtype=complex), (len(sample_indices), 2, 2))
+
+    monkeypatch.setattr(prop, "_propagate", identities)
+    trace = integrate_tdse(constant(np.zeros(4)), periods * period, tol=1e-8,
+                           base_steps=base_steps, sample_times=sample_times)
+    assert trace.step_count == 2 * base_steps
+    assert len(trace.unitaries) == periods + 1
+
+
+def test_base_steps_without_a_second_round_fail_before_the_first(monkeypatch):
+    # a first round of more than half the cap could only end in a raise
+    rounds = []
+    monkeypatch.setattr(prop, "_propagate", lambda *args: rounds.append(args))
+    with pytest.raises(ToleranceNotReached, match=f"cap of {prop.MAX_TOTAL_STEPS} steps"):
+        integrate_tdse(constant(np.zeros(4)), 1.0, base_steps=prop.MAX_TOTAL_STEPS // 2 + 1)
+    assert rounds == []
+
+
 def test_non_finite_round_fails_fast(monkeypatch):
     # an overflowing drive makes U non-finite in the first round; the loop
     # must stop there instead of doubling to the step budget

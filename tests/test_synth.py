@@ -3,8 +3,9 @@ import pytest
 
 from floqueng import algebra
 from floqueng.algebra import S_MINUS, S_PLUS, SZ
-from floqueng.gauge import GaugeParams, micromotion_matrix
+from floqueng.gauge import GaugeParams, ladder_phase_angle, micromotion_matrix, mu_functions
 from floqueng.synth import (
+    _drive_general,
     crossstitch_protocol,
     general_protocol,
     static_harmonic_residual,
@@ -242,3 +243,76 @@ class TestStaticHarmonicResidual:
         assert leftovers[1] > 1e-3 * 8.0
         assert leftovers[2] > 1e-3 * 8.0
         assert leftovers[3] <= 1e-10
+
+
+def per_sample_drive(target, static, g, k, t):
+    """Reference: M1 and M2 formed at every (k, t) sample from the full
+    m_plus = e^{ik} mu_plus(t), as the drive was first written."""
+    kphase = np.exp(1j * ladder_phase_angle(np.asarray(k, dtype=float), target.dimension))
+    h0t, hxt, hyt, hzt = target.coeffs(k)
+    h0s = static.coeffs(k)[0]
+    mu_plus, mu_zr, dmu_plus, dmu_zr = mu_functions(g, t)
+    m_plus = kphase * mu_plus
+    shape = np.broadcast_shapes(m_plus.shape, np.shape(hxt), np.shape(mu_zr), np.shape(hzt))
+
+    def bc(a):
+        return np.broadcast_to(np.asarray(a, dtype=complex), shape)
+
+    dm = np.stack([bc(kphase * dmu_plus), bc(np.conj(kphase) * dmu_plus), bc(dmu_zr)], axis=-1)
+    h_pm = np.stack([bc((hxt - 1j * hyt) / 2), bc((hxt + 1j * hyt) / 2), bc(hzt)], axis=-1)
+    m1 = transform_m1(np.broadcast_to(m_plus, shape))
+    m2 = transform_m2(np.broadcast_to(m_plus, shape), np.broadcast_to(mu_zr, shape))
+    f_pm = np.einsum("...ij,...j->...i", m1, dm) + np.einsum("...ij,...j->...i", m2, h_pm)
+    f0 = np.broadcast_to(h0t - h0s + np.zeros(shape), shape)
+    return f0, 2 * np.real(f_pm[..., 0]), -2 * np.imag(f_pm[..., 0]), np.real(f_pm[..., 2])
+
+
+def random_trig(rng, dimension):
+    """A target whose four channels are random first-harmonic polynomials in
+    k (in kx and ky on a 2D grid)."""
+    a = rng.normal(size=(4, 3, dimension))
+
+    def fn(k):
+        k = k if dimension == 2 else k[..., None]
+        return tuple(np.sum(c[0] + c[1] * np.cos(k) + c[2] * np.sin(k), axis=-1) for c in a)
+
+    return algebra.custom(fn, dimension=dimension)
+
+
+class TestMomentumFactorization:
+    def test_momentum_enters_m1_m2_as_a_phase(self):
+        # M(e^{ik} mu) = Phi M(mu) Phi^dagger with Phi = diag(e^{ik}, e^{-ik}, 1)
+        rng = np.random.default_rng(14)
+        k = rng.uniform(-np.pi, np.pi, 2000)
+        mu = rng.normal(scale=2.0, size=2000)
+        mz = rng.uniform(-10, 10, 2000)
+        phi = np.stack([np.exp(1j * k), np.exp(-1j * k), np.ones_like(k)], axis=-1)
+        rotate = phi[:, :, None] * np.conj(phi[:, None, :])
+        assert np.max(np.abs(transform_m1(np.exp(1j * k) * mu)
+                             - rotate * transform_m1(mu))) <= 1e-14
+        assert np.max(np.abs(transform_m2(np.exp(1j * k) * mu, mz)
+                             - rotate * transform_m2(mu, mz))) <= 1e-14
+
+    @pytest.mark.parametrize("dimension", [1, 2])
+    def test_drive_matches_per_sample_formula(self, dimension):
+        rng = np.random.default_rng(dimension)
+        static = algebra.uncoupled_chains(0.7) if dimension == 1 else algebra.ZERO
+        for _ in range(5):
+            target = random_trig(rng, dimension)
+            g = GaugeParams(a_plus=rng.uniform(0, 2), p=int(rng.integers(-3, 4)),
+                            omega=rng.uniform(1, 10))
+            k = rng.uniform(-np.pi, np.pi, (24, 1, dimension) if dimension == 2 else (24, 1))
+            t = rng.uniform(0, g.period, (1, 16))
+            got = np.stack(_drive_general(target, static, g, k, t))
+            ref = np.stack(per_sample_drive(target, static, g, k, t))
+            assert got.shape == ref.shape == (4, 24, 16)
+            assert np.max(np.abs(got - ref)) <= 1e-14 * np.max(np.abs(ref))
+
+    def test_three_band_drive_matches_per_sample_formula(self):
+        g = GaugeParams(a_plus=SQRT2, p=3, omega=4.0)
+        k = np.linspace(-np.pi, np.pi, 32)[:, None]
+        t = np.linspace(0, g.period, 20)[None, :]
+        target = algebra.su3_flat(delta=2.0)
+        got = np.stack(_drive_general(target, algebra.ZERO, g, k, t))
+        ref = np.stack(per_sample_drive(target, algebra.ZERO, g, k, t))
+        assert np.max(np.abs(got - ref)) <= 1e-14 * np.max(np.abs(ref))

@@ -273,7 +273,7 @@ def extract_micromotion(trace: PropagatorTrace, c_eff: np.ndarray) -> np.ndarray
     P(nT) = (-1)^(p n) I, and callers compare against the closed form that
     carries the same sign.
     """
-    return trace.unitaries @ expm_herm(np.multiply.outer(-trace.times, c_eff))
+    return _matmul(trace.unitaries, expm_herm(np.multiply.outer(-trace.times, c_eff)))
 
 
 @dataclass

@@ -175,15 +175,42 @@ def harmonic_time_factors(g: GaugeParams, t) -> np.ndarray:
                           s * cp, s * sp, s2 * cp, s2 * sp])
 
 
+def _momentum_harmonics(k) -> np.ndarray:
+    """H_b(k) = 1, cos k, sin k, ..., cos 3k, sin 3k of the table, stacked on
+    a leading axis over the shape of ``k``."""
+    k = np.asarray(k, dtype=float)
+    mk = np.multiply.outer(np.arange(1, MAX_RANGE + 1), k)
+    return np.concatenate([np.ones((1,) + k.shape), np.stack(
+        [np.cos(mk), np.sin(mk)], axis=1).reshape((2 * MAX_RANGE,) + k.shape)])
+
+
 def _table_drive(c: np.ndarray, g: GaugeParams, k, t):
     """f_c(k, t) = sum over f, b of f_e(t) T_f(t) C[f, c, b] H_b(k) as the
     arrays (fx, fy, fz), broadcast over momentum and time."""
-    k = np.asarray(k, dtype=float)
-    mk = np.multiply.outer(np.arange(1, MAX_RANGE + 1), k)
-    harmonics = np.concatenate([np.ones((1,) + k.shape), np.stack(
-        [np.cos(mk), np.sin(mk)], axis=1).reshape((2 * MAX_RANGE,) + k.shape)])
     per_harmonic = np.einsum("fcb,f...->cb...", c, harmonic_time_factors(g, t))
-    return np.einsum("cb...,b...->c...", per_harmonic, harmonics)
+    return np.einsum("cb...,b...->c...", per_harmonic, _momentum_harmonics(k))
+
+
+def _require_finite(*arrays) -> None:
+    if not all(np.isfinite(a).all() for a in arrays):
+        raise ValueError("drive is not finite at this gauge amplitude and frequency")
+
+
+def _table_stack(c: np.ndarray, g: GaugeParams, h0: np.ndarray, harmonics: np.ndarray,
+                 t: np.ndarray, fz_scale: float) -> np.ndarray:
+    """:func:`_table_drive` at the 1D times ``t`` on the n_k momenta of the
+    (7, n_k) ``harmonics``, as the C-contiguous (n_t, n_k, 4) stack (h0, fx,
+    fy, fz_scale fz); ``c`` leads with a zero channel that ``h0`` fills.  A
+    drive that overflows raises ValueError."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        per_harmonic = np.einsum("fcb,ft->tcb", c, harmonic_time_factors(g, t))
+        # einsum allocates the stack itself: an out= operand makes it 10x slower
+        out = np.einsum("tcb,bk->tkc", per_harmonic, harmonics)
+        if fz_scale != 1.0:
+            out[..., 3] *= fz_scale
+    out[..., 0] = h0
+    _require_finite(out)
+    return out
 
 
 @dataclass(frozen=True)
@@ -193,9 +220,10 @@ class DrivingProtocol:
     ``closed_form`` holds the (alpha, delta) of the flat-band chain target
     when the drive is evaluated in closed form, from the hopping-harmonic
     table of :func:`crossstitch_rows`; ``None`` selects the general M1/M2
-    synthesis path.  ``fz_scale`` deliberately detunes the z component
-    and exists only so sensitivity tests can confirm that verification
-    catches a broken drive.
+    synthesis path; propagating a closed form forms its momentum harmonics
+    once per grid (:meth:`hamiltonian_fn`).  ``fz_scale`` deliberately
+    detunes the z component and exists only so sensitivity tests can
+    confirm that verification catches a broken drive.
     """
 
     target: HamiltonianSpec
@@ -230,8 +258,7 @@ class DrivingProtocol:
                 f0, fx, fy, fz = _drive_general(self.target, self.static, g, k, t)
             if self.fz_scale != 1.0:
                 fz = self.fz_scale * fz
-        if not all(np.isfinite(f).all() for f in (f0, fx, fy, fz)):
-            raise ValueError("drive is not finite at this gauge amplitude and frequency")
+        _require_finite(f0, fx, fy, fz)
         return f0, fx, fy, fz
 
     def drive_table(self, k_grid, t_grid):
@@ -243,7 +270,16 @@ class DrivingProtocol:
         """Full driven Hamiltonian H0 + V(t) as a time-only closure over a
         fixed momentum grid, for propagation: a 1D time array gives the real
         (n_t, n_k, 4) stack of coefficients (h0, hx, hy, hz), those of the
-        coupled block for three-band targets too."""
+        coupled block for three-band targets too.  A closed form forms its 7
+        momentum harmonics and static h0 here, once per grid, so a call forms
+        only the 10 time factors, into one C-contiguous stack."""
+        if self.closed_form is not None:
+            k = np.asarray(k, dtype=float)
+            h0 = self.static.coeffs(k)[0] + 0.0  # h0 + f0 at f0 = 0: -0.0 reads 0.0
+            c = np.pad(self._harmonic_tensor, ((0, 0), (1, 0), (0, 0)))  # a zero h0 channel
+            harmonics = _momentum_harmonics(k)
+            return lambda t: _table_stack(c, self.gauge, h0, harmonics,
+                                          np.asarray(t, dtype=float), self.fz_scale)
         km = np.asarray(k, dtype=float)[:, None]
         h0s = self.static.coeffs(km)[0]
 

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -188,6 +190,34 @@ class TestGeneralSynthesis:
     def test_overflowing_drive_raises(self, proto):
         with pytest.raises(ValueError, match="not finite"):
             proto.drive_components(np.array([0.3]), np.array([0.1]))
+        with pytest.raises(ValueError, match="not finite"):
+            proto.hamiltonian_fn(np.array([0.3]))(np.array([0.1]))
+
+    @pytest.mark.parametrize("family", ["closed", "general"])
+    def test_hamiltonian_fn_is_the_stacked_drive_on_any_split(self, family):
+        # propagation calls hamiltonian_fn once per chunk of times; a momentum's
+        # H must be the drive_components value bit for bit, whatever times and
+        # momenta share its call
+        rng = np.random.default_rng(15)
+        n_k, n_t = 40, 30
+        for _ in range(6):
+            alpha, delta = rng.uniform(-2, 2, 2)
+            g = GaugeParams(a_plus=rng.uniform(0, 3), p=int(rng.integers(-4, 5)),
+                            omega=rng.uniform(0.5, 12))
+            proto = crossstitch_protocol(alpha, delta, g.omega, g.a_plus, g.p)
+            if family == "general":
+                proto = general_protocol(proto.static, proto.target, g)
+            proto = dataclasses.replace(proto, fz_scale=rng.choice([1.0, rng.uniform(0.5, 2)]))
+            k = rng.uniform(-np.pi, np.pi, n_k)
+            t = rng.uniform(0, g.period, n_t)
+            f0, fx, fy, fz = proto.drive_components(k[:, None], t[None, :])
+            h0s = proto.static.coeffs(k[:, None])[0]
+            expected = np.stack(np.broadcast_arrays(h0s + f0, fx, fy, fz), axis=-1)
+            for ks in np.array_split(rng.permutation(n_k), rng.integers(1, 5)):
+                hfun = proto.hamiltonian_fn(k[ks])
+                cuts = np.sort(rng.choice(np.arange(1, n_t), rng.integers(0, 4), replace=False))
+                for ts in np.split(np.arange(n_t), cuts):
+                    assert np.array_equal(hfun(t[ts]), expected[ks][:, ts].swapaxes(0, 1))
 
     def test_components_stay_real_for_random_targets(self):
         rng = np.random.default_rng(3)

@@ -15,7 +15,6 @@ from .errors import (
     FloquetError,
     HermiticityError,
     NonPeriodicGauge,
-    NonUnitaryInput,
     RangeOverflow,
     ToleranceNotReached,
 )
@@ -25,7 +24,7 @@ from .propagate import (
     integrate_tdse,
     verify_protocol,
 )
-from .spectra import band_structure, envelope_fourier, quasienergies
+from .spectra import band_structure, envelope_fourier
 from .su3 import su3_drive_table, verify_su3
 from .synth import (
     DrivingProtocol,

@@ -69,9 +69,6 @@ class HamiltonianSpec:
             raise ValueError(f"model {self.name!r} produced non-finite coefficients")
         return out
 
-    def matrices(self, k) -> np.ndarray:
-        return assemble_batch(*self.coeffs(k))
-
     def k_labels(self, k) -> np.ndarray:
         """One label per momentum of the array ``k``: k, or kx on a 2D grid."""
         return k[..., 0] if self.dimension == 2 else k

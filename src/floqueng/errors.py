@@ -19,9 +19,5 @@ class ToleranceNotReached(FloquetError):
     stalled above the tolerance after converging, or a round was not finite."""
 
 
-class NonUnitaryInput(FloquetError):
-    """A matrix that must be unitary is not, within tolerance."""
-
-
 class RangeOverflow(FloquetError):
     """A real-space expansion produced hopping beyond the supported range."""

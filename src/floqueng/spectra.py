@@ -1,12 +1,11 @@
-"""Band diagrams, quasienergy folding, and Fourier analysis of the shared
-drive envelope 1/(1 + a_plus^2 sin^2 wt)."""
+"""Band diagrams and Fourier analysis of the shared drive envelope
+1/(1 + a_plus^2 sin^2 wt)."""
 
 from __future__ import annotations
 
 import numpy as np
 
 from .algebra import HamiltonianSpec
-from .errors import NonUnitaryInput
 
 ENVELOPE_QUAD_SAMPLES = 8192
 
@@ -61,26 +60,3 @@ def envelope_fourier(a_plus_squared: float, n_max: int) -> np.ndarray:
     coeff = 2 / n * spectrum.real
     coeff[0] /= 2.0
     return coeff
-
-
-def quasienergies(u_t: np.ndarray, omega: float,
-                  strobe_phase: complex = 1.0 + 0j) -> np.ndarray:
-    """Quasienergies of a one-period evolution, folded into (-w/2, w/2].
-
-    Eigenphases theta of U(T)/strobe_phase map to energies -theta/T modulo
-    the driving frequency; folding works entirely mod 2*pi so band energies
-    larger than w/2 never require unwrapping.
-    """
-    u_t = np.asarray(u_t, dtype=complex)
-    dev = np.max(np.abs(u_t @ np.conj(u_t.T) - np.eye(u_t.shape[-1])))
-    if dev > 1e-10:
-        raise NonUnitaryInput(f"input deviates from unitary by {dev:.2e}")
-    period = 2 * np.pi / omega
-    lam = np.linalg.eigvals(u_t / strobe_phase)
-    eps = -np.angle(lam) / period
-    folded = eps - omega * np.round(eps / omega)
-    # zone is half-open: the lower edge belongs to +w/2, with a float-width
-    # snap so exactly-edge eigenphases cannot straddle both sides
-    edge = -omega / 2 + 16 * np.finfo(float).eps * omega
-    folded = np.where(folded <= edge, folded + omega, folded)
-    return np.sort(folded)

@@ -5,15 +5,10 @@ import time
 
 import numpy as np
 
-import floqueng.propagate as prop
 from floqueng import algebra
 from floqueng.gauge import GaugeParams, micromotion_at
 from floqueng.lattice import expand_to_lattice, lattice_vs_momentum_check
-from floqueng.propagate import (
-    integrate_tdse,
-    midpoint_fixed,
-    verify_protocol,
-)
+from floqueng.propagate import integrate_tdse, verify_protocol
 from floqueng.spectra import band_structure, envelope_fourier
 from floqueng.su3 import verify_su3
 from floqueng.synth import (
@@ -21,6 +16,8 @@ from floqueng.synth import (
     general_protocol,
     static_harmonic_residual,
 )
+
+from oracles import K4, MIDPOINT_STEPS, midpoint_errors, midpoint_reference
 
 SQRT2 = np.sqrt(2.0)
 K64 = np.linspace(-np.pi, np.pi, 64, endpoint=False)
@@ -184,24 +181,14 @@ def test_criterion_10_three_band_case():
 
 
 def test_criterion_11_integrator_health():
-    k4 = np.linspace(-np.pi, np.pi, 4, endpoint=False)
     agree = 0.0
     for omega in (8.0, 4.0):
         proto = crossstitch_protocol(omega=omega)
-        hfun = proto.hamiltonian_fn(k4)
+        hfun = proto.hamiltonian_fn(K4)
         u_magnus = integrate_tdse(hfun, proto.period, tol=1e-9).unitaries[-1]
-        u_mid = midpoint_fixed(hfun, proto.period, 2**19)
-        agree = max(agree, float(np.max(np.abs(u_magnus - u_mid))))
+        agree = max(agree, float(np.max(np.abs(u_magnus - midpoint_reference(omega)))))
 
-    proto = crossstitch_protocol()
-    hfun = proto.hamiltonian_fn(np.array([0.9]))
-    ref = prop._propagate(*prop._MAGNUS6, hfun, proto.period, 4096, {4096})[-1]
-    steps = np.array([256, 512, 1024, 2048])
-    errs = np.array([
-        float(np.max(np.abs(midpoint_fixed(hfun, proto.period, int(n)) - ref)))
-        for n in steps
-    ])
-    slope = float(-np.polyfit(np.log(steps), np.log(errs), 1)[0])
+    slope = float(-np.polyfit(np.log(MIDPOINT_STEPS), np.log(midpoint_errors()), 1)[0])
     ok = agree <= 1e-9 and 1.8 <= slope <= 2.2
     report(11, ok,
            f"independent schemes agree to {agree:.3e} <= 1e-9; midpoint "

@@ -13,7 +13,7 @@ def test_ladder_pair_crossstitch_gamma_point():
     # ladder coefficients at k=0 equal the inter-lattice coupling itself:
     # the S+ entry h_minus and the S- entry h_plus of the assembled block
     spec = algebra.cross_stitch(alpha=1.0, delta=2.0)
-    h = spec.matrices(0.0)
+    h = assemble_batch(*spec.coeffs(0.0))
     assert h[0, 1] == pytest.approx(-4.0)
     assert h[1, 0] == pytest.approx(-4.0)
     assert spec.coeffs(0.0)[1] == pytest.approx(-8.0)
@@ -28,13 +28,13 @@ def test_assemble_identity_three_band():
     # the block carries h0 on both levels; the third level is the flat band h0
     spec = algebra.custom(lambda k: (np.full_like(k, 1.7),) + (np.zeros_like(k),) * 3,
                           band_count=3)
-    assert np.allclose(spec.matrices(0.3), 1.7 * np.eye(2))
+    assert np.allclose(assemble_batch(*spec.coeffs(0.3)), 1.7 * np.eye(2))
     assert np.allclose(band_structure(spec, [0.3]), [[1.7, 1.7, 1.7]])
 
 
 def test_assemble_crossstitch_gamma_point():
     spec = algebra.cross_stitch(1.0, 2.0)
-    h = spec.matrices(0.0)
+    h = assemble_batch(*spec.coeffs(0.0))
     assert np.allclose(h, [[-2, -4], [-4, -2]])
     assert np.allclose(band_structure(spec, [0.0]), [[-6.0, 2.0]])
 
@@ -57,7 +57,7 @@ def test_assemble_batch_matches_scalar():
 def test_band_structure_sz():
     spec = algebra.custom(lambda k: (np.zeros_like(k),) * 3 + (np.ones_like(k),))
     assert np.allclose(band_structure(spec, [0.0]), [[-0.5, 0.5]])
-    assert np.allclose(np.linalg.eigvalsh(spec.matrices(0.0)), [-0.5, 0.5])
+    assert np.allclose(np.linalg.eigvalsh(assemble_batch(*spec.coeffs(0.0))), [-0.5, 0.5])
 
 
 def test_band_structure_closed_form_vs_solver():
@@ -67,7 +67,7 @@ def test_band_structure_closed_form_vs_solver():
     spec = algebra.custom(lambda k: tuple(table[k.astype(int)].T))
     k = np.arange(len(table))
     closed = band_structure(spec, k)
-    solver = np.linalg.eigvalsh(spec.matrices(k))
+    solver = np.linalg.eigvalsh(assemble_batch(*spec.coeffs(k)))
     scale = np.maximum(1, np.max(np.abs(closed), axis=1, keepdims=True))
     assert np.all(np.abs(closed - solver) <= 1e-12 * scale)
     h0, hx, hy, hz = table.T
@@ -122,7 +122,8 @@ def test_su3_flat_eigenvalues():
     for kk in (0.0, 0.7, 2.1):
         ex = 2 * np.cos(kk) + 2.0
         r = 0.5 * np.sqrt(2) * abs(ex)
-        assert np.allclose(np.linalg.eigvalsh(spec.matrices(kk)), [-r, r], atol=1e-12)
+        assert np.allclose(np.linalg.eigvalsh(assemble_batch(*spec.coeffs(kk))), [-r, r],
+                           atol=1e-12)
         assert np.allclose(band_structure(spec, [kk]), [[-r, 0.0, r]],
                            atol=1e-12)
         assert spec.coeffs(kk)[0] == 0.0

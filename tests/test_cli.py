@@ -72,6 +72,9 @@ def test_invalid_winding_exits_2_and_writes_nothing(tmp_path, capsys):
     ["synth", "--config", "kpoints = 2.5"],
     ["verify", "--config", "omega = abc"],
     ["fourier", "--config", "ncoeff = 4096"],  # aliased on the quadrature grid
+    ["synth", "--config", "kpoints 16"],  # a line without "="
+    # a model name that only a file can give: the flag's choices refuse it first
+    ["bands", "--config", "model = nosuch"],
     # model parameters are the library defaults, not config keys
     ["synth", "--config", "kitaev_mu = 0.5"],
     ["synth", "--config", "pwave_delta = 0.7"],

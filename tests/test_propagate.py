@@ -20,6 +20,17 @@ from floqueng.propagate import (
 )
 from floqueng.synth import crossstitch_protocol, general_protocol
 
+from oracles import (
+    K4,
+    MIDPOINT_STEPS,
+    convergence_drive,
+    magnus6_fixed,
+    magnus6_reference,
+    midpoint_errors,
+    midpoint_reference,
+    quasienergies,
+)
+
 K8 = np.linspace(-np.pi, np.pi, 8, endpoint=False)
 
 
@@ -99,6 +110,11 @@ def test_long_horizon_sample_grid_accepted(monkeypatch):
                            base_steps=base_steps, sample_times=sample_times)
     assert trace.step_count == 2 * base_steps
     assert len(trace.unitaries) == periods + 1
+    # while a time half a base step off the grid is refused
+    off_grid = [period * (1 + 0.5 / prop.DEFAULT_BASE_STEPS)]
+    with pytest.raises(ValueError, match="base step grid"):
+        integrate_tdse(constant(np.zeros(4)), periods * period, tol=1e-8,
+                       base_steps=base_steps, sample_times=off_grid)
 
 
 def test_base_steps_without_a_second_round_fail_before_the_first(monkeypatch):
@@ -212,12 +228,6 @@ def three_momenta(t):
     hy = np.multiply.outer(np.sin(3 * t), K3)
     hz = np.multiply.outer(t, np.ones_like(K3))
     return np.stack([np.zeros_like(hx), hx, hy, hz], axis=-1)
-
-
-def magnus6_fixed(hfun, horizon, nsteps):
-    """Fixed-step run of the Magnus-6 scheme that integrate_tdse doubles,
-    through the same chunk loop; returns U(horizon)."""
-    return prop._propagate(*prop._MAGNUS6, hfun, horizon, nsteps, {nsteps})[-1]
 
 
 def commutator(a, b):
@@ -343,25 +353,15 @@ def test_chunks_stay_within_the_evaluation_budget(monkeypatch):
 
 
 def test_midpoint_convergence_order():
-    proto = crossstitch_protocol()
-    hfun = proto.hamiltonian_fn(np.array([0.9]))
-    ref = magnus6_fixed(hfun, proto.period, 4096)
-    steps = np.array([256, 512, 1024, 2048])
-    errs = np.array([
-        np.max(np.abs(midpoint_fixed(hfun, proto.period, int(n)) - ref))
-        for n in steps
-    ])
-    slope = -np.polyfit(np.log(steps), np.log(errs), 1)[0]
+    slope = -np.polyfit(np.log(MIDPOINT_STEPS), np.log(midpoint_errors()), 1)[0]
     assert 1.8 <= slope <= 2.2
 
 
 def test_magnus6_convergence_order():
-    proto = crossstitch_protocol()
-    hfun = proto.hamiltonian_fn(np.array([0.9]))
-    ref = magnus6_fixed(hfun, proto.period, 4096)
+    hfun, period = convergence_drive()
     steps = np.array([32, 64, 128, 256])
     errs = np.array([
-        np.max(np.abs(magnus6_fixed(hfun, proto.period, int(n)) - ref))
+        np.max(np.abs(magnus6_fixed(hfun, period, int(n)) - magnus6_reference()))
         for n in steps
     ])
     slope = -np.polyfit(np.log(steps), np.log(errs), 1)[0]
@@ -371,11 +371,8 @@ def test_magnus6_convergence_order():
 @pytest.mark.parametrize("omega", [8.0, 4.0])
 def test_independent_integrators_agree(omega):
     proto = crossstitch_protocol(omega=omega)
-    k = np.linspace(-np.pi, np.pi, 4, endpoint=False)
-    hfun = proto.hamiltonian_fn(k)
-    trace = integrate_tdse(hfun, proto.period, tol=1e-9)
-    u_mid = midpoint_fixed(hfun, proto.period, 2**19)
-    assert np.max(np.abs(trace.unitaries[-1] - u_mid)) <= 1e-9
+    trace = integrate_tdse(proto.hamiltonian_fn(K4), proto.period, tol=1e-9)
+    assert np.max(np.abs(trace.unitaries[-1] - midpoint_reference(omega))) <= 1e-9
 
 
 _CHANNEL = st.tuples(*[st.floats(-2.0, 2.0)] * 7)
@@ -482,8 +479,6 @@ def circular_gap(a, b, omega):
 def test_quasienergy_consistency_with_folding():
     # band energies map to eigenphases modulo the driving quantum; at the
     # zone edge the two folded images coincide, so compare circularly
-    from floqueng.spectra import quasienergies
-
     for omega in (8.0, 4.0):
         proto = crossstitch_protocol(omega=omega)
         trace = integrate_tdse(proto.hamiltonian_fn(K8), proto.period, tol=1e-8)

@@ -7,6 +7,8 @@ from floqueng.propagate import integrate_tdse, midpoint_fixed
 from floqueng.su3 import su3_drive_table, verify_su3
 from floqueng.synth import general_protocol
 
+from oracles import quasienergies
+
 SQRT2 = np.sqrt(2.0)
 GAUGE = GaugeParams(a_plus=SQRT2, p=3, omega=8.0)
 K16 = np.linspace(-np.pi, np.pi, 16, endpoint=False)
@@ -117,8 +119,6 @@ class TestVerification:
         assert np.max(np.abs(u - expected)) <= 1e-8
 
     def test_flat_band_eigenphase(self):
-        from floqueng.spectra import quasienergies
-
         omega = 8.0
         proto = general_protocol(ZERO, su3_flat(delta=2.0),
                                  GaugeParams(a_plus=SQRT2, p=3, omega=omega))

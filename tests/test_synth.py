@@ -88,6 +88,21 @@ class TestTransformMatrices:
             assert np.allclose(transform_m1(mp), np.eye(3), atol=1e-12)
             assert np.allclose(transform_m2(mp, mzr), np.eye(3), atol=1e-12)
 
+    @pytest.mark.parametrize("which", ["m1", "m2"])
+    def test_rows_pair_as_conjugates_bit_for_bit(self, which):
+        # the S- row is the conjugate of the S+ row, and the Sz row has
+        # conjugate ladder entries and a real Sz entry, exactly: so the
+        # drive's f_- = conj(f_+) and real f_z need no floating-point check
+        rng = np.random.default_rng(16)
+        n = 4000
+        m = 10 ** rng.uniform(-3, 3, n) * np.exp(2j * np.pi * rng.uniform(size=n))
+        z = rng.uniform(-200, 200, n)
+        mat = transform_m1(m) if which == "m1" else transform_m2(m, z)
+        pairs = {(1, 1): (0, 0), (1, 0): (0, 1), (1, 2): (0, 2), (2, 1): (2, 0)}
+        for (i, j), (a, b) in pairs.items():
+            assert np.array_equal(mat[:, i, j], np.conj(mat[:, a, b])), (i, j)
+        assert np.array_equal(mat[:, 2, 2].imag, np.zeros(n))
+
 
 class TestCrossStitchDrive:
     def test_initial_sample(self):
@@ -183,7 +198,7 @@ class TestGeneralSynthesis:
         # a_plus^2 h sin^2 overflows in the closed form
         crossstitch_protocol(a_plus=1e154),
         # a_plus^2 overflows to inf and the M1/M2 path turns it into nan,
-        # which no pairing comparison catches
+        # which only the finite check of the drive catches
         general_protocol(algebra.ZERO, algebra.su3_flat(),
                          GaugeParams(a_plus=1e200, p=3, omega=8.0)),
     ])

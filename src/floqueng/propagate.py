@@ -135,27 +135,27 @@ def _eval_h(hfun, ts: np.ndarray, base_shape: tuple | None = None) -> np.ndarray
     return c
 
 
-def _propagate(nodes, exponent, hfun, horizon, nsteps, sample_indices):
-    """``nsteps`` equal steps of the scheme (``nodes``, ``exponent``) from the
-    identity, stacked as U after each step count in ``sample_indices``.
+def _propagate(nodes, exponent, hfun, horizon, nsteps, sample_indices, base_shape=None):
+    """``nsteps`` equal steps of the scheme (``nodes``, ``exponent``), stacked
+    as the product of each segment of steps that ends at a nonzero count in
+    ``sample_indices``; hfun's trailing ``base_shape`` is probed when None.
 
     A chunk of steps holds at most max(``_CHUNK_EVALS``, nodes x momenta)
     evaluations of H: one step over every momentum is never split.  Blocks
     of the largest power of two dividing gcd(nsteps, *sample_indices) steps
-    are each one pairwise tree, merged across chunks if need be, so neither
-    the chunking nor the number of momenta changes any rounding.
+    are each one pairwise tree, merged across chunks if need be and folded
+    serially into their segment, so neither the chunking nor the number of
+    momenta changes any rounding.
     """
     dt = horizon / nsteps
-    base_shape = _eval_h(hfun, np.array([0.5 * dt])).shape[1:]
+    base_shape = base_shape or _eval_h(hfun, np.array([0.5 * dt])).shape[1:]
     u_shape = base_shape[:-1] + (2, 2)
     block = math.gcd(nsteps, *sample_indices)
     block &= -block  # the largest power of two that divides every segment
     fit = max(1, _CHUNK_EVALS // (len(nodes) * math.prod(base_shape[:-1])))
     part = min(block, 1 << (fit.bit_length() - 1))  # steps per tree in a chunk
     width = fit - fit % part
-    u = np.broadcast_to(np.eye(2, dtype=complex), u_shape).copy()
-    snaps = [u] if 0 in sample_indices else []
-    done, pending = 0, []  # steps folded into U; (steps, tree) of the open block
+    segments, seg, done, pending = [], None, 0, []  # (steps, tree) of the open block
     for j in range(0, nsteps, width):
         tmid = (np.arange(j, min(j + width, nsteps)) + 0.5) * dt
         h = _eval_h(hfun, (tmid[:, None] + np.asarray(nodes) * dt).ravel(), base_shape)
@@ -169,11 +169,21 @@ def _propagate(nodes, exponent, hfun, horizon, nsteps, sample_indices):
             if n < block:
                 pending.append((n, p))
                 continue
-            u, done = _matmul(p, u), done + n
+            seg, done = p if seg is None else _matmul(p, seg), done + n
             if done in sample_indices:
-                snaps.append(u)
+                segments.append(seg)
+                seg = None
         del h, e  # free this chunk before the next one is evaluated
-    return np.stack(snaps)
+    return np.stack(segments)
+
+
+def _snapshots(segments: np.ndarray) -> np.ndarray:
+    """U_0 = 1 and the serial chain U_i = segments[i - 1] @ U_(i-1), stacked."""
+    u = np.empty((len(segments) + 1,) + segments.shape[1:], dtype=complex)
+    u[0] = np.eye(2)
+    for i, s in enumerate(segments):
+        u[i + 1] = _matmul(s, u[i])
+    return u
 
 
 def integrate_tdse(hfun: Callable, horizon: float, tol: float = DEFAULT_TOL,
@@ -186,10 +196,13 @@ def integrate_tdse(hfun: Callable, horizon: float, tol: float = DEFAULT_TOL,
     HermiticityError and any other shape raises ValueError.  Batching
     propagates every index between the time axis and the coefficient axis
     independently.  The sixth-order Magnus scheme doubles its step count
-    from a coarse ``base_steps`` until two successive horizon unitaries
-    differ by less than ``tol`` in max-entry norm.  The Richardson estimate
-    ``diff/63`` is within 2% of the error while the differences shrink 64x,
-    but 1.4-94x below it near the rounding floor (about 1e-13): no bound.
+    from a coarse ``base_steps`` until two successive horizon unitaries, each
+    the pairwise product of its round's segments between sample times,
+    differ by less than ``tol`` in max-entry norm; only that accepted round
+    forms the snapshots, serially from the identity, and hfun's shape is
+    probed once per run.  The Richardson estimate ``diff/63`` is within 2%
+    of the error while the differences shrink 64x, but 1.4-94x below it
+    near the rounding floor (about 1e-13): no bound.
     Once a doubling has cut the difference 32x (the order's 64x holds from
     64 steps per period on), the first later cut under 2x (rounding-floor
     cuts measured 0.3-2.4x) raises with the round differences.  A round that
@@ -199,10 +212,10 @@ def integrate_tdse(hfun: Callable, horizon: float, tol: float = DEFAULT_TOL,
     (2 MAX_TOTAL_STEPS) over the first round's samples, above pi; either
     error then names that phase.
 
-    ``sample_times`` must lie on the base step grid so that snapshots remain
-    exact as the step count doubles.  Convergence takes two rounds, so a
-    ``base_steps`` above ``MAX_TOTAL_STEPS / 2`` raises ToleranceNotReached
-    before the first.
+    ``sample_times`` must lie in [0, horizon] and on the base step grid, so
+    that snapshots remain exact as the step count doubles.  Convergence
+    takes two rounds, so a ``base_steps`` above ``MAX_TOTAL_STEPS / 2``
+    raises ToleranceNotReached before the first.
     """
     if not (1e-12 <= tol <= 1e-4):
         raise ValueError(f"tol must lie in [1e-12, 1e-4], got {tol}")
@@ -211,6 +224,8 @@ def integrate_tdse(hfun: Callable, horizon: float, tol: float = DEFAULT_TOL,
                                   f"within the cap of {MAX_TOTAL_STEPS} steps")
 
     sample_times = np.asarray(sorted(set(float(s) for s in sample_times) | {0.0, float(horizon)}))
+    if sample_times[0] < 0 or sample_times[-1] > horizon:
+        raise ValueError(f"sample_times must lie in [0, {horizon}]")
     base_idx = sample_times / horizon * base_steps
     # the rounding of a grid index grows with its size: 1e-9 up to 1e4, relative beyond
     if np.any(np.abs(base_idx - np.round(base_idx)) > np.maximum(1e-9, 1e-13 * base_idx)):
@@ -225,23 +240,26 @@ def integrate_tdse(hfun: Callable, horizon: float, tol: float = DEFAULT_TOL,
         h_max = max(h_max, float(np.max(np.linalg.norm(c[..., 1:], axis=-1))))
         return c
 
+    with np.errstate(over="ignore", invalid="ignore"):
+        base_shape = first_round(np.array([0.5 * horizon / base_steps])).shape[1:]
     nsteps, prev_u, diffs, converging = base_steps, None, [], False
     while True:
         idx = {i * (nsteps // base_steps) for i in base_idx}
         with np.errstate(over="ignore", invalid="ignore"):
-            u = _propagate(*_MAGNUS6, hfun if prev_u is not None else first_round,
-                           horizon, nsteps, idx)
+            segments = _propagate(*_MAGNUS6, hfun if prev_u is not None else first_round,
+                                  horizon, nsteps, idx, base_shape)
+            u = _ordered_product(segments)
         phase = h_max * horizon / (2 * MAX_TOTAL_STEPS)
         unresolvable = (f", and even {MAX_TOTAL_STEPS} steps leave a phase of "
                         f"{phase:.1e} > pi per step" if phase > math.pi else "")
-        if not np.all(np.isfinite(u[-1])):
+        if not np.all(np.isfinite(u)):
             raise ToleranceNotReached(
                 f"horizon unitary is not finite after the {nsteps}-step round{unresolvable}")
         if prev_u is not None:
-            diff = float(np.max(np.abs(u[-1] - prev_u)))
+            diff = float(np.max(np.abs(u - prev_u)))
             if diff < tol:
-                return PropagatorTrace(times=sample_times, unitaries=u, step_count=nsteps,
-                                       estimated_error=diff / 63.0)
+                return PropagatorTrace(times=sample_times, unitaries=_snapshots(segments),
+                                       step_count=nsteps, estimated_error=diff / 63.0)
             if unresolvable:
                 raise ToleranceNotReached(
                     f"round difference {diff:.1e} above tol {tol:.1e}{unresolvable}")
@@ -252,7 +270,7 @@ def integrate_tdse(hfun: Callable, horizon: float, tol: float = DEFAULT_TOL,
                     f"round differences {', '.join(f'{d:.1e}' for d in diffs + [diff])} "
                     f"stopped shrinking at {nsteps} steps above tol {tol:.1e}")
             diffs.append(diff)
-        prev_u = u[-1].copy()  # not a view that would keep every snapshot alive
+        prev_u = u  # a view of one matrix stack only, so it keeps no segment alive
         nsteps *= 2
         if nsteps > MAX_TOTAL_STEPS:
             raise ToleranceNotReached(

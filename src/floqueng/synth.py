@@ -50,7 +50,8 @@ def transform_m1(m_plus) -> np.ndarray:
     out[..., 2, 0] = 1j * np.conj(m)
     out[..., 2, 1] = -1j * m
     out[..., 2, 2] = 1.0 - np.abs(m) ** 2
-    return out / denom[..., None, None]
+    out /= denom[..., None, None]
+    return out
 
 
 def transform_m2(m_plus, mz_real) -> np.ndarray:
@@ -71,7 +72,8 @@ def transform_m2(m_plus, mz_real) -> np.ndarray:
     out[..., 2, 0] = -2 * np.conj(q)
     out[..., 2, 1] = -2 * q
     out[..., 2, 2] = 1.0 - np.abs(m) ** 2
-    return out / denom[..., None, None]
+    out /= denom[..., None, None]
+    return out
 
 
 def _drive_general(target: HamiltonianSpec, static: HamiltonianSpec,
@@ -86,8 +88,8 @@ def _drive_general(target: HamiltonianSpec, static: HamiltonianSpec,
     against a t-grid pass k with a trailing singleton axis.  In M1 and M2
     the S- row is the conjugate of the S+ row entry by entry, and the Sz row
     has conjugate ladder entries and a real Sz entry, so f_- = conj(f_+) and
-    a real f_z hold exactly in floating point; only the S+ and Sz components
-    of f are read.
+    a real f_z hold exactly in floating point; only the S+ and Sz rows are
+    formed, as explicit sums, with one matrix held at a time.
     """
     k = np.asarray(k, dtype=float)
     kphase = np.exp(1j * ladder_phase_angle(k, target.dimension))
@@ -100,15 +102,13 @@ def _drive_general(target: HamiltonianSpec, static: HamiltonianSpec,
     if np.max(np.abs([hxs, hys, hzs])) > 0:
         raise ValueError("static Hamiltonian must be identity-channel only")
 
+    def rows(m, v):  # the S+ and Sz rows of m . v; m is freed on return
+        return [m[..., i, 0] * v[0] + m[..., i, 1] * v[1] + m[..., i, 2] * v[2] for i in (0, 2)]
     mu_plus, mu_zr, dmu_plus, dmu_zr = mu_functions(g, t)
-    h_rot = np.stack(np.broadcast_arrays(np.conj(kphase) * (hxt - 1j * hyt) / 2,
-                                         kphase * (hxt + 1j * hyt) / 2, hzt + 0j), axis=-1)
-    f_rot = np.einsum("...ij,...j->...i", transform_m1(mu_plus),
-                      np.stack([dmu_plus, dmu_plus, dmu_zr], axis=-1)) + \
-        np.einsum("...ij,...j->...i", transform_m2(mu_plus, mu_zr), h_rot)
-
-    f_plus = kphase * f_rot[..., 0]
-    fz = np.real(f_rot[..., 2])
+    d_plus, d_z = rows(transform_m1(mu_plus), (dmu_plus, dmu_plus, dmu_zr))
+    h_rot = (np.conj(kphase) * (hxt - 1j * hyt) / 2, kphase * (hxt + 1j * hyt) / 2, hzt)
+    h_plus, h_z = rows(transform_m2(mu_plus, mu_zr), h_rot)
+    f_plus, fz = kphase * (d_plus + h_plus), np.real(d_z + h_z)
     return h0t - h0s + np.zeros(fz.shape), 2 * np.real(f_plus), -2 * np.imag(f_plus), fz
 
 
@@ -160,11 +160,14 @@ def harmonic_time_factors(g: GaugeParams, t) -> np.ndarray:
     """f_e(t) T_f(t) for every label of ``TIME_LABELS``, stacked on a
     leading axis over the shape of ``t``."""
     wt = g.omega * np.asarray(t, dtype=float)
-    s, cp, sp = np.sin(wt), np.cos(g.p * wt), np.sin(g.p * wt)
-    s2 = s * s
-    fe = 1.0 / (1.0 + g.a_plus**2 * s2)
-    return fe * np.stack([np.ones_like(wt), np.cos(wt), s, np.cos(2 * wt), cp, sp,
-                          s * cp, s * sp, s2 * cp, s2 * sp])
+    out = np.empty((len(TIME_LABELS),) + wt.shape)
+    s = np.sin(wt, out=out[2, ...])
+    out[0] = 1.0 / (1.0 + g.a_plus**2 * (s * s))  # f_e
+    out[1], out[3], out[4], out[5] = np.cos(wt), np.cos(2 * wt), np.cos(g.p * wt), np.sin(g.p * wt)
+    np.multiply(s, out[4:6], out=out[6:8])
+    np.multiply(s * s, out[4:6], out=out[8:10])
+    out[1:] *= out[0]
+    return out
 
 
 def _momentum_harmonics(k) -> np.ndarray:
@@ -272,13 +275,12 @@ class DrivingProtocol:
             harmonics = _momentum_harmonics(k)
             return lambda t: _table_stack(c, self.gauge, h0, harmonics,
                                           np.asarray(t, dtype=float), self.fz_scale)
-        km = np.asarray(k, dtype=float)[:, None]
+        km = np.asarray(k, dtype=float)[None]  # time-leading: the stack needs no copy
         h0s = self.static.coeffs(km)[0]
 
         def fn(t):
-            f0, fx, fy, fz = self.drive_components(km, np.asarray(t, dtype=float)[None, :])
-            c = np.stack(np.broadcast_arrays(h0s + f0, fx, fy, fz), axis=-1)
-            return c.swapaxes(0, 1)
+            f0, fx, fy, fz = self.drive_components(km, np.asarray(t, dtype=float)[:, None])
+            return np.stack(np.broadcast_arrays(h0s + f0, fx, fy, fz), axis=-1)
 
         return fn
 

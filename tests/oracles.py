@@ -1,14 +1,16 @@
 """Oracles shared by the test modules: quasienergy folding of a one-period
-unitary, and the fixed-step integrator references that several tests compare
-against, each computed once per session."""
+unitary, the full 3x3 M1/M2 contraction of the general drive, and the
+fixed-step integrator references that several tests compare against, each
+computed once per session."""
 
 from functools import cache
 
 import numpy as np
 
 import floqueng.propagate as prop
+from floqueng.gauge import ladder_phase_angle, mu_functions
 from floqueng.propagate import midpoint_fixed
-from floqueng.synth import crossstitch_protocol
+from floqueng.synth import crossstitch_protocol, transform_m1, transform_m2
 
 #: The four momenta on which the two integrators are compared.
 K4 = np.linspace(-np.pi, np.pi, 4, endpoint=False)
@@ -33,6 +35,25 @@ def quasienergies(u_t: np.ndarray, omega: float,
     edge = -omega / 2 + 16 * np.finfo(float).eps * omega
     folded = np.where(folded <= edge, folded + omega, folded)
     return np.sort(folded)
+
+
+def einsum_drive(target, static, g, k, t):
+    """The general drive (f0, fx, fy, fz) with every row of M1 dmu and
+    M2 Phi^dagger h contracted by einsum over the 3x3 matrices, formed on
+    the time samples and phased per momentum, as the library first did."""
+    k = np.asarray(k, dtype=float)
+    kphase = np.exp(1j * ladder_phase_angle(k, target.dimension))
+    h0t, hxt, hyt, hzt = target.coeffs(k)
+    h0s = static.coeffs(k)[0]
+    mu_plus, mu_zr, dmu_plus, dmu_zr = mu_functions(g, t)
+    h_rot = np.stack(np.broadcast_arrays(np.conj(kphase) * (hxt - 1j * hyt) / 2,
+                                         kphase * (hxt + 1j * hyt) / 2, hzt + 0j), axis=-1)
+    f_rot = np.einsum("...ij,...j->...i", transform_m1(mu_plus),
+                      np.stack([dmu_plus, dmu_plus, dmu_zr], axis=-1)) + \
+        np.einsum("...ij,...j->...i", transform_m2(mu_plus, mu_zr), h_rot)
+    f_plus = kphase * f_rot[..., 0]
+    fz = np.real(f_rot[..., 2])
+    return h0t - h0s + np.zeros(fz.shape), 2 * np.real(f_plus), -2 * np.imag(f_plus), fz
 
 
 def magnus6_fixed(hfun, horizon, nsteps):

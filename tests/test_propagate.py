@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from scipy.linalg import expm as scipy_expm
 
 import floqueng.propagate as prop
-from floqueng.algebra import ZERO, assemble_batch, custom
+from floqueng.algebra import ZERO, assemble_batch, custom, su3_flat
 from floqueng.errors import HermiticityError, ToleranceNotReached
 from floqueng.gauge import GaugeParams, micromotion_at
 from floqueng.propagate import (
@@ -92,8 +92,9 @@ def test_tolerance_not_reached(monkeypatch):
 def test_long_horizon_sample_grid_accepted(monkeypatch):
     # 2^18 periods put grid indices near 1.7e7, where the rounding of
     # n T / (P T) * 64 P already exceeds an absolute 1e-9; a stub propagator
-    # that returns identities keeps the run short, and a doubled cap lets it
-    # reach the second round
+    # that returns identities and a stub snapshot chain (2^18 serial products
+    # take seconds) keep the run short, and a doubled cap lets it reach the
+    # second round
     monkeypatch.setattr(prop, "MAX_TOTAL_STEPS", 2**25)
     periods = 2**18
     period = 2 * np.pi / 8.0
@@ -102,10 +103,13 @@ def test_long_horizon_sample_grid_accepted(monkeypatch):
     idx = np.asarray(sample_times) / (periods * period) * base_steps
     assert np.max(np.abs(idx - np.round(idx))) > 1e-9
 
-    def identities(nodes, exponent, hfun, horizon, nsteps, sample_indices):
-        return np.broadcast_to(np.eye(2, dtype=complex), (len(sample_indices), 2, 2))
+    def identities(nodes, exponent, hfun, horizon, nsteps, sample_indices, base_shape):
+        # one segment ends at every sampled step count but the first
+        return np.broadcast_to(np.eye(2, dtype=complex), (len(sample_indices) - 1, 2, 2))
 
     monkeypatch.setattr(prop, "_propagate", identities)
+    monkeypatch.setattr(prop, "_snapshots", lambda segments: np.broadcast_to(
+        np.eye(2, dtype=complex), (len(segments) + 1, 2, 2)))
     trace = integrate_tdse(constant(np.zeros(4)), periods * period, tol=1e-8,
                            base_steps=base_steps, sample_times=sample_times)
     assert trace.step_count == 2 * base_steps
@@ -149,8 +153,8 @@ def test_stalled_round_difference_fails_fast(monkeypatch):
 
     def jittered(*args):
         u = propagate(*args)
-        u[-1] *= np.exp(1e-9j * (-1) ** len(rounds))
-        rounds.append(args[-2])
+        u[-1] *= np.exp(1e-9j * (-1) ** len(rounds))  # the last segment, so the horizon
+        rounds.append(args[4])
         return u
 
     monkeypatch.setattr(prop, "_propagate", jittered)
@@ -167,7 +171,7 @@ def test_unresolvable_drive_fails_after_two_rounds(monkeypatch):
     propagate, rounds = prop._propagate, []
 
     def counted(*args):
-        rounds.append(args[-2])
+        rounds.append(args[4])
         return propagate(*args)
 
     monkeypatch.setattr(prop, "_propagate", counted)
@@ -206,6 +210,69 @@ def test_unbatched_hfun_rejected():
 def test_tol_range_validated():
     with pytest.raises(ValueError):
         integrate_tdse(constant(np.zeros(4)), horizon=1.0, tol=1e-2)
+
+
+@pytest.mark.parametrize("sample", [2.0, -0.5])
+def test_sample_times_outside_the_horizon_rejected(monkeypatch, sample):
+    # both lie on the base step grid, but past either end of the run no
+    # snapshot is ever formed, so the trace would hold fewer unitaries than
+    # times; they must fail before the first round
+    rounds = []
+    monkeypatch.setattr(prop, "_propagate", lambda *args: rounds.append(args))
+    with pytest.raises(ValueError, match=r"lie in \[0, 1.0\]"):
+        integrate_tdse(constant(np.zeros(4)), 1.0, sample_times=[sample])
+    assert rounds == []
+
+
+def su3flat_protocol():
+    return general_protocol(ZERO, su3_flat(), GaugeParams(a_plus=np.sqrt(2.0), p=3, omega=8.0))
+
+
+@pytest.mark.parametrize("make", [crossstitch_protocol, su3flat_protocol])
+def test_one_run_forms_snapshots_once_and_probes_shape_once(monkeypatch, make):
+    # every round propagates and compares its horizon, but only the accepted
+    # round forms the snapshot chain, and hfun's shape is learnt from one
+    # single-time call per run
+    proto = make()
+    calls = {"rounds": 0, "snapshots": 0, "probes": 0}
+    propagate, snapshots, hfun = prop._propagate, prop._snapshots, proto.hamiltonian_fn(K8)
+
+    def counted(name, fn):
+        def wrapped(*args):
+            calls[name] += 1
+            return fn(*args)
+        return wrapped
+
+    def probed(t):
+        calls["probes"] += len(t) == 1  # a chunk holds at least the three nodes of a step
+        return hfun(t)
+
+    monkeypatch.setattr(prop, "_propagate", counted("rounds", propagate))
+    monkeypatch.setattr(prop, "_snapshots", counted("snapshots", snapshots))
+    samples = np.linspace(0, proto.period, prop.MICROMOTION_SAMPLES, endpoint=False)
+    trace = integrate_tdse(probed, proto.period, tol=1e-8, sample_times=samples)
+    assert calls["rounds"] >= 3 and calls["snapshots"] == calls["probes"] == 1
+    assert trace.unitaries.shape == (len(samples) + 1, len(K8), 2, 2)
+
+
+@pytest.mark.parametrize("make", [crossstitch_protocol, su3flat_protocol])
+def test_one_period_snapshots_are_the_serial_block_chain(make):
+    # on verify's one-period sample grid every segment is one block, so the
+    # accepted snapshots are U = block @ U folded from the identity block by
+    # block, bit for bit; the blocks come from a run sampled at every block
+    proto = make()
+    hfun = proto.hamiltonian_fn(K8)
+    samples = np.linspace(0, proto.period, prop.MICROMOTION_SAMPLES, endpoint=False)
+    trace = integrate_tdse(hfun, proto.period, tol=1e-8, sample_times=samples)
+    n = trace.step_count
+    block = n // prop.MICROMOTION_SAMPLES
+    blocks = prop._propagate(*prop._MAGNUS6, hfun, proto.period, n, set(range(0, n + 1, block)))
+    u = np.broadcast_to(np.eye(2, dtype=complex), blocks.shape[1:]).copy()
+    chain = [u]
+    for b in blocks:
+        u = prop._matmul(b, u)
+        chain.append(u)
+    assert np.array_equal(trace.unitaries, np.stack(chain))
 
 
 def test_three_period_composition_is_cube_of_floquet_operator():
@@ -309,7 +376,8 @@ def test_chunk_loop_matches_stepwise_product(monkeypatch, scheme, nsteps, budget
     # 240 fits 26 or 40 steps, so whole blocks; 4096 holds the whole run
     monkeypatch.setattr(prop, "_CHUNK_EVALS", budget)
     idx = [0, nsteps // 4, nsteps // 2, nsteps]
-    snaps = prop._propagate(*SCHEMES[scheme], three_momenta, 1.0, nsteps, set(idx))
+    snaps = prop._snapshots(prop._propagate(*SCHEMES[scheme], three_momenta, 1.0, nsteps,
+                                            set(idx)))
     ref = stepwise_reference(scheme, three_momenta, 1.0, nsteps)
     assert snaps.shape == (len(idx), len(K3), 2, 2)
     for i, snap in zip(idx, snaps):

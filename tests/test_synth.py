@@ -1,4 +1,5 @@
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -14,6 +15,8 @@ from floqueng.synth import (
     transform_m1,
     transform_m2,
 )
+
+from oracles import einsum_drive
 
 SQRT2 = np.sqrt(2.0)
 
@@ -234,6 +237,26 @@ class TestGeneralSynthesis:
                 for ts in np.split(np.arange(n_t), cuts):
                     assert np.array_equal(hfun(t[ts]), expected[ks][:, ts].swapaxes(0, 1))
 
+    def test_paired_drive_holds_one_matrix_stack(self):
+        # the benchmark's table check evaluates the general cross-stitch drive
+        # on 512 x 256 paired (k, t) points, where one complex 3x3 stack takes
+        # 18 MiB.  The drive holds one stack at a time, beside less than two
+        # stacks' worth of inputs, partial sums and temporaries; a second
+        # live stack, or an undivided copy of one, goes over the three
+        n = 512 * 256
+        g = GaugeParams(a_plus=SQRT2, p=3, omega=8.0)
+        proto = general_protocol(algebra.uncoupled_chains(1.0), algebra.cross_stitch(1.0, 2.0), g)
+        k = np.repeat(np.linspace(-np.pi, np.pi, 512, endpoint=False), 256)
+        t = np.tile(np.linspace(0, g.period, 256, endpoint=False), 512)
+        proto.drive_components(k[:8], t[:8])
+        tracemalloc.start()
+        try:
+            proto.drive_components(k, t)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 3 * n * 9 * np.dtype(complex).itemsize
+
     def test_components_stay_real_for_random_targets(self):
         rng = np.random.default_rng(3)
         for trial in range(10):
@@ -352,6 +375,33 @@ class TestMomentumFactorization:
             ref = np.stack(per_sample_drive(target, static, g, k, t))
             assert got.shape == ref.shape == (4, 24, 16)
             assert np.max(np.abs(got - ref)) <= 1e-14 * np.max(np.abs(ref))
+
+    def test_drive_matches_the_einsum_formula(self):
+        # the drive forms only the S+ and Sz rows of M1 dmu and M2 Phi^dagger h,
+        # as explicit sums; the full einsum contraction adds the same three
+        # products per row in another order, so each of the two row sums may
+        # move by 2 eps of its largest term: 4 eps of the largest entry in all
+        rng = np.random.default_rng(17)
+        for trial in range(60):
+            dimension = 1 + trial % 2
+            target = (algebra.su3_flat(rng.uniform(-3, 3)) if trial % 6 == 0
+                      else random_trig(rng, dimension))
+            static = (algebra.uncoupled_chains(rng.uniform(-2, 2))
+                      if dimension == 1 and target.band_count == 2 else algebra.ZERO)
+            g = GaugeParams(a_plus=rng.uniform(0, 3), p=int(rng.integers(-6, 7)),
+                            omega=rng.uniform(0.5, 20))
+            tail = (dimension,) if dimension == 2 else ()
+            if trial % 4 < 2:  # paired: one momentum per time
+                k = rng.uniform(-np.pi, np.pi, (50,) + tail)
+                t = rng.uniform(0, g.period, 50)
+            else:  # a momentum grid meshed against a time grid
+                k = rng.uniform(-np.pi, np.pi, (20, 1) + tail)
+                t = rng.uniform(0, g.period, (1, 15))
+            got = np.stack(np.broadcast_arrays(
+                *general_protocol(static, target, g).drive_components(k, t)))
+            ref = np.stack(np.broadcast_arrays(*einsum_drive(target, static, g, k, t)))
+            assert got.shape == ref.shape
+            assert np.max(np.abs(got - ref)) <= 4 * np.finfo(float).eps * np.max(np.abs(ref))
 
     def test_three_band_drive_matches_per_sample_formula(self):
         g = GaugeParams(a_plus=SQRT2, p=3, omega=4.0)

@@ -73,6 +73,11 @@ class HamiltonianSpec:
         """One label per momentum of the array ``k``: k, or kx on a 2D grid."""
         return k[..., 0] if self.dimension == 2 else k
 
+    def ladder_angle(self, k) -> np.ndarray:
+        """Phase angle of the ladder-channel momentum profile e^{ik} at the
+        array ``k``: k, or kx + ky on a 2D grid."""
+        return k.sum(axis=-1) if self.dimension == 2 else k
+
 
 def cross_stitch(alpha: float = 1.0, delta: float = 2.0) -> HamiltonianSpec:
     """Two-band chain with one flat band at energy ``delta`` and one

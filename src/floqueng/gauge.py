@@ -80,17 +80,9 @@ def micromotion_matrix(m_plus, mz_real) -> np.ndarray:
     return pref[..., None, None] * out
 
 
-def ladder_phase_angle(k, dimension: int = 1):
-    """Total phase angle of the ladder-channel momentum profile: k in 1D,
-    kx + ky in 2D (component sum along the trailing axis)."""
-    k = np.asarray(k, dtype=float)
-    if dimension == 1:
-        return k
-    return k.sum(axis=-1)
-
-
-def micromotion_at(g: GaugeParams, k, t, dimension: int = 1) -> np.ndarray:
-    """Micro-motion matrix of the gauge family at momentum k and time t."""
+def micromotion_at(g: GaugeParams, angle, t) -> np.ndarray:
+    """Micro-motion matrix of the gauge family at time t and ladder phase
+    angle ``angle`` (k in 1D, see ``HamiltonianSpec.ladder_angle``)."""
     mu_plus, mu_zr, *_ = mu_functions(g, t)
-    kphase = np.exp(1j * ladder_phase_angle(k, dimension))
+    kphase = np.exp(1j * np.asarray(angle, dtype=float))
     return micromotion_matrix(mu_plus * kphase, mu_zr)

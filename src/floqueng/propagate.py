@@ -213,9 +213,10 @@ def integrate_tdse(hfun: Callable, horizon: float, tol: float = DEFAULT_TOL,
     error then names that phase.
 
     ``sample_times`` must lie in [0, horizon] and on the base step grid, so
-    that snapshots remain exact as the step count doubles.  Convergence
-    takes two rounds, so a ``base_steps`` above ``MAX_TOTAL_STEPS / 2``
-    raises ToleranceNotReached before the first.
+    that snapshots remain exact as the step count doubles, and no two of
+    them may round to one grid point.  Convergence takes two rounds, so a
+    ``base_steps`` above ``MAX_TOTAL_STEPS / 2`` raises ToleranceNotReached
+    before the first.
     """
     if not (1e-12 <= tol <= 1e-4):
         raise ValueError(f"tol must lie in [1e-12, 1e-4], got {tol}")
@@ -231,6 +232,10 @@ def integrate_tdse(hfun: Callable, horizon: float, tol: float = DEFAULT_TOL,
     if np.any(np.abs(base_idx - np.round(base_idx)) > np.maximum(1e-9, 1e-13 * base_idx)):
         raise ValueError("sample_times must fall on the base step grid")
     base_idx = np.round(base_idx).astype(int).tolist()
+    for i in range(len(base_idx) - 1):
+        if base_idx[i] == base_idx[i + 1]:  # the trace would hold one unitary for two times
+            raise ValueError(f"sample_times {sample_times[i]} and {sample_times[i + 1]} "
+                             "fall on one grid point")
 
     h_max = 0.0  # the largest |(hx, hy, hz)| among the first round's samples
 
@@ -341,7 +346,7 @@ def verify_protocol(protocol: DrivingProtocol, k_grid, periods: int = 1,
 
     p_num = extract_micromotion(trace, c_target)  # (n_t, ..., 2, 2)
     t = trace.times.reshape((-1,) + (1,) * (p_num.ndim - 3))
-    p_ref = micromotion_at(protocol.gauge, k_grid, t, dimension=protocol.target.dimension)
+    p_ref = micromotion_at(protocol.gauge, protocol.target.ladder_angle(k_grid), t)
 
     return VerificationReport(
         max_strobe_error=float(np.max(strobe_errors)),

@@ -28,7 +28,7 @@ import numpy as np
 
 from . import algebra
 from .algebra import HamiltonianSpec
-from .gauge import GaugeParams, ladder_phase_angle, mu_functions
+from .gauge import GaugeParams, mu_functions
 
 #: Samples per period for the static-harmonic quadrature; the integrand is a
 #: low-order trigonometric polynomial, so this is far beyond spectral accuracy.
@@ -92,7 +92,7 @@ def _drive_general(target: HamiltonianSpec, static: HamiltonianSpec,
     formed, as explicit sums, with one matrix held at a time.
     """
     k = np.asarray(k, dtype=float)
-    kphase = np.exp(1j * ladder_phase_angle(k, target.dimension))
+    kphase = np.exp(1j * target.ladder_angle(k))
 
     h0t, hxt, hyt, hzt = target.coeffs(k)
     if target.band_count == 3 and np.any(h0t != 0):
@@ -179,33 +179,19 @@ def _momentum_harmonics(k) -> np.ndarray:
         [np.cos(mk), np.sin(mk)], axis=1).reshape((2 * MAX_RANGE,) + k.shape)])
 
 
-def _table_drive(c: np.ndarray, g: GaugeParams, k, t):
-    """f_c(k, t) = sum over f, b of f_e(t) T_f(t) C[f, c, b] H_b(k) as the
-    arrays (fx, fy, fz), broadcast over momentum and time."""
-    per_harmonic = np.einsum("fcb,f...->cb...", c, harmonic_time_factors(g, t))
-    return np.einsum("cb...,b...->c...", per_harmonic, _momentum_harmonics(k))
+def _table_drive(c: np.ndarray, g: GaugeParams, harmonics: np.ndarray, t) -> np.ndarray:
+    """f_c(k, t) = sum over f, b of f_e(t) T_f(t) C[f, c, b] H_b(k), with the
+    (7, ...) momentum ``harmonics`` H_b broadcast against ``t``, channels
+    last: (n_t, 1) times against (7, 1, n_k) harmonics give the time-major
+    (n_t, n_k, channels) stack whose time axis propagation splits as a view."""
+    per_harmonic = np.einsum("fcb,f...->...cb", c, harmonic_time_factors(g, t))
+    # einsum lays out the stack itself: an out= operand makes it 10x slower, order="C" 4x
+    return np.einsum("...cb,b...->...c", per_harmonic, harmonics)
 
 
 def _require_finite(*arrays) -> None:
     if not all(np.isfinite(a).all() for a in arrays):
         raise ValueError("drive is not finite at this gauge amplitude and frequency")
-
-
-def _table_stack(c: np.ndarray, g: GaugeParams, h0: np.ndarray, harmonics: np.ndarray,
-                 t: np.ndarray, fz_scale: float) -> np.ndarray:
-    """:func:`_table_drive` at the 1D times ``t`` on the n_k momenta of the
-    (7, n_k) ``harmonics``, as the C-contiguous (n_t, n_k, 4) stack (h0, fx,
-    fy, fz_scale fz); ``c`` leads with a zero channel that ``h0`` fills.  A
-    drive that overflows raises ValueError."""
-    with np.errstate(over="ignore", invalid="ignore"):
-        per_harmonic = np.einsum("fcb,ft->tcb", c, harmonic_time_factors(g, t))
-        # einsum allocates the stack itself: an out= operand makes it 10x slower
-        out = np.einsum("tcb,bk->tkc", per_harmonic, harmonics)
-        if fz_scale != 1.0:
-            out[..., 3] *= fz_scale
-    out[..., 0] = h0
-    _require_finite(out)
-    return out
 
 
 @dataclass(frozen=True)
@@ -215,10 +201,11 @@ class DrivingProtocol:
     ``closed_form`` holds the (alpha, delta) of the flat-band chain target
     when the drive is evaluated in closed form, from the hopping-harmonic
     table of :func:`crossstitch_rows`; ``None`` selects the general M1/M2
-    synthesis path; propagating a closed form forms its momentum harmonics
-    once per grid (:meth:`hamiltonian_fn`).  ``fz_scale`` deliberately
-    detunes the z component and exists only so sensitivity tests can
-    confirm that verification catches a broken drive.
+    synthesis path.  Both :meth:`drive_components` and
+    :meth:`hamiltonian_fn` contract that table in :func:`_table_drive`, the
+    latter with momentum harmonics formed once per grid.  ``fz_scale``
+    deliberately detunes the z component and exists only so sensitivity
+    tests can confirm that verification catches a broken drive.
     """
 
     target: HamiltonianSpec
@@ -234,11 +221,12 @@ class DrivingProtocol:
     @cached_property
     def _harmonic_tensor(self) -> np.ndarray:
         """C[f, c, b]: the table's coefficient of time factor f in channel c
-        (x, y, z) at momentum harmonic b (1, cos k, sin k, ..., sin 3k)."""
-        c = np.zeros((len(TIME_LABELS), 3, 2 * MAX_RANGE + 1))
+        (h0, x, y, z) at momentum harmonic b (1, cos k, sin k, ..., sin 3k);
+        the h0 channel is zero, so the contraction gives f0 = 0 itself."""
+        c = np.zeros((len(TIME_LABELS), 4, 2 * MAX_RANGE + 1))
         for channel, m, kfn, label, coef in crossstitch_rows(*self.closed_form, self.gauge):
             b = 2 * m - (kfn == "cos") if m else 0
-            c[TIME_LABELS.index(label), "xyz".index(channel), b] += coef
+            c[TIME_LABELS.index(label), 1 + "xyz".index(channel), b] += coef
         return c
 
     def drive_components(self, k, t):
@@ -247,8 +235,8 @@ class DrivingProtocol:
         g = self.gauge
         with np.errstate(over="ignore", invalid="ignore"):
             if self.closed_form is not None:
-                fx, fy, fz = _table_drive(self._harmonic_tensor, g, k, t)
-                f0 = np.zeros(fx.shape)
+                f0, fx, fy, fz = np.moveaxis(
+                    _table_drive(self._harmonic_tensor, g, _momentum_harmonics(k), t), -1, 0)
             else:
                 f0, fx, fy, fz = _drive_general(self.target, self.static, g, k, t)
             if self.fz_scale != 1.0:
@@ -266,23 +254,31 @@ class DrivingProtocol:
         fixed momentum grid, for propagation: a 1D time array gives the real
         (n_t, n_k, 4) stack of coefficients (h0, hx, hy, hz), those of the
         coupled block for three-band targets too.  A closed form forms its 7
-        momentum harmonics and static h0 here, once per grid, so a call forms
-        only the 10 time factors, into one C-contiguous stack."""
-        if self.closed_form is not None:
-            k = np.asarray(k, dtype=float)
-            h0 = self.static.coeffs(k)[0] + 0.0  # h0 + f0 at f0 = 0: -0.0 reads 0.0
-            c = np.pad(self._harmonic_tensor, ((0, 0), (1, 0), (0, 0)))  # a zero h0 channel
-            harmonics = _momentum_harmonics(k)
-            return lambda t: _table_stack(c, self.gauge, h0, harmonics,
-                                          np.asarray(t, dtype=float), self.fz_scale)
+        momentum harmonics here, once per grid, and a call contracts them
+        with the 10 time factors in :func:`_table_drive`, the kernel of
+        :meth:`drive_components` too."""
         km = np.asarray(k, dtype=float)[None]  # time-leading: the stack needs no copy
         h0s = self.static.coeffs(km)[0]
+        if self.closed_form is None:
+            def fn(t):
+                f0, fx, fy, fz = self.drive_components(km, np.asarray(t, dtype=float)[:, None])
+                return np.stack(np.broadcast_arrays(h0s + f0, fx, fy, fz), axis=-1)
 
-        def fn(t):
-            f0, fx, fy, fz = self.drive_components(km, np.asarray(t, dtype=float)[:, None])
-            return np.stack(np.broadcast_arrays(h0s + f0, fx, fy, fz), axis=-1)
+            return fn
+        h0 = h0s + 0.0  # h0 + f0 at f0 = 0: -0.0 reads 0.0
+        harmonics = _momentum_harmonics(km)
 
-        return fn
+        def table_fn(t):
+            with np.errstate(over="ignore", invalid="ignore"):
+                out = _table_drive(self._harmonic_tensor, self.gauge, harmonics,
+                                   np.asarray(t, dtype=float)[:, None])
+                if self.fz_scale != 1.0:
+                    out[..., 3] *= self.fz_scale
+            out[..., 0] = h0  # assigned: += would take a 64 KiB ufunc buffer
+            _require_finite(out)
+            return out
+
+        return table_fn
 
 
 def crossstitch_protocol(alpha=1.0, delta=2.0, omega=8.0, a_plus=np.sqrt(2.0),

@@ -8,7 +8,7 @@ from functools import cache
 import numpy as np
 
 import floqueng.propagate as prop
-from floqueng.gauge import ladder_phase_angle, mu_functions
+from floqueng.gauge import mu_functions
 from floqueng.propagate import midpoint_fixed
 from floqueng.synth import crossstitch_protocol, transform_m1, transform_m2
 
@@ -42,7 +42,7 @@ def einsum_drive(target, static, g, k, t):
     M2 Phi^dagger h contracted by einsum over the 3x3 matrices, formed on
     the time samples and phased per momentum, as the library first did."""
     k = np.asarray(k, dtype=float)
-    kphase = np.exp(1j * ladder_phase_angle(k, target.dimension))
+    kphase = np.exp(1j * target.ladder_angle(k))
     h0t, hxt, hyt, hzt = target.coeffs(k)
     h0s = static.coeffs(k)[0]
     mu_plus, mu_zr, dmu_plus, dmu_zr = mu_functions(g, t)

@@ -224,6 +224,17 @@ def test_sample_times_outside_the_horizon_rejected(monkeypatch, sample):
     assert rounds == []
 
 
+def test_sample_times_on_one_grid_point_rejected(monkeypatch):
+    # both pass the grid tolerance and round to index 32 of 64: the trace
+    # would hold four times but three unitaries, so they fail before the
+    # first round, naming both times
+    rounds = []
+    monkeypatch.setattr(prop, "_propagate", lambda *args: rounds.append(args))
+    with pytest.raises(ValueError, match=r"0\.5 and 0\.500000000001 fall on one grid point"):
+        integrate_tdse(constant(np.zeros(4)), 1.0, sample_times=[0.5, 0.5 + 1e-12])
+    assert rounds == []
+
+
 def su3flat_protocol():
     return general_protocol(ZERO, su3_flat(), GaugeParams(a_plus=np.sqrt(2.0), p=3, omega=8.0))
 

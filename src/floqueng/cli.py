@@ -61,8 +61,12 @@ class ConfigError(ValueError):
 
 
 def load_config(path: str) -> dict:
-    out = {}
-    for lineno, raw in enumerate(Path(path).read_text().splitlines(), 1):
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{path}: not UTF-8 text ({exc.reason} at byte {exc.start})") from None
+    out, first = {}, {}  # each key's value and the line that set it
+    for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
@@ -71,7 +75,9 @@ def load_config(path: str) -> dict:
         key, value = (s.strip() for s in line.split("=", 1))
         if key not in DEFAULTS:
             raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
-        out[key] = value
+        if key in first:
+            raise ConfigError(f"{path}: key {key!r} set on lines {first[key]} and {lineno}")
+        out[key], first[key] = value, lineno
     return out
 
 
@@ -320,15 +326,15 @@ def main(argv=None) -> int:
         cfg = validate(cfg)
         if args.command == "lattice" and cfg["model"] != "crossstitch":
             raise ConfigError(f"lattice expands model crossstitch only, got {cfg['model']!r}")
+        outdir = Path(cfg["out"])
+        outdir.mkdir(parents=True, exist_ok=True)
     except (ConfigError, OSError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_BAD_CONFIG
 
-    outdir = Path(cfg["out"])
     try:
-        outdir.mkdir(parents=True, exist_ok=True)
         return COMMANDS[args.command](cfg, outdir)
-    except (FloquetError, ValueError) as exc:
+    except (FloquetError, ValueError, OSError) as exc:
         print(f"runtime error: {exc}", file=sys.stderr)
         return EXIT_RUNTIME
 

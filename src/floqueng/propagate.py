@@ -23,8 +23,9 @@ quasienergy folding can never introduce a logarithm branch choice.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable, Iterable
 
 import numpy as np
 
@@ -35,7 +36,6 @@ from .synth import DrivingProtocol
 MAX_TOTAL_STEPS = 2**24
 DEFAULT_BASE_STEPS = 64
 DEFAULT_TOL = 1e-9
-MICROMOTION_SAMPLES = 64  # per period; divides DEFAULT_BASE_STEPS, so they sit on every grid
 # Hamiltonian evaluations (nodes x steps x momenta) a chunk aims to hold; a
 # chunk is at least one step over all momenta, so the bound kept is
 # max(_CHUNK_EVALS, nodes x momenta)
@@ -188,7 +188,7 @@ def _snapshots(segments: np.ndarray) -> np.ndarray:
 
 def integrate_tdse(hfun: Callable, horizon: float, tol: float = DEFAULT_TOL,
                    base_steps: int = DEFAULT_BASE_STEPS,
-                   sample_times: Sequence[float] = ()) -> PropagatorTrace:
+                   sample_steps: Iterable[int] = ()) -> PropagatorTrace:
     """Propagate dU/dt = -i H(t) U from the identity over [0, horizon].
 
     ``hfun`` maps a 1D array of n_t times to a real (n_t, ..., 4) stack of
@@ -197,7 +197,7 @@ def integrate_tdse(hfun: Callable, horizon: float, tol: float = DEFAULT_TOL,
     propagates every index between the time axis and the coefficient axis
     independently.  The sixth-order Magnus scheme doubles its step count
     from a coarse ``base_steps`` until two successive horizon unitaries, each
-    the pairwise product of its round's segments between sample times,
+    the pairwise product of its round's segments between sampled steps,
     differ by less than ``tol`` in max-entry norm; only that accepted round
     forms the snapshots, serially from the identity, and hfun's shape is
     probed once per run.  The Richardson estimate ``diff/63`` is within 2%
@@ -212,30 +212,25 @@ def integrate_tdse(hfun: Callable, horizon: float, tol: float = DEFAULT_TOL,
     (2 MAX_TOTAL_STEPS) over the first round's samples, above pi; either
     error then names that phase.
 
-    ``sample_times`` must lie in [0, horizon] and on the base step grid, so
-    that snapshots remain exact as the step count doubles, and no two of
-    them may round to one grid point.  Convergence takes two rounds, so a
-    ``base_steps`` above ``MAX_TOTAL_STEPS / 2`` raises ToleranceNotReached
-    before the first.
+    ``sample_steps`` are integer counts of base steps in [0, ``base_steps``]
+    (a float raises TypeError); 0 and ``base_steps`` are always sampled, and
+    the trace's times are the distinct sorted steps times ``horizon /
+    base_steps``.  A non-positive or non-finite horizon, or ``base_steps``
+    below 1, raises ValueError, and ``base_steps`` above ``MAX_TOTAL_STEPS /
+    2`` ToleranceNotReached (convergence takes two rounds), before any round.
     """
     if not (1e-12 <= tol <= 1e-4):
         raise ValueError(f"tol must lie in [1e-12, 1e-4], got {tol}")
+    if not (horizon > 0 and math.isfinite(horizon)):
+        raise ValueError(f"horizon must be positive and finite, got {horizon}")
+    if base_steps < 1:
+        raise ValueError(f"base_steps must be at least 1, got {base_steps}")
     if 2 * base_steps > MAX_TOTAL_STEPS:
         raise ToleranceNotReached(f"{base_steps} base steps leave no second round "
                                   f"within the cap of {MAX_TOTAL_STEPS} steps")
-
-    sample_times = np.asarray(sorted(set(float(s) for s in sample_times) | {0.0, float(horizon)}))
-    if sample_times[0] < 0 or sample_times[-1] > horizon:
-        raise ValueError(f"sample_times must lie in [0, {horizon}]")
-    base_idx = sample_times / horizon * base_steps
-    # the rounding of a grid index grows with its size: 1e-9 up to 1e4, relative beyond
-    if np.any(np.abs(base_idx - np.round(base_idx)) > np.maximum(1e-9, 1e-13 * base_idx)):
-        raise ValueError("sample_times must fall on the base step grid")
-    base_idx = np.round(base_idx).astype(int).tolist()
-    for i in range(len(base_idx) - 1):
-        if base_idx[i] == base_idx[i + 1]:  # the trace would hold one unitary for two times
-            raise ValueError(f"sample_times {sample_times[i]} and {sample_times[i + 1]} "
-                             "fall on one grid point")
+    steps = sorted({operator.index(s) for s in sample_steps} | {0, base_steps})
+    if steps[0] < 0 or steps[-1] > base_steps:
+        raise ValueError(f"sample_steps span {steps[0]} to {steps[-1]}, outside [0, {base_steps}]")
 
     h_max = 0.0  # the largest |(hx, hy, hz)| among the first round's samples
 
@@ -249,7 +244,7 @@ def integrate_tdse(hfun: Callable, horizon: float, tol: float = DEFAULT_TOL,
         base_shape = first_round(np.array([0.5 * horizon / base_steps])).shape[1:]
     nsteps, prev_u, diffs, converging = base_steps, None, [], False
     while True:
-        idx = {i * (nsteps // base_steps) for i in base_idx}
+        idx = {i * (nsteps // base_steps) for i in steps}
         with np.errstate(over="ignore", invalid="ignore"):
             segments = _propagate(*_MAGNUS6, hfun if prev_u is not None else first_round,
                                   horizon, nsteps, idx, base_shape)
@@ -263,8 +258,8 @@ def integrate_tdse(hfun: Callable, horizon: float, tol: float = DEFAULT_TOL,
         if prev_u is not None:
             diff = float(np.max(np.abs(u - prev_u)))
             if diff < tol:
-                return PropagatorTrace(times=sample_times, unitaries=_snapshots(segments),
-                                       step_count=nsteps, estimated_error=diff / 63.0)
+                return PropagatorTrace(np.array(steps) * (horizon / base_steps),
+                                       _snapshots(segments), nsteps, diff / 63.0)
             if unresolvable:
                 raise ToleranceNotReached(
                     f"round difference {diff:.1e} above tol {tol:.1e}{unresolvable}")
@@ -321,21 +316,19 @@ def verify_protocol(protocol: DrivingProtocol, k_grid, periods: int = 1,
     """Integrate the synthesized drive and compare against the target.
 
     For every momentum on the grid the time-ordered evolution runs over
-    ``periods`` full periods, doubling from ``DEFAULT_BASE_STEPS`` steps per
-    period; the strobe error is the Frobenius distance between U(nT) and the
-    phase-adjusted target exponential.  The periodic part is also extracted
-    on a uniform grid of ``MICROMOTION_SAMPLES`` over the first period and
-    compared with the closed form.
+    ``periods`` >= 1 full periods, doubling from ``DEFAULT_BASE_STEPS`` steps
+    per period; the strobe error is the Frobenius distance between U(nT) and
+    the phase-adjusted target exponential.  The periodic part is also
+    extracted at every base step of the first period and at each period end,
+    and compared with the closed form.
     """
+    if periods < 1:
+        raise ValueError(f"periods must be at least 1, got {periods}")
     k_grid = np.asarray(k_grid, dtype=float)
-    T = protocol.period
-    sample_times = np.linspace(0.0, T, MICROMOTION_SAMPLES, endpoint=False)
-    strobe_times = [n * T for n in range(1, periods + 1)]
-    trace = integrate_tdse(
-        protocol.hamiltonian_fn(k_grid), periods * T, tol=tol,
-        base_steps=DEFAULT_BASE_STEPS * periods,
-        sample_times=list(sample_times) + strobe_times,
-    )
+    T, n = protocol.period, DEFAULT_BASE_STEPS
+    trace = integrate_tdse(protocol.hamiltonian_fn(k_grid), periods * T, tol=tol,
+                           base_steps=n * periods,
+                           sample_steps=[*range(n), *range(n, n * periods + 1, n)])
 
     # the target's winding sign (-1)^(p n) covers the whole 2x2 block
     sign = (-1.0) ** (protocol.gauge.p * periods)

@@ -82,18 +82,47 @@ def test_invalid_winding_exits_2_and_writes_nothing(tmp_path, capsys):
     ["lattice", "--model", "kitaev"],
     ["lattice", "--model", "su3flat"],
     ["lattice", "--config", "model = pwave2d"],
+    # a key set twice is refused, naming both lines, rather than the last winning
+    ["synth", "--config", "kpoints = 8\nkpoints = 4"],
+    # a file that is not UTF-8 text is refused, naming the file
+    ["synth", "--config", b"kpoints = 8\n\xff\n"],
 ])
 def test_config_validation_failures(tmp_path, bad, capsys):
-    if "--config" in bad:  # the argument after it is the file's text
+    if "--config" in bad:  # the argument after it is the file's text, or its bytes
         i = bad.index("--config") + 1
-        cfg = tmp_path / "bad.cfg"
-        cfg.write_text(bad[i] + "\n")
+        cfg, text = tmp_path / "bad.cfg", bad[i]
+        if isinstance(text, bytes):
+            cfg.write_bytes(text)
+            expected = str(cfg)
+        else:
+            cfg.write_text(text + "\n")
+            expected = "lines 1 and 2" if "\n" in text else text.split()[0]
         bad = bad[:i] + [str(cfg)] + bad[i + 1:]
     assert run(bad + ["--out", str(tmp_path)]) == 2
     written = sorted(path.name for path in tmp_path.iterdir())
     assert written == (["bad.cfg"] if "--config" in bad else [])
     if "--config" in bad:
-        assert cfg.read_text().split()[0] in capsys.readouterr().err
+        assert expected in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("out", ["file", "file/sub"])
+def test_unusable_output_directory_exits_2_and_writes_nothing(tmp_path, out, capsys):
+    # an existing file, or a path through one, is no output directory
+    (tmp_path / "file").write_text("kept\n")
+    assert run(["synth", "--kpoints", "4", "--tpoints", "4",
+                "--out", str(tmp_path / out)]) == 2
+    assert [path.name for path in tmp_path.iterdir()] == ["file"]
+    assert (tmp_path / "file").read_text() == "kept\n"
+    assert "configuration error" in capsys.readouterr().err
+
+
+def test_unwritable_output_file_exits_3(tmp_path, capsys):
+    # the table's own path is a directory: writing it fails at run time
+    (tmp_path / "drive_crossstitch_w8.csv").mkdir()
+    assert run(["synth", "--kpoints", "4", "--tpoints", "4", "--out", str(tmp_path)]) == 3
+    assert [path.name for path in tmp_path.iterdir()] == ["drive_crossstitch_w8.csv"]
+    assert list((tmp_path / "drive_crossstitch_w8.csv").iterdir()) == []
+    assert "runtime error" in capsys.readouterr().err
 
 
 def test_verify_passes_on_defaults(tmp_path):

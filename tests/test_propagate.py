@@ -1,4 +1,6 @@
 import dataclasses
+import math
+import re
 import warnings
 
 import numpy as np
@@ -57,7 +59,10 @@ def test_expm_herm_against_scipy():
 
 def test_zero_hamiltonian_gives_identity():
     trace = integrate_tdse(constant(np.zeros(4)), horizon=1.0, tol=1e-9,
-                           base_steps=64, sample_times=[0.25, 0.5])
+                           base_steps=64, sample_steps=[32, 16, 32])
+    # sorted, a repeated step sampled once, and the horizon always included
+    assert trace.times.tolist() == [0.0, 0.25, 0.5, 1.0]
+    assert trace.unitaries.shape == (4, 2, 2)
     assert np.allclose(trace.unitaries, np.eye(2))
     assert trace.estimated_error == 0.0
 
@@ -75,7 +80,7 @@ def test_unitarity_preserved_along_trace():
     tol = 1e-8
     proto = crossstitch_protocol()
     trace = integrate_tdse(proto.hamiltonian_fn(K8), proto.period, tol=tol,
-                           sample_times=np.linspace(0, proto.period, 16, endpoint=False))
+                           sample_steps=range(0, prop.DEFAULT_BASE_STEPS, 4))
     for u in trace.unitaries:
         gram = u @ np.conj(np.swapaxes(u, -1, -2))
         assert np.linalg.norm(gram - np.eye(2), axis=(-2, -1)).max() <= 10 * tol
@@ -90,18 +95,14 @@ def test_tolerance_not_reached(monkeypatch):
 
 
 def test_long_horizon_sample_grid_accepted(monkeypatch):
-    # 2^18 periods put grid indices near 1.7e7, where the rounding of
-    # n T / (P T) * 64 P already exceeds an absolute 1e-9; a stub propagator
-    # that returns identities and a stub snapshot chain (2^18 serial products
-    # take seconds) keep the run short, and a doubled cap lets it reach the
-    # second round
+    # 2^18 periods, sampled at every period end, put sample steps near 1.7e7;
+    # a stub propagator that returns identities and a stub snapshot chain
+    # (2^18 serial products take seconds) keep the run short, and a doubled
+    # cap lets it reach the second round
     monkeypatch.setattr(prop, "MAX_TOTAL_STEPS", 2**25)
     periods = 2**18
     period = 2 * np.pi / 8.0
-    sample_times = [n * period for n in range(1, periods + 1)]
     base_steps = prop.DEFAULT_BASE_STEPS * periods
-    idx = np.asarray(sample_times) / (periods * period) * base_steps
-    assert np.max(np.abs(idx - np.round(idx))) > 1e-9
 
     def identities(nodes, exponent, hfun, horizon, nsteps, sample_indices, base_shape):
         # one segment ends at every sampled step count but the first
@@ -111,20 +112,23 @@ def test_long_horizon_sample_grid_accepted(monkeypatch):
     monkeypatch.setattr(prop, "_snapshots", lambda segments: np.broadcast_to(
         np.eye(2, dtype=complex), (len(segments) + 1, 2, 2)))
     trace = integrate_tdse(constant(np.zeros(4)), periods * period, tol=1e-8,
-                           base_steps=base_steps, sample_times=sample_times)
+                           base_steps=base_steps,
+                           sample_steps=range(0, base_steps + 1, prop.DEFAULT_BASE_STEPS))
     assert trace.step_count == 2 * base_steps
-    assert len(trace.unitaries) == periods + 1
-    # while a time half a base step off the grid is refused
-    off_grid = [period * (1 + 0.5 / prop.DEFAULT_BASE_STEPS)]
-    with pytest.raises(ValueError, match="base step grid"):
-        integrate_tdse(constant(np.zeros(4)), periods * period, tol=1e-8,
-                       base_steps=base_steps, sample_times=off_grid)
+    assert len(trace.times) == len(trace.unitaries) == periods + 1
+
+
+def record_rounds(monkeypatch):
+    """Replace ``_propagate`` by a recorder of its calls, so that a test can
+    assert that a run failed before its first round."""
+    rounds = []
+    monkeypatch.setattr(prop, "_propagate", lambda *args: rounds.append(args))
+    return rounds
 
 
 def test_base_steps_without_a_second_round_fail_before_the_first(monkeypatch):
     # a first round of more than half the cap could only end in a raise
-    rounds = []
-    monkeypatch.setattr(prop, "_propagate", lambda *args: rounds.append(args))
+    rounds = record_rounds(monkeypatch)
     with pytest.raises(ToleranceNotReached, match=f"cap of {prop.MAX_TOTAL_STEPS} steps"):
         integrate_tdse(constant(np.zeros(4)), 1.0, base_steps=prop.MAX_TOTAL_STEPS // 2 + 1)
     assert rounds == []
@@ -212,26 +216,42 @@ def test_tol_range_validated():
         integrate_tdse(constant(np.zeros(4)), horizon=1.0, tol=1e-2)
 
 
-@pytest.mark.parametrize("sample", [2.0, -0.5])
-def test_sample_times_outside_the_horizon_rejected(monkeypatch, sample):
-    # both lie on the base step grid, but past either end of the run no
-    # snapshot is ever formed, so the trace would hold fewer unitaries than
-    # times; they must fail before the first round
-    rounds = []
-    monkeypatch.setattr(prop, "_propagate", lambda *args: rounds.append(args))
-    with pytest.raises(ValueError, match=r"lie in \[0, 1.0\]"):
-        integrate_tdse(constant(np.zeros(4)), 1.0, sample_times=[sample])
+@pytest.mark.parametrize("step", [-1, prop.DEFAULT_BASE_STEPS + 1])
+def test_sample_steps_outside_the_horizon_rejected(monkeypatch, step):
+    # past either end of the run no snapshot is ever formed, so the trace
+    # would hold fewer unitaries than times; they must fail before the first
+    # round
+    rounds = record_rounds(monkeypatch)
+    with pytest.raises(ValueError, match=rf"span .*{step}.*, outside \[0, 64\]"):
+        integrate_tdse(constant(np.zeros(4)), 1.0, sample_steps=[step])
     assert rounds == []
 
 
-def test_sample_times_on_one_grid_point_rejected(monkeypatch):
-    # both pass the grid tolerance and round to index 32 of 64: the trace
-    # would hold four times but three unitaries, so they fail before the
-    # first round, naming both times
-    rounds = []
-    monkeypatch.setattr(prop, "_propagate", lambda *args: rounds.append(args))
-    with pytest.raises(ValueError, match=r"0\.5 and 0\.500000000001 fall on one grid point"):
-        integrate_tdse(constant(np.zeros(4)), 1.0, sample_times=[0.5, 0.5 + 1e-12])
+def test_float_sample_step_rejected(monkeypatch):
+    # a sample is a count of base steps: a float is never rounded onto the grid
+    rounds = record_rounds(monkeypatch)
+    with pytest.raises(TypeError):
+        integrate_tdse(constant(np.zeros(4)), 1.0, sample_steps=[2.5])
+    assert rounds == []
+
+
+@pytest.mark.parametrize("name,value", [
+    ("horizon", 0.0), ("horizon", -1.0), ("horizon", math.nan), ("horizon", math.inf),
+    ("base_steps", 0), ("base_steps", -4),
+])
+def test_degenerate_step_grid_rejected(monkeypatch, name, value):
+    # no step grid spans such a run: each fails before the first round,
+    # naming the value
+    rounds = record_rounds(monkeypatch)
+    with pytest.raises(ValueError, match=rf"^{name} must be .*, got {re.escape(str(value))}$"):
+        integrate_tdse(constant(np.zeros(4)), **{"horizon": 1.0, name: value})
+    assert rounds == []
+
+
+def test_verify_protocol_rejects_zero_periods(monkeypatch):
+    rounds = record_rounds(monkeypatch)
+    with pytest.raises(ValueError, match=r"^periods must be at least 1, got 0$"):
+        verify_protocol(crossstitch_protocol(), K8, periods=0)
     assert rounds == []
 
 
@@ -260,8 +280,8 @@ def test_one_run_forms_snapshots_once_and_probes_shape_once(monkeypatch, make):
 
     monkeypatch.setattr(prop, "_propagate", counted("rounds", propagate))
     monkeypatch.setattr(prop, "_snapshots", counted("snapshots", snapshots))
-    samples = np.linspace(0, proto.period, prop.MICROMOTION_SAMPLES, endpoint=False)
-    trace = integrate_tdse(probed, proto.period, tol=1e-8, sample_times=samples)
+    samples = range(prop.DEFAULT_BASE_STEPS)
+    trace = integrate_tdse(probed, proto.period, tol=1e-8, sample_steps=samples)
     assert calls["rounds"] >= 3 and calls["snapshots"] == calls["probes"] == 1
     assert trace.unitaries.shape == (len(samples) + 1, len(K8), 2, 2)
 
@@ -273,10 +293,10 @@ def test_one_period_snapshots_are_the_serial_block_chain(make):
     # block, bit for bit; the blocks come from a run sampled at every block
     proto = make()
     hfun = proto.hamiltonian_fn(K8)
-    samples = np.linspace(0, proto.period, prop.MICROMOTION_SAMPLES, endpoint=False)
-    trace = integrate_tdse(hfun, proto.period, tol=1e-8, sample_times=samples)
+    trace = integrate_tdse(hfun, proto.period, tol=1e-8,
+                           sample_steps=range(prop.DEFAULT_BASE_STEPS))
     n = trace.step_count
-    block = n // prop.MICROMOTION_SAMPLES
+    block = n // prop.DEFAULT_BASE_STEPS
     blocks = prop._propagate(*prop._MAGNUS6, hfun, proto.period, n, set(range(0, n + 1, block)))
     u = np.broadcast_to(np.eye(2, dtype=complex), blocks.shape[1:]).copy()
     chain = [u]
@@ -290,7 +310,7 @@ def test_three_period_composition_is_cube_of_floquet_operator():
     proto = crossstitch_protocol()
     T = proto.period
     trace = integrate_tdse(proto.hamiltonian_fn(K8), 3 * T, tol=1e-9,
-                           base_steps=3 * 4096, sample_times=[T, 2 * T, 3 * T])
+                           base_steps=3 * 4096, sample_steps=[4096, 2 * 4096])
     u1 = trace.unitaries[1]
     u3 = trace.unitaries[-1]
     assert np.max(np.abs(u3 - u1 @ u1 @ u1)) <= 3e-9
@@ -509,7 +529,7 @@ def test_exactness_over_random_two_dimensional_targets(channels, omega, p, a_plu
 def test_extract_micromotion_trivial_drive():
     c0 = np.array([0.0, 0.0, 0.0, 0.8])
     trace = integrate_tdse(constant(c0), horizon=1.5, tol=1e-10, base_steps=192,
-                           sample_times=np.linspace(0, 1.5, 7))
+                           sample_steps=range(0, 193, 32))
     ps = extract_micromotion(trace, c0)
     assert np.max(np.abs(ps - np.eye(2))) <= 1e-10
 
@@ -517,9 +537,8 @@ def test_extract_micromotion_trivial_drive():
 def test_extract_micromotion_matches_closed_form():
     proto = crossstitch_protocol()
     T = proto.period
-    samples = np.linspace(0, T, 64, endpoint=False)
-    trace = integrate_tdse(proto.hamiltonian_fn(K8), T, tol=1e-8,
-                           sample_times=samples)
+    trace = integrate_tdse(proto.hamiltonian_fn(K8), T, tol=1e-8, base_steps=64,
+                           sample_steps=range(64))
     heff = np.stack(proto.target.coeffs(K8), axis=-1)
     ps = extract_micromotion(trace, heff)
     worst = 0.0

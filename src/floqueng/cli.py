@@ -323,9 +323,12 @@ def main(argv=None) -> int:
             value = getattr(args, key, None)
             if value is not None:
                 cfg[key] = value
+        model_set = "model" in cfg  # by the file or a flag, not by DEFAULTS
         cfg = validate(cfg)
         if args.command == "lattice" and cfg["model"] != "crossstitch":
             raise ConfigError(f"lattice expands model crossstitch only, got {cfg['model']!r}")
+        if args.command == "su3" and model_set and cfg["model"] != "su3flat":
+            raise ConfigError(f"su3 writes model su3flat only, got {cfg['model']!r}")
         outdir = Path(cfg["out"])
         outdir.mkdir(parents=True, exist_ok=True)
     except (ConfigError, OSError) as exc:

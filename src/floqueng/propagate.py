@@ -1,5 +1,5 @@
 """Time-ordered integration of the Schrodinger equation for 2x2
-Hamiltonians, micro-motion extraction, and protocol verification.
+Hamiltonians, and protocol verification.
 
 A Hamiltonian stays a real coefficient stack (h0, hx, hy, hz), Hermitian by
 construction, down to the exponential: a step's exponent is built from the
@@ -9,13 +9,12 @@ Three-band drives are propagated as their coupled 2x2 block: the third level
 carries no drive and no target energy, so its evolution is exactly 1 and adds
 nothing to any comparison.
 
-Two independent schemes share one chunk loop.  The workhorse is the
+The chunk loop takes its scheme as an argument.  The workhorse is the
 three-node sixth-order Magnus integrator: su(2) plus the identity is closed,
 so a step's Magnus exponent is four real coefficients, with A = -i a.S a
 commutator [A, B] is the cross product a x b, and each step takes one exactly
 unitary exponential; the step count doubles until two successive horizon
-unitaries agree.  The cross-check is a fixed-step second-order midpoint
-exponential, exp(-i dt H(t + dt/2)) per step.
+unitaries agree.
 Verification always compares unitaries, never extracted Hamiltonians, so
 quasienergy folding can never introduce a logarithm branch choice.
 """
@@ -42,14 +41,14 @@ DEFAULT_TOL = 1e-9
 _CHUNK_EVALS = 4096
 
 
-def expm_herm(c: np.ndarray, scale: float = 1.0) -> np.ndarray:
-    """exp(-1j * scale * H) for every coefficient row (h0, hx, hy, hz) of a
+def expm_herm(c: np.ndarray) -> np.ndarray:
+    """exp(-1j * H) for every coefficient row (h0, hx, hy, hz) of a
     real (..., 4) stack ``c``, as a (..., 2, 2) stack in the closed Pauli form
     (exactly unitary); any other trailing shape raises ValueError."""
     h0, hx, hy, hz = np.moveaxis(c, -1, 0)
     r = np.sqrt(hx * hx + hy * hy + hz * hz)
-    phi = (scale / 2) * r
-    sinc = np.divide(np.sin(phi), r, out=np.full_like(r, scale / 2), where=r > 0)
+    phi = 0.5 * r
+    sinc = np.divide(np.sin(phi), r, out=np.full_like(r, 0.5), where=r > 0)
     cosphi = np.cos(phi)
     isinc = -1j * sinc
     out = np.empty(h0.shape + (2, 2), dtype=complex)
@@ -57,7 +56,7 @@ def expm_herm(c: np.ndarray, scale: float = 1.0) -> np.ndarray:
     out[..., 1, 1] = cosphi - isinc * hz
     out[..., 0, 1] = isinc * (hx - 1j * hy)
     out[..., 1, 0] = isinc * (hx + 1j * hy)
-    out *= np.exp(-1j * scale * h0)[..., None, None]
+    out *= np.exp(-1j * h0)[..., None, None]
     return out
 
 
@@ -104,7 +103,6 @@ def _magnus6(h: np.ndarray, dt: float) -> np.ndarray:
 
 
 # A scheme: (node offsets in units of dt, exponent of each step from H at its nodes)
-_MIDPOINT = ((0.0,), lambda h, dt: dt * h[:, 0])
 _MAGNUS6 = ((-math.sqrt(0.15), 0.0, math.sqrt(0.15)), _magnus6)  # Gauss nodes
 
 
@@ -277,23 +275,6 @@ def integrate_tdse(hfun: Callable, horizon: float, tol: float = DEFAULT_TOL,
                 f"step doubling exceeded {MAX_TOTAL_STEPS} steps without reaching {tol:.1e}")
 
 
-def midpoint_fixed(hfun: Callable, horizon: float, nsteps: int) -> np.ndarray:
-    """Fixed-step midpoint-exponential run through the chunk loop of
-    ``integrate_tdse``, as its independent reference; returns U(horizon)."""
-    return _propagate(*_MIDPOINT, hfun, horizon, nsteps, {nsteps})[-1]
-
-
-def extract_micromotion(trace: PropagatorTrace, c_eff: np.ndarray) -> np.ndarray:
-    """Periodic part P(t) = U(t) exp(+i H_eff t) at every sampled time, with
-    H_eff given as its real (..., 4) coefficient stack ``c_eff``.
-
-    No phase adjustment is applied here; the z-channel winding makes
-    P(nT) = (-1)^(p n) I, and callers compare against the closed form that
-    carries the same sign.
-    """
-    return _matmul(trace.unitaries, expm_herm(np.multiply.outer(-trace.times, c_eff)))
-
-
 @dataclass
 class VerificationReport:
     """Aggregated outcome of a protocol verification sweep."""
@@ -317,10 +298,14 @@ def verify_protocol(protocol: DrivingProtocol, k_grid, periods: int = 1,
 
     For every momentum on the grid the time-ordered evolution runs over
     ``periods`` >= 1 full periods, doubling from ``DEFAULT_BASE_STEPS`` steps
-    per period; the strobe error is the Frobenius distance between U(nT) and
-    the phase-adjusted target exponential.  The periodic part is also
-    extracted at every base step of the first period and at each period end,
-    and compared with the closed form.
+    per period, sampled at every base step of the first period and at each
+    period end.  Both errors are read off one array, the periodic part
+    P(t) = U(t) exp(+i H_eff t) at those samples: the micro-motion error is
+    its largest entry distance from the closed form, and the strobe error is
+    the Frobenius distance of P(nT) from the winding sign (-1)^(p n) times
+    the identity.  That equals the distance of U(nT) from the phase-adjusted
+    target exponential, because exp(-i H_eff nT) is unitary, and it does not
+    depend on the closed form.
     """
     if periods < 1:
         raise ValueError(f"periods must be at least 1, got {periods}")
@@ -333,11 +318,9 @@ def verify_protocol(protocol: DrivingProtocol, k_grid, periods: int = 1,
     # the target's winding sign (-1)^(p n) covers the whole 2x2 block
     sign = (-1.0) ** (protocol.gauge.p * periods)
     c_target = np.stack(protocol.target.coeffs(k_grid), axis=-1)
-    target = sign * expm_herm(c_target, periods * T)
-    u_end = trace.unitaries[-1]  # the horizon is the last sampled time
-    strobe_errors = np.atleast_1d(np.linalg.norm(u_end - target, axis=(-2, -1)))
-
-    p_num = extract_micromotion(trace, c_target)  # (n_t, ..., 2, 2)
+    p_num = _matmul(trace.unitaries,  # P(t) as (n_t, ..., 2, 2), the horizon last
+                    expm_herm(np.multiply.outer(-trace.times, c_target)))
+    strobe_errors = np.atleast_1d(np.linalg.norm(p_num[-1] - sign * np.eye(2), axis=(-2, -1)))
     t = trace.times.reshape((-1,) + (1,) * (p_num.ndim - 3))
     p_ref = micromotion_at(protocol.gauge, protocol.target.ladder_angle(k_grid), t)
 

@@ -1,7 +1,7 @@
 """Oracles shared by the test modules: quasienergy folding of a one-period
-unitary, the full 3x3 M1/M2 contraction of the general drive, and the
-fixed-step integrator references that several tests compare against, each
-computed once per session."""
+unitary, the full 3x3 M1/M2 contraction of the general drive, the fixed-step
+midpoint scheme, and the fixed-step integrator references that several tests
+compare against, each computed once per session."""
 
 from functools import cache
 
@@ -9,7 +9,6 @@ import numpy as np
 
 import floqueng.propagate as prop
 from floqueng.gauge import mu_functions
-from floqueng.propagate import midpoint_fixed
 from floqueng.synth import crossstitch_protocol, transform_m1, transform_m2
 
 #: The four momenta on which the two integrators are compared.
@@ -54,6 +53,17 @@ def einsum_drive(target, static, g, k, t):
     f_plus = kphase * f_rot[..., 0]
     fz = np.real(f_rot[..., 2])
     return h0t - h0s + np.zeros(fz.shape), 2 * np.real(f_plus), -2 * np.imag(f_plus), fz
+
+
+#: The second-order midpoint scheme, exp(-i dt H(t + dt/2)) per step, in
+#: the chunk loop's (node offsets, step exponent) form.
+MIDPOINT = ((0.0,), lambda h, dt: dt * h[:, 0])
+
+
+def midpoint_fixed(hfun, horizon, nsteps):
+    """Fixed-step midpoint-exponential run through the chunk loop of
+    integrate_tdse, as its independent reference; returns U(horizon)."""
+    return prop._propagate(*MIDPOINT, hfun, horizon, nsteps, {nsteps})[-1]
 
 
 def magnus6_fixed(hfun, horizon, nsteps):

@@ -65,7 +65,7 @@ def test_criterion_04_micromotion_consistency():
     from floqueng.propagate import expm_herm
 
     for j, (step, t) in enumerate(zip(steps, trace.times)):
-        p_num = trace.unitaries[j] @ expm_herm(heff, -float(t))
+        p_num = trace.unitaries[j] @ expm_herm(-float(t) * heff)
         p_ref = micromotion_at(proto.gauge, K8, float(t))
         closed_err = max(closed_err, float(np.max(np.abs(p_num - p_ref))))
         n, within = divmod(step, 4096)

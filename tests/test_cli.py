@@ -86,6 +86,9 @@ def test_invalid_winding_exits_2_and_writes_nothing(tmp_path, capsys):
     ["synth", "--config", "kpoints = 8\nkpoints = 4"],
     # a file that is not UTF-8 text is refused, naming the file
     ["synth", "--config", b"kpoints = 8\n\xff\n"],
+    # su3 writes the su3flat table only, and never reads the default model
+    ["su3", "--model", "kitaev"],
+    ["su3", "--config", "model = crossstitch"],
 ])
 def test_config_validation_failures(tmp_path, bad, capsys):
     if "--config" in bad:  # the argument after it is the file's text, or its bytes

@@ -10,25 +10,22 @@ from hypothesis import strategies as st
 from scipy.linalg import expm as scipy_expm
 
 import floqueng.propagate as prop
+from floqueng import cli
 from floqueng.algebra import ZERO, assemble_batch, custom, su3_flat
 from floqueng.errors import HermiticityError, ToleranceNotReached
-from floqueng.gauge import GaugeParams, micromotion_at
-from floqueng.propagate import (
-    expm_herm,
-    extract_micromotion,
-    integrate_tdse,
-    midpoint_fixed,
-    verify_protocol,
-)
+from floqueng.gauge import GaugeParams
+from floqueng.propagate import expm_herm, integrate_tdse, verify_protocol
 from floqueng.synth import crossstitch_protocol, general_protocol
 
 from oracles import (
     K4,
+    MIDPOINT,
     MIDPOINT_STEPS,
     convergence_drive,
     magnus6_fixed,
     magnus6_reference,
     midpoint_errors,
+    midpoint_fixed,
     midpoint_reference,
     quasienergies,
 )
@@ -53,7 +50,7 @@ def test_expm_herm_against_scipy():
     for _ in range(40):
         c = rng.normal(size=4)
         dt = rng.uniform(-2, 2)
-        assert np.allclose(expm_herm(c, dt), scipy_expm(-1j * dt * matrices(c)),
+        assert np.allclose(expm_herm(dt * c), scipy_expm(-1j * dt * matrices(c)),
                            atol=1e-12)
 
 
@@ -360,7 +357,7 @@ def _cf4_exponent(h, dt):
 # a two-node scheme in the chunk loop: its chunks hold other step counts than
 # the one- and three-node schemes of integrate_tdse and midpoint_fixed
 CF4 = ((-_R, _R), _cf4_exponent)
-SCHEMES = {"cf4": CF4, "magnus6": prop._MAGNUS6, "midpoint": prop._MIDPOINT}
+SCHEMES = {"cf4": CF4, "magnus6": prop._MAGNUS6, "midpoint": MIDPOINT}
 
 
 def stepwise_reference(scheme, hfun, horizon, nsteps):
@@ -526,26 +523,33 @@ def test_exactness_over_random_two_dimensional_targets(channels, omega, p, a_plu
     assert rep.max_strobe_error <= tol
 
 
-def test_extract_micromotion_trivial_drive():
-    c0 = np.array([0.0, 0.0, 0.0, 0.8])
-    trace = integrate_tdse(constant(c0), horizon=1.5, tol=1e-10, base_steps=192,
-                           sample_steps=range(0, 193, 32))
-    ps = extract_micromotion(trace, c0)
-    assert np.max(np.abs(ps - np.eye(2))) <= 1e-10
+def test_undriven_target_has_identity_micromotion():
+    # at zero gauge (a_plus = 0, p = 0) the drive is the constant target, so
+    # U(t) = exp(-i H_eff t) and the periodic part is the identity throughout
+    c0 = (0.3, -0.7, 0.4, 0.8)
+    target = custom(lambda k: tuple(np.full_like(k, c) for c in c0))
+    proto = general_protocol(ZERO, target, GaugeParams(a_plus=0.0, p=0, omega=4.2))
+    rep = verify_protocol(proto, K8, tol=1e-10)
+    assert rep.max_micromotion_error <= 1e-10
+    assert rep.max_strobe_error <= 1e-10
 
 
-def test_extract_micromotion_matches_closed_form():
-    proto = crossstitch_protocol()
-    T = proto.period
-    trace = integrate_tdse(proto.hamiltonian_fn(K8), T, tol=1e-8, base_steps=64,
-                           sample_steps=range(64))
-    heff = np.stack(proto.target.coeffs(K8), axis=-1)
-    ps = extract_micromotion(trace, heff)
-    worst = 0.0
-    for j, t in enumerate(trace.times):
-        ref = micromotion_at(proto.gauge, K8, float(t))
-        worst = max(worst, float(np.max(np.abs(ps[j] - ref))))
-    assert worst <= 1e-7
+@pytest.mark.parametrize("periods", [1, 2])
+@pytest.mark.parametrize("model", cli.MODELS)
+def test_strobe_error_is_the_distance_from_the_target(model, periods):
+    # the strobe error, read off the periodic part at the horizon, is the
+    # Frobenius distance of U(nT) from the phase-adjusted target exponential
+    cfg = cli.validate({"model": model, "kpoints": 8})
+    proto, k = cli.build_protocol(cfg), cli.k_grid_of(cfg)
+    rep = verify_protocol(proto, k, periods=periods, tol=cfg["tol"])
+    n, horizon = prop.DEFAULT_BASE_STEPS, periods * proto.period
+    trace = integrate_tdse(proto.hamiltonian_fn(k), horizon, tol=cfg["tol"],
+                           base_steps=n * periods,
+                           sample_steps=[*range(n), *range(n, n * periods + 1, n)])
+    sign = (-1.0) ** (proto.gauge.p * periods)
+    target = sign * expm_herm(horizon * np.stack(proto.target.coeffs(k), axis=-1))
+    direct = np.linalg.norm(trace.unitaries[-1] - target, axis=(-2, -1))
+    assert np.max(np.abs(rep.strobe_errors - direct)) <= 1e-14
 
 
 def test_verify_protocol_crossstitch():

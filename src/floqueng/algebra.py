@@ -18,13 +18,9 @@ import numpy as np
 
 from .errors import HermiticityError
 
-SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
-SIGMA_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)
-SIGMA_Z = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
-
-SX = SIGMA_X / 2
-SY = SIGMA_Y / 2
-SZ = SIGMA_Z / 2
+SX = np.array([[0, 0.5], [0.5, 0]], dtype=complex)
+SY = np.array([[0, -0.5j], [0.5j, 0]], dtype=complex)
+SZ = np.array([[0.5, 0], [0, -0.5]], dtype=complex)
 S_PLUS = SX + 1j * SY
 S_MINUS = SX - 1j * SY
 

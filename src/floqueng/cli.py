@@ -144,7 +144,7 @@ def _mesh_rows(k_label, t, *fields) -> np.ndarray:
     cells[..., 0] = np.array([fmt(v) for v in k_label], dtype=object)[:, None]
     cells[..., 1] = np.array([fmt(v) for v in t], dtype=object)
     for column, field in enumerate(fields, 2):
-        cells[..., column] = field
+        cells[..., column] = np.ascontiguousarray(field)  # a strided view reads slowly
     return cells.reshape(-1, cells.shape[-1])
 
 
@@ -162,15 +162,11 @@ def t_grid_of(cfg) -> np.ndarray:
     return period * np.arange(n) / n
 
 
-def _gauge(cfg) -> GaugeParams:
-    """The micro-motion gauge of a validated config, a_plus = sqrt(aplus2)."""
-    return GaugeParams(float(np.sqrt(cfg["aplus2"])), cfg["p"], cfg["omega"])
-
-
 def build_protocol(cfg) -> DrivingProtocol:
     """The crossstitch drive in closed form; any other model's target on the
-    general path from the zero static Hamiltonian."""
-    g = _gauge(cfg)
+    general path from the zero static Hamiltonian.  The gauge has
+    a_plus = sqrt(aplus2), and ``corrupt_fz`` scales the z channel."""
+    g = GaugeParams(float(np.sqrt(cfg["aplus2"])), cfg["p"], cfg["omega"])
     if cfg["model"] == "crossstitch":
         proto = crossstitch_protocol(cfg["alpha"], cfg["delta"], g.omega, g.a_plus, g.p)
     else:
@@ -276,9 +272,9 @@ def cmd_lattice(cfg, outdir: Path) -> int:
 
 
 def cmd_su3(cfg, outdir: Path) -> int:
+    cfg = {**cfg, "model": "su3flat"}
     k, t = k_grid_of(cfg), t_grid_of(cfg)
-    fields = su3mod.su3_drive_table(TARGETS["su3flat"](cfg), _gauge(cfg), k, t)
-    rows = _mesh_rows(k, t, *fields)
+    rows = _mesh_rows(k, t, *su3mod.su3_drive_table(build_protocol(cfg), k, t))
     path = outdir / f"su3_drive_w{cfg['omega']:g}.csv"
     write_csv(path, "k,t,fx,fy,fz", rows)
     print(f"su3: wrote {len(rows)} samples to {path}")

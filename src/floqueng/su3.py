@@ -14,7 +14,7 @@ from __future__ import annotations
 from .algebra import ZERO, HamiltonianSpec
 from .gauge import GaugeParams
 from .propagate import VerificationReport, verify_protocol
-from .synth import general_protocol
+from .synth import DrivingProtocol, general_protocol
 
 
 def verify_su3(spec: HamiltonianSpec, gauge: GaugeParams, k_grid,
@@ -30,7 +30,8 @@ def verify_su3(spec: HamiltonianSpec, gauge: GaugeParams, k_grid,
     return verify_protocol(general_protocol(ZERO, spec, gauge), k_grid, tol=tol)
 
 
-def su3_drive_table(spec: HamiltonianSpec, gauge: GaugeParams, k_grid, t_grid):
-    """Field arrays ``(fx, fy, fz)``, each (n_k, n_t), over a (k, t) mesh
-    from the general synthesis path."""
-    return general_protocol(ZERO, spec, gauge).drive_table(k_grid, t_grid)[1:]
+def su3_drive_table(protocol: DrivingProtocol, k_grid, t_grid):
+    """Field arrays ``(fx, fy, fz)``, each (n_k, n_t), of ``protocol``'s
+    drive over a (k, t) mesh: its :meth:`DrivingProtocol.drive_table`
+    without f0, which a three-band target requires to be zero."""
+    return protocol.drive_table(k_grid, t_grid)[1:]

@@ -9,13 +9,14 @@ multiplies S+, the second S-, the third Sz.  The drive solves
 
 with m_plus = mu_plus(t) e^{ik}, mz_real = p*w*t, and dm the derivative
 triple (dm_plus, conj(dm_plus), dmz_real).  Both transformation matrices are
-the identity at t = nT, which is what makes the protocol exact.  Momentum
-enters them only as the phase of m_plus, a conjugation by
-Phi = diag(e^{ik}, e^{-ik}, 1), so they are formed once per time and the
-phase is applied per momentum.  The flat-band
-chain's drive has a closed form, kept once as a hopping-harmonic table
-(:func:`crossstitch_rows`) that lattice hoppings are built from and that
-checks compare with this general path.
+the identity at t = nT, which is what makes the protocol exact.  The drive
+is Hermitian, so its S- component is the conjugate of its S+ component, and
+only the S+ and Sz rows of M1 and M2 are formed.  Momentum enters them only
+as the phase of m_plus, a conjugation by Phi = diag(e^{ik}, e^{-ik}, 1), so
+they are formed once per time and the phase is applied per momentum.  The
+flat-band chain's drive has a closed form, kept once as a hopping-harmonic
+table (:func:`crossstitch_rows`) that lattice hoppings are built from and
+that checks compare with this general path.
 """
 
 from __future__ import annotations
@@ -36,42 +37,39 @@ RESIDUAL_SAMPLES = 2048
 
 
 def transform_m1(m_plus) -> np.ndarray:
-    """Derivative-to-coefficient matrix; identity at m_plus = 0.
-
-    Broadcasts over array-valued ``m_plus`` to shape (..., 3, 3).
-    """
+    """Derivative-to-coefficient matrix, its S+ and Sz rows; identity at
+    m_plus = 0.  Broadcasts over array-valued ``m_plus`` to shape
+    (..., 2, 3).  The S- row is never formed: the drive is Hermitian, so
+    f_- = conj(f_+)."""
     m = np.asarray(m_plus, dtype=complex)
     denom = 1.0 + np.abs(m) ** 2
-    out = np.zeros(m.shape + (3, 3), dtype=complex)
+    out = np.zeros(m.shape + (2, 3), dtype=complex)
     out[..., 0, 0] = 1.0
     out[..., 0, 2] = 1j * m
-    out[..., 1, 1] = 1.0
-    out[..., 1, 2] = -1j * np.conj(m)
-    out[..., 2, 0] = 1j * np.conj(m)
-    out[..., 2, 1] = -1j * m
-    out[..., 2, 2] = 1.0 - np.abs(m) ** 2
+    out[..., 1, 0] = 1j * np.conj(m)
+    out[..., 1, 1] = -1j * m
+    out[..., 1, 2] = 1.0 - np.abs(m) ** 2
     out /= denom[..., None, None]
     return out
 
 
 def transform_m2(m_plus, mz_real) -> np.ndarray:
-    """Target-conjugation matrix; columns expand P S_a P^dagger in the
-    ladder basis.  Identity at m_plus = 0, mz_real in 2*pi*Z."""
+    """Target-conjugation matrix, its S+ and Sz rows: column a holds the S+
+    and Sz coefficients of P S_a P^dagger in the ladder basis, shape
+    (..., 2, 3).  Identity at m_plus = 0, mz_real in 2*pi*Z.  The S- row is
+    never formed: the drive is Hermitian, so f_- = conj(f_+)."""
     m = np.asarray(m_plus, dtype=complex)
     zr = np.asarray(mz_real, dtype=float)
     m, zr = np.broadcast_arrays(m, zr)
     denom = 1.0 + np.abs(m) ** 2
     q = 1j * m * np.exp(1j * zr)
-    out = np.zeros(m.shape + (3, 3), dtype=complex)
+    out = np.zeros(m.shape + (2, 3), dtype=complex)
     out[..., 0, 0] = np.exp(-1j * zr)
     out[..., 0, 1] = -1j * q * m
     out[..., 0, 2] = 1j * m
-    out[..., 1, 0] = 1j * np.conj(q) * np.conj(m)
-    out[..., 1, 1] = np.exp(1j * zr)
-    out[..., 1, 2] = -1j * np.conj(m)
-    out[..., 2, 0] = -2 * np.conj(q)
-    out[..., 2, 1] = -2 * q
-    out[..., 2, 2] = 1.0 - np.abs(m) ** 2
+    out[..., 1, 0] = -2 * np.conj(q)
+    out[..., 1, 1] = -2 * q
+    out[..., 1, 2] = 1.0 - np.abs(m) ** 2
     out /= denom[..., None, None]
     return out
 
@@ -85,11 +83,12 @@ def _drive_general(target: HamiltonianSpec, static: HamiltonianSpec,
     formed on the time samples alone:
     f = Phi [M1(mu_plus) dmu + M2(mu_plus, mz_real) Phi^dagger h].
     Momentum and time follow plain numpy broadcasting; to mesh a k-grid
-    against a t-grid pass k with a trailing singleton axis.  In M1 and M2
-    the S- row is the conjugate of the S+ row entry by entry, and the Sz row
-    has conjugate ladder entries and a real Sz entry, so f_- = conj(f_+) and
-    a real f_z hold exactly in floating point; only the S+ and Sz rows are
-    formed, as explicit sums, with one matrix held at a time.
+    against a t-grid pass k with a trailing singleton axis.  M1 and M2 hold
+    only their S+ and Sz rows: the drive is Hermitian, so its S- component
+    is f_- = conj(f_+) and never formed.  The Sz row has conjugate ladder
+    entries and a real Sz entry, so a real f_z holds exactly in floating
+    point.  Both rows are contracted as explicit sums, with one matrix held
+    at a time.
     """
     k = np.asarray(k, dtype=float)
     kphase = np.exp(1j * target.ladder_angle(k))
@@ -103,7 +102,7 @@ def _drive_general(target: HamiltonianSpec, static: HamiltonianSpec,
         raise ValueError("static Hamiltonian must be identity-channel only")
 
     def rows(m, v):  # the S+ and Sz rows of m . v; m is freed on return
-        return [m[..., i, 0] * v[0] + m[..., i, 1] * v[1] + m[..., i, 2] * v[2] for i in (0, 2)]
+        return [m[..., i, 0] * v[0] + m[..., i, 1] * v[1] + m[..., i, 2] * v[2] for i in (0, 1)]
     mu_plus, mu_zr, dmu_plus, dmu_zr = mu_functions(g, t)
     d_plus, d_z = rows(transform_m1(mu_plus), (dmu_plus, dmu_plus, dmu_zr))
     h_rot = (np.conj(kphase) * (hxt - 1j * hyt) / 2, kphase * (hxt + 1j * hyt) / 2, hzt)

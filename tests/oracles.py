@@ -1,5 +1,5 @@
 """Oracles shared by the test modules: quasienergy folding of a one-period
-unitary, the full 3x3 M1/M2 contraction of the general drive, the fixed-step
+unitary, the einsum M1/M2 contraction of the general drive, the fixed-step
 midpoint scheme, and the fixed-step integrator references that several tests
 compare against, each computed once per session."""
 
@@ -37,9 +37,9 @@ def quasienergies(u_t: np.ndarray, omega: float,
 
 
 def einsum_drive(target, static, g, k, t):
-    """The general drive (f0, fx, fy, fz) with every row of M1 dmu and
-    M2 Phi^dagger h contracted by einsum over the 3x3 matrices, formed on
-    the time samples and phased per momentum, as the library first did."""
+    """The general drive (f0, fx, fy, fz) with the S+ and Sz rows of M1 dmu
+    and M2 Phi^dagger h contracted by einsum over the (2, 3) matrices,
+    formed on the time samples and phased per momentum."""
     k = np.asarray(k, dtype=float)
     kphase = np.exp(1j * target.ladder_angle(k))
     h0t, hxt, hyt, hzt = target.coeffs(k)
@@ -51,7 +51,7 @@ def einsum_drive(target, static, g, k, t):
                       np.stack([dmu_plus, dmu_plus, dmu_zr], axis=-1)) + \
         np.einsum("...ij,...j->...i", transform_m2(mu_plus, mu_zr), h_rot)
     f_plus = kphase * f_rot[..., 0]
-    fz = np.real(f_rot[..., 2])
+    fz = np.real(f_rot[..., 1])
     return h0t - h0s + np.zeros(fz.shape), 2 * np.real(f_plus), -2 * np.imag(f_plus), fz
 
 

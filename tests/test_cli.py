@@ -180,9 +180,11 @@ def test_bands_bookkeeping_scales_with_the_energies(tmp_path):
 
 
 def test_overflowing_drive_exits_3_and_writes_nothing(tmp_path, capsys):
-    for command in ("synth", "lattice"):
+    # su3 builds its drive as synth does, so a detuning that overflows stops it too
+    for command, flag in (("synth", "--aplus2"), ("lattice", "--aplus2"),
+                          ("su3", "--corrupt-fz")):
         out = tmp_path / command
-        assert run([command, "--out", str(out), "--aplus2", "1e308",
+        assert run([command, "--out", str(out), flag, "1e308",
                     "--kpoints", "4", "--tpoints", "4"]) == 3
         assert list(out.iterdir()) == []
         assert "not finite" in capsys.readouterr().err
@@ -401,9 +403,11 @@ def test_every_model_runs_every_target_command(tmp_path, command, model):
         assert len(lines) == lines.index("[per-k]") + 2 + 16
 
 
-def test_su3_table_is_the_su3flat_synth_table_without_f0(tmp_path):
-    # both tables come from one drive: byte for byte, once f0 is cut
-    args = ["--out", str(tmp_path), "--kpoints", "16", "--tpoints", "8"]
+@pytest.mark.parametrize("extra", [[], ["--corrupt-fz", "1.5"]], ids=["plain", "corrupt-fz"])
+def test_su3_table_is_the_su3flat_synth_table_without_f0(tmp_path, extra):
+    # both tables come from one drive builder: byte for byte, once f0 is
+    # cut, with a detuned z channel too
+    args = ["--out", str(tmp_path), "--kpoints", "16", "--tpoints", "8"] + extra
     assert run(["su3"] + args) == 0
     assert run(["synth", "--model", "su3flat"] + args) == 0
     synth = (tmp_path / "drive_su3flat_w8.csv").read_text().splitlines()

@@ -148,6 +148,6 @@ class TestVerification:
                                  -(2 * np.cos(k) + 2), np.zeros_like(k)),
                       band_count=3)
         with pytest.raises(ValueError, match="zero identity channel"):
-            su3_drive_table(spec, GAUGE, k101, np.linspace(0, 0.5, 4))
+            su3_drive_table(general_protocol(ZERO, spec, GAUGE), k101, np.linspace(0, 0.5, 4))
         with pytest.raises(ValueError, match="zero identity channel"):
             verify_su3(spec, GAUGE, k101)

@@ -26,9 +26,13 @@ def ladder_coeffs(mat):
     return np.array([mat[0, 1], mat[1, 0], mat[0, 0] - mat[1, 1]])
 
 
+#: The S+ and Sz rows of a full (S+, S-, Sz) matrix: the rows M1 and M2 form.
+ROWS = [0, 2]
+
+
 class TestTransformMatrices:
     def test_m1_identity(self):
-        assert np.allclose(transform_m1(0.0), np.eye(3))
+        assert np.allclose(transform_m1(0.0), np.eye(3)[ROWS])
 
     def test_m1_unit_argument(self):
         expected = 0.5 * np.array([
@@ -36,7 +40,7 @@ class TestTransformMatrices:
             [0, 1, -1j],
             [1j, -1j, 0],
         ])
-        assert np.allclose(transform_m1(1.0), expected)
+        assert np.allclose(transform_m1(1.0), expected[ROWS])
 
     def test_m1_matches_finite_difference_generator(self):
         # i dP/dt P^dagger expanded in the ladder basis must equal M1 . dm
@@ -58,16 +62,16 @@ class TestTransformMatrices:
             dmp = (mp(t0 + eps) - mp(t0 - eps)) / (2 * eps)
             dm = np.array([dmp, np.conj(dmp), p * w])
             worst = max(worst, np.max(np.abs(
-                ladder_coeffs(gen) - transform_m1(mp(t0)) @ dm)))
+                ladder_coeffs(gen)[ROWS] - transform_m1(mp(t0)) @ dm)))
         assert worst <= 1e-7  # finite-difference floor
 
     def test_m2_identity(self):
-        assert np.allclose(transform_m2(0.0, 0.0), np.eye(3))
+        assert np.allclose(transform_m2(0.0, 0.0), np.eye(3)[ROWS])
 
     def test_m2_pure_winding_is_diagonal(self):
         z = 1.234
         assert np.allclose(transform_m2(0.0, z),
-                           np.diag([np.exp(-1j * z), np.exp(1j * z), 1.0]))
+                           np.diag([np.exp(-1j * z), np.exp(1j * z), 1.0])[ROWS])
 
     def test_m2_columns_match_explicit_conjugation(self):
         rng = np.random.default_rng(9)
@@ -79,7 +83,7 @@ class TestTransformMatrices:
             m2 = transform_m2(mp, mzr)
             for col, op in enumerate((S_PLUS, S_MINUS, SZ)):
                 conj = pmat @ op @ pmat.conj().T
-                worst = max(worst, np.max(np.abs(ladder_coeffs(conj) - m2[:, col])))
+                worst = max(worst, np.max(np.abs(ladder_coeffs(conj)[ROWS] - m2[:, col])))
         assert worst <= 1e-13
 
     def test_matrices_identity_at_strobe_times(self):
@@ -88,23 +92,20 @@ class TestTransformMatrices:
             t = n * g.period
             mp = SQRT2 * np.sin(g.omega * t) * np.exp(1j * 0.4)
             mzr = 3 * g.omega * t
-            assert np.allclose(transform_m1(mp), np.eye(3), atol=1e-12)
-            assert np.allclose(transform_m2(mp, mzr), np.eye(3), atol=1e-12)
+            assert np.allclose(transform_m1(mp), np.eye(3)[ROWS], atol=1e-12)
+            assert np.allclose(transform_m2(mp, mzr), np.eye(3)[ROWS], atol=1e-12)
 
     @pytest.mark.parametrize("which", ["m1", "m2"])
     def test_rows_pair_as_conjugates_bit_for_bit(self, which):
-        # the S- row is the conjugate of the S+ row, and the Sz row has
-        # conjugate ladder entries and a real Sz entry, exactly: so the
-        # drive's f_- = conj(f_+) and real f_z need no floating-point check
+        # the Sz row has conjugate ladder entries and a real Sz entry,
+        # exactly: so the drive's real f_z needs no floating-point check
         rng = np.random.default_rng(16)
         n = 4000
         m = 10 ** rng.uniform(-3, 3, n) * np.exp(2j * np.pi * rng.uniform(size=n))
         z = rng.uniform(-200, 200, n)
         mat = transform_m1(m) if which == "m1" else transform_m2(m, z)
-        pairs = {(1, 1): (0, 0), (1, 0): (0, 1), (1, 2): (0, 2), (2, 1): (2, 0)}
-        for (i, j), (a, b) in pairs.items():
-            assert np.array_equal(mat[:, i, j], np.conj(mat[:, a, b])), (i, j)
-        assert np.array_equal(mat[:, 2, 2].imag, np.zeros(n))
+        assert np.array_equal(mat[:, 1, 1], np.conj(mat[:, 1, 0]))
+        assert np.array_equal(mat[:, 1, 2].imag, np.zeros(n))
 
 
 class TestCrossStitchDrive:
@@ -317,7 +318,7 @@ class TestStaticHarmonicResidual:
 
 def per_sample_drive(target, static, g, k, t):
     """Reference: M1 and M2 formed at every (k, t) sample from the full
-    m_plus = e^{ik} mu_plus(t), as the drive was first written."""
+    m_plus = e^{ik} mu_plus(t)."""
     kphase = np.exp(1j * target.ladder_angle(np.asarray(k, dtype=float)))
     h0t, hxt, hyt, hzt = target.coeffs(k)
     h0s = static.coeffs(k)[0]
@@ -334,7 +335,7 @@ def per_sample_drive(target, static, g, k, t):
     m2 = transform_m2(np.broadcast_to(m_plus, shape), np.broadcast_to(mu_zr, shape))
     f_pm = np.einsum("...ij,...j->...i", m1, dm) + np.einsum("...ij,...j->...i", m2, h_pm)
     f0 = np.broadcast_to(h0t - h0s + np.zeros(shape), shape)
-    return f0, 2 * np.real(f_pm[..., 0]), -2 * np.imag(f_pm[..., 0]), np.real(f_pm[..., 2])
+    return f0, 2 * np.real(f_pm[..., 0]), -2 * np.imag(f_pm[..., 0]), np.real(f_pm[..., 1])
 
 
 def random_trig(rng, dimension):
@@ -357,7 +358,7 @@ class TestMomentumFactorization:
         mu = rng.normal(scale=2.0, size=2000)
         mz = rng.uniform(-10, 10, 2000)
         phi = np.stack([np.exp(1j * k), np.exp(-1j * k), np.ones_like(k)], axis=-1)
-        rotate = phi[:, :, None] * np.conj(phi[:, None, :])
+        rotate = (phi[:, :, None] * np.conj(phi[:, None, :]))[:, ROWS]
         assert np.max(np.abs(transform_m1(np.exp(1j * k) * mu)
                              - rotate * transform_m1(mu))) <= 1e-14
         assert np.max(np.abs(transform_m2(np.exp(1j * k) * mu, mz)
@@ -379,8 +380,8 @@ class TestMomentumFactorization:
             assert np.max(np.abs(got - ref)) <= 1e-14 * np.max(np.abs(ref))
 
     def test_drive_matches_the_einsum_formula(self):
-        # the drive forms only the S+ and Sz rows of M1 dmu and M2 Phi^dagger h,
-        # as explicit sums; the full einsum contraction adds the same three
+        # the drive contracts the S+ and Sz rows of M1 dmu and M2 Phi^dagger h
+        # as explicit sums; the einsum contraction adds the same three
         # products per row in another order, so each of the two row sums may
         # move by 2 eps of its largest term: 4 eps of the largest entry in all
         rng = np.random.default_rng(17)

@@ -1,5 +1,6 @@
 import math
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from floqueng import cli, lattice
 from floqueng.propagate import verify_protocol
 
 SQRT2 = np.sqrt(2.0)
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
 
 def read_csv(path):
@@ -138,6 +140,19 @@ def test_verify_passes_on_defaults(tmp_path):
     assert strobe <= 1e-8
     assert "passed=true" in text
     assert "[per-k]" in text
+
+
+@pytest.mark.parametrize("name", ["verify_w8", "verify_w4"])
+def test_verify_recipes_accept_at_256_steps(name):
+    # the steps each recipe needs: at w=4 the 256-step round cut its
+    # difference 64x, to 1.3e-8, so it is accepted on 8 diff/63 < tol one
+    # doubling before its difference itself falls below tol
+    cfg = cli.validate(cli.load_config(str(CONFIGS / f"{name}.cfg")))
+    rep = verify_protocol(cli.build_protocol(cfg), cli.k_grid_of(cfg),
+                          periods=cfg["periods"], tol=cfg["tol"])
+    assert len(rep.strobe_errors) == 64
+    assert rep.integrator_steps == 256
+    assert rep.max_strobe_error <= cfg["tol"]
 
 
 def test_verify_corrupted_drive_fails(tmp_path):

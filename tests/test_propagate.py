@@ -166,6 +166,50 @@ def test_stalled_round_difference_fails_fast(monkeypatch):
     assert f"at {rounds[-1]} steps" in str(err.value)
 
 
+def phased_rounds(monkeypatch, phases):
+    """Replace ``_propagate`` by one that turns the last segment, so the
+    horizon, by the phase ``phases(r)`` in its r-th round: on the zero drive
+    the round differences are the steps between successive phases.  Returns
+    the list the round sizes are recorded in."""
+    propagate, rounds = prop._propagate, []
+
+    def phased(*args):
+        u = propagate(*args)
+        u[-1] *= np.exp(-1j * phases(len(rounds)))
+        rounds.append(args[4])
+        return u
+
+    monkeypatch.setattr(prop, "_propagate", phased)
+    return rounds
+
+
+def test_asymptotic_round_accepts_on_its_error_estimate(monkeypatch):
+    # a horizon error of 1e-3 (64/n)^6, the sixth order's, cuts each round
+    # difference 64x: 9.8e-4 at 128 steps, 1.5e-5 at 256 and 2.4e-7 at 512,
+    # so diff < tol first holds at 512, but 8 diff/63 = 2.0e-6 < tol at 256
+    rounds = phased_rounds(monkeypatch, lambda r: 1e-3 / 64.0**r)
+    trace = integrate_tdse(constant(np.zeros(4)), 1.0, tol=1e-5)
+    assert rounds == [64, 128, 256]
+    assert trace.step_count == 256
+    # the estimate diff/63 is the returned horizon's own error
+    error = float(np.max(np.abs(trace.unitaries[-1] - np.eye(2))))
+    assert trace.estimated_error == pytest.approx(error, rel=1e-6)
+    assert 63 * trace.estimated_error > 1e-5 > error
+
+
+def test_rounding_floor_round_does_not_accept_on_its_estimate(monkeypatch):
+    # round differences 1e-4, 1.6e-6, 1e-7, 4.5e-8, 5e-9: the 1024-step round
+    # has 8 diff/63 = 5.7e-9 below tol 1e-8, but it cut the difference only
+    # 2.2x, as rounds at the rounding floor do, so only the 2048-step round,
+    # whose difference is below tol, is accepted
+    phases = np.cumsum([0.0, 1e-4, 1.6e-6, -1e-7, 4.5e-8, -5e-9])
+    rounds = phased_rounds(monkeypatch, lambda r: phases[r])
+    trace = integrate_tdse(constant(np.zeros(4)), 1.0, tol=1e-8)
+    assert rounds == [64 * 2**r for r in range(6)]
+    assert trace.step_count == 2048
+    assert trace.estimated_error == pytest.approx(5e-9 / 63, rel=1e-6)
+
+
 def test_unresolvable_drive_fails_after_two_rounds(monkeypatch):
     # |h| = 1e3 over a horizon of 1e6 leaves a phase of about 30 per step even
     # at the 2^24-step cap: the first round difference above tol must raise
@@ -472,28 +516,44 @@ def test_independent_integrators_agree(omega):
 
 
 _CHANNEL = st.tuples(*[st.floats(-2.0, 2.0)] * 7)
+#: A random trigonometric target, frequency, winding and ladder amplitude.
+_DRIVES = dict(channels=st.tuples(*[_CHANNEL] * 4), omega=st.floats(3.0, 12.0),
+               p=st.integers(1, 6), a_plus=st.floats(1.0, 2.0))
 
 
-@settings(max_examples=20, derandomize=True, deadline=None, database=None)
-@given(channels=st.tuples(*[_CHANNEL] * 4), omega=st.floats(3.0, 12.0),
-       p=st.integers(1, 6), a_plus=st.floats(1.0, 2.0),
-       periods=st.integers(1, 2))
-def test_exactness_over_random_trigonometric_targets(channels, omega, p, a_plus,
-                                                     periods):
-    # every channel of the target is c0 + sum over n = 1..3 of
-    # cn cos nk + sn sin nk; windings of both parities and two-period runs
-    # guard the coarse start of the step doubling against aliasing
+def trigonometric_protocol(channels, omega, p, a_plus):
+    """The general drive of a target whose every channel is c0 + sum over
+    n = 1..3 of cn cos nk + sn sin nk."""
     def coeffs(k):
         k = np.asarray(k, dtype=float)
         return tuple(c[0] + sum(c[2 * n - 1] * np.cos(n * k) + c[2 * n] * np.sin(n * k)
                                 for n in (1, 2, 3))
                      for c in channels)
 
-    proto = general_protocol(ZERO, custom(coeffs),
-                             GaugeParams(a_plus=a_plus, p=p, omega=omega))
+    return general_protocol(ZERO, custom(coeffs), GaugeParams(a_plus=a_plus, p=p, omega=omega))
+
+
+@settings(max_examples=20, derandomize=True, deadline=None, database=None)
+@given(**_DRIVES, periods=st.integers(1, 2))
+def test_exactness_over_random_trigonometric_targets(channels, omega, p, a_plus,
+                                                     periods):
+    # windings of both parities and two-period runs guard the coarse start
+    # of the step doubling against aliasing
+    proto = trigonometric_protocol(channels, omega, p, a_plus)
     tol = 1e-8
     rep = verify_protocol(proto, np.linspace(-np.pi, np.pi, 4, endpoint=False),
                           periods=periods, tol=tol)
+    assert rep.max_strobe_error <= tol
+
+
+@settings(max_examples=20, derandomize=True, deadline=None, database=None)
+@given(**_DRIVES, log_tol=st.floats(-12.0, -4.0))
+def test_strobe_error_within_tol_at_the_accepted_round(channels, omega, p, a_plus, log_tol):
+    # the accepted round may be the one whose own estimate 8 diff/63 meets
+    # tol, so its strobe error, not only the round before's, is within tol
+    # over the whole range of tol
+    tol = 10.0**log_tol
+    rep = verify_protocol(trigonometric_protocol(channels, omega, p, a_plus), K4, tol=tol)
     assert rep.max_strobe_error <= tol
 
 

@@ -2,12 +2,13 @@
 Hamiltonians, and protocol verification.
 
 A Hamiltonian stays a real coefficient stack (h0, hx, hy, hz), Hermitian by
-construction, down to the exponential: a step's exponent is built from the
-coefficients at its nodes, and only the exponential forms 2x2 unitaries.
-
-Three-band drives are propagated as their coupled 2x2 block: the third level
-carries no drive and no target energy, so its evolution is exactly 1 and adds
-nothing to any comparison.
+construction, down to the exponential, the only place 2x2 unitaries are
+formed.  Public functions take (..., 4) and return (..., 2, 2) stacks; the
+integrator holds coefficients component first, (4, ...), and unitaries matrix
+index first, (2, 2, ...), so every kernel reads contiguous rows and a 2x2
+product is three broadcast ufunc calls.  Three-band drives are propagated as
+their coupled 2x2 block: the third level carries no drive and no target
+energy, so its evolution is exactly 1 and adds nothing to any comparison.
 
 The chunk loop takes its scheme as an argument.  The workhorse is the
 three-node sixth-order Magnus integrator: su(2) plus the identity is closed,
@@ -42,22 +43,27 @@ _CHUNK_EVALS = 4096
 
 
 def expm_herm(c: np.ndarray) -> np.ndarray:
-    """exp(-1j * H) for every coefficient row (h0, hx, hy, hz) of a
-    real (..., 4) stack ``c``, as a (..., 2, 2) stack in the closed Pauli form
-    (exactly unitary); any other trailing shape raises ValueError."""
+    """exp(-1j * H) for every row (h0, hx, hy, hz) of a real (..., 4) stack ``c``
+    as a (..., 2, 2) stack in the closed Pauli form (exactly unitary) that views
+    a (2, 2, ...) array; any other trailing shape raises ValueError."""
     h0, hx, hy, hz = np.moveaxis(c, -1, 0)
     r = np.sqrt(hx * hx + hy * hy + hz * hz)
     phi = 0.5 * r
     sinc = np.divide(np.sin(phi), r, out=np.full_like(r, 0.5), where=r > 0)
-    cosphi = np.cos(phi)
-    isinc = -1j * sinc
-    out = np.empty(h0.shape + (2, 2), dtype=complex)
-    out[..., 0, 0] = cosphi + isinc * hz
-    out[..., 1, 1] = cosphi - isinc * hz
-    out[..., 0, 1] = isinc * (hx - 1j * hy)
-    out[..., 1, 0] = isinc * (hx + 1j * hy)
-    out *= np.exp(-1j * h0)[..., None, None]
-    return out
+    cosphi, isinc, iy = np.cos(phi), -1j * sinc, 1j * hy
+    izh = isinc * hz
+    out = np.empty((2, 2) + h0.shape, dtype=complex)
+    np.add(cosphi, izh, out=out[0, 0, ...])
+    np.subtract(cosphi, izh, out=out[1, 1, ...])
+    np.multiply(isinc, np.subtract(hx, iy, out=out[0, 1, ...]), out=out[0, 1, ...])
+    np.multiply(isinc, np.add(hx, iy, out=out[1, 0, ...]), out=out[1, 0, ...])
+    out *= np.exp(-1j * h0)
+    return _roll_axes(out, -2)
+
+
+def _roll_axes(a: np.ndarray, k: int) -> np.ndarray:
+    """View of ``a`` with its last k axes first: k = 2 and -2 map (..., 2, 2) <-> (2, 2, ...)."""
+    return a.transpose([*range(a.ndim)][-k:] + [*range(a.ndim)][:-k])
 
 
 @dataclass
@@ -71,28 +77,23 @@ class PropagatorTrace:
 
 
 def _matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    # elementwise 2x2 products beat generic batched matmul at this size
-    out = np.empty(np.broadcast_shapes(a.shape, b.shape), dtype=complex)
-    out[..., 0, 0] = a[..., 0, 0] * b[..., 0, 0] + a[..., 0, 1] * b[..., 1, 0]
-    out[..., 0, 1] = a[..., 0, 0] * b[..., 0, 1] + a[..., 0, 1] * b[..., 1, 1]
-    out[..., 1, 0] = a[..., 1, 0] * b[..., 0, 0] + a[..., 1, 1] * b[..., 1, 0]
-    out[..., 1, 1] = a[..., 1, 0] * b[..., 0, 1] + a[..., 1, 1] * b[..., 1, 1]
-    return out
+    """a @ b for (2, 2, ...) stacks: entry (i, j) is a_i0 b_0j + a_i1 b_1j."""
+    out = a[:, :1] * b[None, 0]
+    return np.add(out, a[:, 1:] * b[None, 1], out=out)
 
 
 def _bracket(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """[-i a.S, -i b.S] = -i (a x b).S for (..., 4) stacks, by component
-    (np.cross spends most of its time moving axes)."""
-    out = np.zeros(np.broadcast_shapes(a.shape, b.shape))
+    """[-i a.S, -i b.S] = -i (a x b).S for (4, ...) stacks, by component."""
+    out = np.zeros(np.broadcast(a, b).shape)
     for i, j, k in ((1, 2, 3), (2, 3, 1), (3, 1, 2)):
-        out[..., i] = a[..., j] * b[..., k] - a[..., k] * b[..., j]
+        np.subtract(np.multiply(a[j], b[k], out=out[i]), a[k] * b[j], out=out[i])
     return out
 
 
 def _magnus6(h: np.ndarray, dt: float) -> np.ndarray:
-    """Sixth-order Magnus exponent of each step, U = expm_herm(result), as a
-    (steps, ..., 4) stack from H at its three Gauss nodes, h (steps, 3, ...,
-    4) (Blanes, Casas, Oteo & Ros, Phys. Rep. 470, 151 (2009), sections 4-5);
+    """Sixth-order Magnus exponent of each step, U = exp(-i result), as a
+    (4, steps, ...) stack from H at its three Gauss nodes, h (4, 3, steps,
+    ...) (Blanes, Casas, Oteo & Ros, Phys. Rep. 470, 151 (2009), sections 4-5);
     the identity channel is the Gauss rule dt (5 h0_1 + 8 h0_2 + 5 h0_3)/18."""
     h1, h2, h3 = h[:, 0], h[:, 1], h[:, 2]
     a1, a2 = dt * h2, (math.sqrt(15.0) * dt / 3) * (h3 - h1)
@@ -102,18 +103,15 @@ def _magnus6(h: np.ndarray, dt: float) -> np.ndarray:
     return a1 + a3 / 12 + _bracket(-20 * a1 - a3 + c1, a2 + c2) / 240
 
 
-# A scheme: (node offsets in units of dt, exponent of each step from H at its nodes)
-_MAGNUS6 = ((-math.sqrt(0.15), 0.0, math.sqrt(0.15)), _magnus6)  # Gauss nodes
+_MAGNUS6 = ((-math.sqrt(0.15), 0.0, math.sqrt(0.15)), _magnus6)  # a scheme: Gauss nodes in dt
 
 
 def _ordered_product(e: np.ndarray) -> np.ndarray:
-    """Product e[-1] @ ... @ e[0] of a (n, ..., 2, 2) stack, reduced pairwise
-    so the work stays in large batched products."""
-    while e.shape[0] > 1:
-        even = e.shape[0] - (e.shape[0] % 2)
-        pairs = _matmul(e[1:even:2], e[0:even:2])
-        e = pairs if even == e.shape[0] else np.concatenate([pairs, e[-1:]], axis=0)
-    return e[0]
+    """e[:, :, -1] @ ... @ e[:, :, 0] of a (2, 2, n, ...) stack, reduced pairwise in batches."""
+    while e.shape[2] > 1:
+        pairs = _matmul(e[:, :, 1::2], e[:, :, 0:e.shape[2] - 1:2])
+        e = pairs if e.shape[2] % 2 == 0 else np.concatenate([pairs, e[:, :, -1:]], axis=2)
+    return e[:, :, 0]
 
 
 def _eval_h(hfun, ts: np.ndarray, base_shape: tuple | None = None) -> np.ndarray:
@@ -123,10 +121,8 @@ def _eval_h(hfun, ts: np.ndarray, base_shape: tuple | None = None) -> np.ndarray
     c = np.asarray(hfun(ts))
     if (c.ndim < 2 or c.shape[0] != len(ts) or c.shape[-1] != 4
             or base_shape not in (None, c.shape[1:])):
-        expected = (f"({len(ts)}, ..., 4)" if base_shape is None
-                    else str((len(ts),) + base_shape))
-        raise ValueError(f"hfun must map {len(ts)} times to shape {expected}, "
-                         f"got {c.shape}")
+        expected = f"({len(ts)}, ..., 4)" if base_shape is None else str((len(ts),) + base_shape)
+        raise ValueError(f"hfun must map {len(ts)} times to shape {expected}, got {c.shape}")
     if np.iscomplexobj(c):
         raise HermiticityError("hfun returned complex coefficients; "
                                "a Hermitian H has real (h0, hx, hy, hz)")
@@ -134,9 +130,11 @@ def _eval_h(hfun, ts: np.ndarray, base_shape: tuple | None = None) -> np.ndarray
 
 
 def _propagate(nodes, exponent, hfun, horizon, nsteps, sample_indices, base_shape=None):
-    """``nsteps`` equal steps of the scheme (``nodes``, ``exponent``), stacked
-    as the product of each segment of steps that ends at a nonzero count in
-    ``sample_indices``; hfun's trailing ``base_shape`` is probed when None.
+    """``nsteps`` equal steps of the scheme (``nodes``, ``exponent``), as the
+    (2, 2, segments, ...) stack of the products of the segments of steps that
+    end at nonzero counts in ``sample_indices``; ``exponent(h, dt)`` maps H at
+    the nodes, (4, nodes, steps, ...), to each step's x of U = exp(-i x.(1, S)),
+    (4, steps, ...).  hfun's trailing ``base_shape`` is probed when None.
 
     A chunk of steps holds at most max(``_CHUNK_EVALS``, nodes x momenta)
     evaluations of H: one step over every momentum is never split.  Blocks
@@ -147,7 +145,6 @@ def _propagate(nodes, exponent, hfun, horizon, nsteps, sample_indices, base_shap
     """
     dt = horizon / nsteps
     base_shape = base_shape or _eval_h(hfun, np.array([0.5 * dt])).shape[1:]
-    u_shape = base_shape[:-1] + (2, 2)
     block = math.gcd(nsteps, *sample_indices)
     block &= -block  # the largest power of two that divides every segment
     fit = max(1, _CHUNK_EVALS // (len(nodes) * math.prod(base_shape[:-1])))
@@ -157,11 +154,13 @@ def _propagate(nodes, exponent, hfun, horizon, nsteps, sample_indices, base_shap
     for j in range(0, nsteps, width):
         tmid = (np.arange(j, min(j + width, nsteps)) + 0.5) * dt
         h = _eval_h(hfun, (tmid[:, None] + np.asarray(nodes) * dt).ravel(), base_shape)
-        # every step of the chunk in one exponential batch, steps leading
-        e = expm_herm(exponent(h.reshape((len(tmid), len(nodes)) + base_shape), dt))
-        e = e.reshape((-1, part) + u_shape).swapaxes(0, 1)
-        for p in _ordered_product(e):
-            n = part
+        h = np.ascontiguousarray(_roll_axes(  # (4, nodes, steps, ...)
+            h.reshape((len(tmid), len(nodes)) + base_shape), 1).swapaxes(1, 2))
+        # all the chunk's steps in one expm_herm call (perfbench traces it), as (2, 2, steps, ...)
+        e = _roll_axes(expm_herm(_roll_axes(exponent(h, dt), -1)), 2)
+        e = _ordered_product(e.reshape((2, 2, -1, part) + base_shape[:-1]).swapaxes(2, 3))
+        for i in range(e.shape[2]):
+            p, n = e[:, :, i], part
             while pending and pending[-1][0] == n:
                 p, n = _matmul(p, pending.pop()[1]), 2 * n
             if n < block:
@@ -172,15 +171,15 @@ def _propagate(nodes, exponent, hfun, horizon, nsteps, sample_indices, base_shap
                 segments.append(seg)
                 seg = None
         del h, e  # free this chunk before the next one is evaluated
-    return np.stack(segments)
+    return np.stack(segments, axis=2)
 
 
 def _snapshots(segments: np.ndarray) -> np.ndarray:
-    """U_0 = 1 and the serial chain U_i = segments[i - 1] @ U_(i-1), stacked."""
-    u = np.empty((len(segments) + 1,) + segments.shape[1:], dtype=complex)
-    u[0] = np.eye(2)
-    for i, s in enumerate(segments):
-        u[i + 1] = _matmul(s, u[i])
+    """U_0 = 1 and the chain U_i = segments[:, :, i - 1] @ U_(i-1) as (2, 2, n + 1, ...)."""
+    u = np.concatenate([np.zeros_like(segments[:, :, :1]), segments], axis=2)
+    u[0, 0, 0] = u[1, 1, 0] = 1.0
+    for i in range(1, u.shape[2]):
+        u[:, :, i] = _matmul(u[:, :, i], u[:, :, i - 1])
     return u
 
 
@@ -260,7 +259,7 @@ def integrate_tdse(hfun: Callable, horizon: float, tol: float = DEFAULT_TOL,
             cut = bool(diffs) and diffs[-1] >= 32 * diff
             if diff < tol or (cut and 8 * diff / 63 < tol):
                 return PropagatorTrace(np.array(steps) * (horizon / base_steps),
-                                       _snapshots(segments), nsteps, diff / 63.0)
+                                       _roll_axes(_snapshots(segments), -2), nsteps, diff / 63.0)
             if unresolvable:
                 raise ToleranceNotReached(
                     f"round difference {diff:.1e} above tol {tol:.1e}{unresolvable}")
@@ -321,8 +320,9 @@ def verify_protocol(protocol: DrivingProtocol, k_grid, periods: int = 1,
     # the target's winding sign (-1)^(p n) covers the whole 2x2 block
     sign = (-1.0) ** (protocol.gauge.p * periods)
     c_target = np.stack(protocol.target.coeffs(k_grid), axis=-1)
-    p_num = _matmul(trace.unitaries,  # P(t) as (n_t, ..., 2, 2), the horizon last
-                    expm_herm(np.multiply.outer(-trace.times, c_target)))
+    e_target = _roll_axes(expm_herm(np.multiply.outer(-trace.times, c_target)), 2)
+    # P(t), the horizon last, C-ordered as (n_t, ..., 2, 2) to fix the norm's sum order
+    p_num = np.ascontiguousarray(_roll_axes(_matmul(_roll_axes(trace.unitaries, 2), e_target), -2))
     strobe_errors = np.atleast_1d(np.linalg.norm(p_num[-1] - sign * np.eye(2), axis=(-2, -1)))
     t = trace.times.reshape((-1,) + (1,) * (p_num.ndim - 3))
     p_ref = micromotion_at(protocol.gauge, protocol.target.ladder_angle(k_grid), t)

@@ -1,8 +1,10 @@
 """Oracles shared by the test modules: quasienergy folding of a one-period
-unitary, the einsum M1/M2 contraction of the general drive, the fixed-step
-midpoint scheme, and the fixed-step integrator references that several tests
-compare against, each computed once per session."""
+unitary, the einsum M1/M2 contraction of the general drive, the channel-last
+2x2 kernel the propagator must match bit for bit, the fixed-step midpoint
+scheme, and the fixed-step integrator references that several tests compare
+against, each computed once per session."""
 
+import math
 from functools import cache
 
 import numpy as np
@@ -55,21 +57,95 @@ def einsum_drive(target, static, g, k, t):
     return h0t - h0s + np.zeros(fz.shape), 2 * np.real(f_plus), -2 * np.imag(f_plus), fz
 
 
+# The channel-last kernel: unitaries as (..., 2, 2) stacks and coefficients
+# or Magnus exponents as (..., 4) stacks, formed entry by entry.  The
+# propagator stores the same numbers matrix-index first, (2, 2, ...) and
+# (4, ...), and must reproduce every bit of these.
+
+def matmul_cl(a, b):
+    """a @ b for (..., 2, 2) stacks, one entry at a time (12 ufunc calls)."""
+    out = np.empty(np.broadcast_shapes(a.shape, b.shape), dtype=complex)
+    out[..., 0, 0] = a[..., 0, 0] * b[..., 0, 0] + a[..., 0, 1] * b[..., 1, 0]
+    out[..., 0, 1] = a[..., 0, 0] * b[..., 0, 1] + a[..., 0, 1] * b[..., 1, 1]
+    out[..., 1, 0] = a[..., 1, 0] * b[..., 0, 0] + a[..., 1, 1] * b[..., 1, 0]
+    out[..., 1, 1] = a[..., 1, 0] * b[..., 0, 1] + a[..., 1, 1] * b[..., 1, 1]
+    return out
+
+
+def expm_cl(c):
+    """exp(-1j * H) of every row (h0, hx, hy, hz) of a real (..., 4) stack, in
+    the closed Pauli form, as a (..., 2, 2) stack."""
+    h0, hx, hy, hz = np.moveaxis(c, -1, 0)
+    r = np.sqrt(hx * hx + hy * hy + hz * hz)
+    phi = 0.5 * r
+    sinc = np.divide(np.sin(phi), r, out=np.full_like(r, 0.5), where=r > 0)
+    cosphi = np.cos(phi)
+    isinc = -1j * sinc
+    out = np.empty(h0.shape + (2, 2), dtype=complex)
+    out[..., 0, 0] = cosphi + isinc * hz
+    out[..., 1, 1] = cosphi - isinc * hz
+    out[..., 0, 1] = isinc * (hx - 1j * hy)
+    out[..., 1, 0] = isinc * (hx + 1j * hy)
+    out *= np.exp(-1j * h0)[..., None, None]
+    return out
+
+
+def bracket_cl(a, b):
+    """[-i a.S, -i b.S] = -i (a x b).S for (..., 4) stacks, by component."""
+    out = np.zeros(np.broadcast_shapes(a.shape, b.shape))
+    for i, j, k in ((1, 2, 3), (2, 3, 1), (3, 1, 2)):
+        out[..., i] = a[..., j] * b[..., k] - a[..., k] * b[..., j]
+    return out
+
+
+def magnus6_cl(h, dt):
+    """Sixth-order Magnus exponent of each step as a (steps, ..., 4) stack,
+    from H at its three Gauss nodes, h (steps, 3, ..., 4)."""
+    h1, h2, h3 = h[:, 0], h[:, 1], h[:, 2]
+    a1, a2 = dt * h2, (math.sqrt(15.0) * dt / 3) * (h3 - h1)
+    a3 = (10 * dt / 3) * (h3 - 2 * h2 + h1)
+    c1 = bracket_cl(a1, a2)
+    c2 = bracket_cl(a1, 2 * a3 + c1) / -60
+    return a1 + a3 / 12 + bracket_cl(-20 * a1 - a3 + c1, a2 + c2) / 240
+
+
+def ordered_product_cl(e):
+    """e[-1] @ ... @ e[0] of a (n, ..., 2, 2) stack, reduced pairwise."""
+    while e.shape[0] > 1:
+        even = e.shape[0] - (e.shape[0] % 2)
+        pairs = matmul_cl(e[1:even:2], e[0:even:2])
+        e = pairs if even == e.shape[0] else np.concatenate([pairs, e[-1:]], axis=0)
+    return e[0]
+
+
+def snapshots_cl(segments):
+    """U_0 = 1 and U_i = segments[i - 1] @ U_(i-1), stacked as (n + 1, ..., 2, 2)."""
+    u = np.empty((len(segments) + 1,) + segments.shape[1:], dtype=complex)
+    u[0] = np.eye(2)
+    for i, s in enumerate(segments):
+        u[i + 1] = matmul_cl(s, u[i])
+    return u
+
+
 #: The second-order midpoint scheme, exp(-i dt H(t + dt/2)) per step, in
-#: the chunk loop's (node offsets, step exponent) form.
+#: the chunk loop's (node offsets, step exponent) form: H at the nodes comes
+#: as a (4, nodes, steps, ...) stack.
 MIDPOINT = ((0.0,), lambda h, dt: dt * h[:, 0])
 
 
 def midpoint_fixed(hfun, horizon, nsteps):
     """Fixed-step midpoint-exponential run through the chunk loop of
-    integrate_tdse, as its independent reference; returns U(horizon)."""
-    return prop._propagate(*MIDPOINT, hfun, horizon, nsteps, {nsteps})[-1]
+    integrate_tdse, as its independent reference; returns U(horizon) as a
+    (..., 2, 2) stack."""
+    return prop._roll_axes(
+        prop._propagate(*MIDPOINT, hfun, horizon, nsteps, {nsteps})[:, :, -1], -2)
 
 
 def magnus6_fixed(hfun, horizon, nsteps):
     """Fixed-step run of the Magnus-6 scheme that integrate_tdse doubles,
-    through the same chunk loop; returns U(horizon)."""
-    return prop._propagate(*prop._MAGNUS6, hfun, horizon, nsteps, {nsteps})[-1]
+    through the same chunk loop; returns U(horizon) as a (..., 2, 2) stack."""
+    return prop._roll_axes(
+        prop._propagate(*prop._MAGNUS6, hfun, horizon, nsteps, {nsteps})[:, :, -1], -2)
 
 
 def _frozen(a):

@@ -21,13 +21,19 @@ from oracles import (
     K4,
     MIDPOINT,
     MIDPOINT_STEPS,
+    bracket_cl,
     convergence_drive,
+    expm_cl,
+    magnus6_cl,
     magnus6_fixed,
     magnus6_reference,
+    matmul_cl,
     midpoint_errors,
     midpoint_fixed,
     midpoint_reference,
+    ordered_product_cl,
     quasienergies,
+    snapshots_cl,
 )
 
 K8 = np.linspace(-np.pi, np.pi, 8, endpoint=False)
@@ -52,6 +58,114 @@ def test_expm_herm_against_scipy():
         dt = rng.uniform(-2, 2)
         assert np.allclose(expm_herm(dt * c), scipy_expm(-1j * dt * matrices(c)),
                            atol=1e-12)
+
+
+@pytest.mark.parametrize("shape", [(), (5,), (3, 2)])
+def test_expm_herm_maps_coefficient_rows_to_matrices(shape):
+    # (4,) -> (2, 2), (n, 4) -> (n, 2, 2), (a, b, 4) -> (a, b, 2, 2)
+    c = np.random.default_rng(3).normal(size=shape + (4,))
+    u = expm_herm(c)
+    assert u.shape == shape + (2, 2)
+    for index in np.ndindex(shape):
+        assert np.array_equal(u[index], expm_herm(c[index]))
+
+
+@pytest.mark.parametrize("shape", [(3,), (5,), (6, 3), (6, 5)])
+def test_expm_herm_rejects_other_trailing_sizes(shape):
+    with pytest.raises(ValueError):
+        expm_herm(np.zeros(shape))
+
+
+@pytest.mark.parametrize("model", ["crossstitch", "pwave2d"])
+def test_trace_unitaries_are_sample_major(model):
+    # one (n_k, 2, 2) stack per sample, on a 1D grid and on a (kx, ky) grid
+    cfg = cli.validate({"model": model, "kpoints": 8})
+    proto, k = cli.build_protocol(cfg), cli.k_grid_of(cfg)
+    trace = integrate_tdse(proto.hamiltonian_fn(k), proto.period, tol=1e-8,
+                           sample_steps=[16, 32])
+    assert trace.unitaries.shape == (4, 8, 2, 2)
+    gram = trace.unitaries @ np.conj(np.swapaxes(trace.unitaries, -1, -2))
+    assert np.max(np.abs(gram - np.eye(2))) <= 1e-12
+
+
+def same_bits(a, b):
+    """Equal shapes, dtypes and bytes, so signed zeros count too."""
+    a, b = np.ascontiguousarray(a), np.ascontiguousarray(b)
+    return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+def internal(u):
+    """A (..., 2, 2) stack in the propagator's contiguous (2, 2, ...) layout."""
+    return np.ascontiguousarray(prop._roll_axes(u, 2))
+
+
+#: Batch shapes of the kernel tests; "pwave2d" is the drive on a (kx, ky) grid.
+BATCHES = [(1,), (16,), (64,), (5, 64), (3, 7), "pwave2d"]
+
+
+def drive_samples(batch, n_t, seed):
+    """A real (n_t, *batch, 4) coefficient stack: normal draws, or for
+    "pwave2d" the pwave2d drive at n_t times on the momenta K2D."""
+    if batch == "pwave2d":
+        proto = cli.build_protocol(cli.validate({"model": "pwave2d"}))
+        return 0.3 * proto.hamiltonian_fn(K2D)(np.linspace(0.0, proto.period, n_t))
+    c = np.random.default_rng(seed).normal(size=(n_t,) + batch + (4,))
+    c.reshape(-1, 4)[0, 1:] = 0.0  # a rotation-free row takes the sinc limit
+    return c
+
+
+@pytest.mark.parametrize("batch", BATCHES, ids=str)
+def test_products_and_exponentials_are_bitwise_the_channel_last_ones(batch):
+    c = drive_samples(batch, 2, 5)
+    a, b = expm_cl(c[0]), expm_cl(c[1])
+    assert same_bits(expm_herm(c[0]), a)
+    # the chunk loop hands expm_herm a contiguous (4, ...) exponent
+    assert same_bits(expm_herm(prop._roll_axes(np.ascontiguousarray(np.moveaxis(c[1], -1, 0)),
+                                               -1)), b)
+    assert same_bits(prop._roll_axes(prop._matmul(internal(a), internal(b)), -2),
+                     matmul_cl(a, b))
+
+
+@pytest.mark.parametrize("batch", BATCHES, ids=str)
+def test_magnus_exponents_are_bitwise_the_channel_last_ones(batch):
+    # H at three nodes of six steps: (steps, 3, ..., 4) channel last and
+    # (4, 3, steps, ...) as the chunk loop hands it to the scheme
+    h = drive_samples(batch, 18, 7)
+    h = h.reshape((6, 3) + h.shape[1:])
+    rows = np.ascontiguousarray(prop._roll_axes(h, 1).swapaxes(1, 2))
+    a, b = rows[:, 0], rows[:, 1]
+    assert same_bits(prop._roll_axes(prop._bracket(a, b), -1),
+                     bracket_cl(np.moveaxis(a, 0, -1), np.moveaxis(b, 0, -1)))
+    assert same_bits(prop._roll_axes(prop._magnus6(rows, 0.03), -1), magnus6_cl(h, 0.03))
+
+
+@pytest.mark.parametrize("n", [1, 6, 7])
+@pytest.mark.parametrize("batch", BATCHES, ids=str)
+def test_ordered_products_and_snapshots_are_bitwise_the_channel_last_ones(batch, n):
+    e = expm_cl(drive_samples(batch, n, 11))  # (n, ..., 2, 2)
+    assert same_bits(prop._roll_axes(prop._ordered_product(internal(e)), -2),
+                     ordered_product_cl(e))
+    assert same_bits(prop._roll_axes(prop._snapshots(internal(e)), -2), snapshots_cl(e))
+
+
+@pytest.mark.parametrize("hfun", ["three_momenta", "pwave2d"])
+def test_chunk_loop_is_bitwise_the_channel_last_block_chain(hfun):
+    # 16 Magnus-6 steps in one chunk, sampled at 4, 8 and 16: blocks of 4
+    # steps are pairwise trees, and the last segment folds two of them
+    if hfun == "pwave2d":
+        proto = cli.build_protocol(cli.validate({"model": "pwave2d"}))
+        hfun = proto.hamiltonian_fn(K2D)
+    else:
+        hfun = three_momenta
+    nodes, dt = prop._MAGNUS6[0], 0.7 / 16
+    tmid = (np.arange(16) + 0.5) * dt
+    h = hfun((tmid[:, None] + np.asarray(nodes) * dt).ravel())
+    e = expm_cl(magnus6_cl(h.reshape((16, 3) + h.shape[1:]), dt))
+    trees = [ordered_product_cl(e[i:i + 4]) for i in range(0, 16, 4)]
+    segments = np.stack([trees[0], trees[1], matmul_cl(trees[3], trees[2])])
+    got = prop._propagate(*prop._MAGNUS6, hfun, 0.7, 16, {0, 4, 8, 16})
+    assert same_bits(prop._roll_axes(got, -2), segments)
+    assert same_bits(prop._roll_axes(prop._snapshots(got), -2), snapshots_cl(segments))
 
 
 def test_zero_hamiltonian_gives_identity():
@@ -101,13 +215,15 @@ def test_long_horizon_sample_grid_accepted(monkeypatch):
     period = 2 * np.pi / 8.0
     base_steps = prop.DEFAULT_BASE_STEPS * periods
 
+    eye = np.eye(2, dtype=complex)[:, :, None]
+
     def identities(nodes, exponent, hfun, horizon, nsteps, sample_indices, base_shape):
-        # one segment ends at every sampled step count but the first
-        return np.broadcast_to(np.eye(2, dtype=complex), (len(sample_indices) - 1, 2, 2))
+        # one (2, 2) segment ends at every sampled step count but the first
+        return np.broadcast_to(eye, (2, 2, len(sample_indices) - 1))
 
     monkeypatch.setattr(prop, "_propagate", identities)
     monkeypatch.setattr(prop, "_snapshots", lambda segments: np.broadcast_to(
-        np.eye(2, dtype=complex), (len(segments) + 1, 2, 2)))
+        eye, (2, 2, segments.shape[2] + 1)))
     trace = integrate_tdse(constant(np.zeros(4)), periods * period, tol=1e-8,
                            base_steps=base_steps,
                            sample_steps=range(0, base_steps + 1, prop.DEFAULT_BASE_STEPS))
@@ -154,7 +270,7 @@ def test_stalled_round_difference_fails_fast(monkeypatch):
 
     def jittered(*args):
         u = propagate(*args)
-        u[-1] *= np.exp(1e-9j * (-1) ** len(rounds))  # the last segment, so the horizon
+        u[:, :, -1] *= np.exp(1e-9j * (-1) ** len(rounds))  # the last segment, so the horizon
         rounds.append(args[4])
         return u
 
@@ -175,7 +291,7 @@ def phased_rounds(monkeypatch, phases):
 
     def phased(*args):
         u = propagate(*args)
-        u[-1] *= np.exp(-1j * phases(len(rounds)))
+        u[:, :, -1] *= np.exp(-1j * phases(len(rounds)))
         rounds.append(args[4])
         return u
 
@@ -338,13 +454,14 @@ def test_one_period_snapshots_are_the_serial_block_chain(make):
                            sample_steps=range(prop.DEFAULT_BASE_STEPS))
     n = trace.step_count
     block = n // prop.DEFAULT_BASE_STEPS
+    # the blocks as (2, 2, blocks, momenta), the propagator's layout
     blocks = prop._propagate(*prop._MAGNUS6, hfun, proto.period, n, set(range(0, n + 1, block)))
-    u = np.broadcast_to(np.eye(2, dtype=complex), blocks.shape[1:]).copy()
+    u = np.broadcast_to(np.eye(2, dtype=complex)[:, :, None], (2, 2) + blocks.shape[3:])
     chain = [u]
-    for b in blocks:
-        u = prop._matmul(b, u)
+    for i in range(blocks.shape[2]):
+        u = prop._matmul(blocks[:, :, i], u)
         chain.append(u)
-    assert np.array_equal(trace.unitaries, np.stack(chain))
+    assert np.array_equal(trace.unitaries, prop._roll_axes(np.stack(chain, axis=2), -2))
 
 
 def test_three_period_composition_is_cube_of_floquet_operator():
@@ -381,21 +498,22 @@ def _cf4_exponent(h, dt):
     """The fourth-order commutator-free step exp(-i dt B2) exp(-i dt B1),
     B_s = sum of weight x H over the two nodes, as one exponent: su(2) plus
     the identity is closed, so the two rotations compose as unit quaternions
-    (w, v) and the step is expm_herm of (b0_1 + b0_2, 2 atan2(|v|, w) v/|v|)."""
+    (w, v) and the step is expm_herm of (b0_1 + b0_2, 2 atan2(|v|, w) v/|v|).
+    H comes as a (4, 2, steps, ...) stack and the exponent leaves as (4,
+    steps, ...), the chunk loop's component-first layout."""
     b1, b2 = (dt * (w1 * h[:, 0] + w2 * h[:, 1]) for w1, w2 in _CF4_WEIGHTS)
 
     def quaternion(b):
-        r = np.linalg.norm(b[..., 1:], axis=-1, keepdims=True)
-        v = np.divide(np.sin(r / 2) * b[..., 1:], r, out=np.zeros_like(r * b[..., 1:]),
-                      where=r > 0)
+        r = np.linalg.norm(b[1:], axis=0, keepdims=True)
+        v = np.divide(np.sin(r / 2) * b[1:], r, out=np.zeros_like(r * b[1:]), where=r > 0)
         return np.cos(r / 2), v
 
     (c1, v1), (c2, v2) = quaternion(b1), quaternion(b2)
-    w = c1 * c2 - np.sum(v1 * v2, axis=-1, keepdims=True)
-    v = c2 * v1 + c1 * v2 + np.cross(v2, v1)
-    s = np.linalg.norm(v, axis=-1, keepdims=True)
+    w = c1 * c2 - np.sum(v1 * v2, axis=0, keepdims=True)
+    v = c2 * v1 + c1 * v2 + np.cross(v2, v1, axis=0)
+    s = np.linalg.norm(v, axis=0, keepdims=True)
     axis = np.divide(v, s, out=np.zeros_like(v), where=s > 0)
-    return np.concatenate([b1[..., :1] + b2[..., :1], 2 * np.arctan2(s, w) * axis], axis=-1)
+    return np.concatenate([b1[:1] + b2[:1], 2 * np.arctan2(s, w) * axis], axis=0)
 
 
 # a two-node scheme in the chunk loop: its chunks hold other step counts than
@@ -448,8 +566,8 @@ def test_chunk_loop_matches_stepwise_product(monkeypatch, scheme, nsteps, budget
     # 240 fits 26 or 40 steps, so whole blocks; 4096 holds the whole run
     monkeypatch.setattr(prop, "_CHUNK_EVALS", budget)
     idx = [0, nsteps // 4, nsteps // 2, nsteps]
-    snaps = prop._snapshots(prop._propagate(*SCHEMES[scheme], three_momenta, 1.0, nsteps,
-                                            set(idx)))
+    snaps = prop._roll_axes(prop._snapshots(prop._propagate(
+        *SCHEMES[scheme], three_momenta, 1.0, nsteps, set(idx))), -2)
     ref = stepwise_reference(scheme, three_momenta, 1.0, nsteps)
     assert snaps.shape == (len(idx), len(K3), 2, 2)
     for i, snap in zip(idx, snaps):
@@ -466,7 +584,7 @@ def test_momenta_propagated_together_match_each_alone(monkeypatch, budget):
     for m in range(len(K3)):
         alone = prop._propagate(*prop._MAGNUS6, lambda t: three_momenta(t)[:, m:m + 1],
                                 1.0, 256, idx)
-        assert np.array_equal(together[:, m:m + 1], alone)
+        assert np.array_equal(together[..., m:m + 1], alone)
 
 
 def test_chunks_stay_within_the_evaluation_budget(monkeypatch):

@@ -6,7 +6,6 @@ from .algebra import (
     HamiltonianSpec,
     chiral_p_wave_2d,
     cross_stitch,
-    custom,
     kitaev_chain,
     su3_flat,
     uncoupled_chains,

@@ -48,16 +48,28 @@ class HamiltonianSpec:
     ``coeff_fn`` maps momentum (scalar/array, or trailing-axis pair in 2D)
     to the four arrays (h0, hx, hy, hz).  Assembly always yields the 2x2
     block; ``band_count`` = 3 marks a model whose decoupled third level sits
-    at energy h0.
+    at energy h0.  ValueError is raised for a band count other than 2 or 3,
+    a dimension other than 1 or 2, or 2D momenta not of shape (..., 2).
     """
 
     name: str
-    band_count: int
-    dimension: int
     coeff_fn: Callable
+    band_count: int = 2
+    dimension: int = 1
+
+    def __post_init__(self):
+        if self.band_count not in (2, 3) or self.dimension not in (1, 2):
+            raise ValueError(f"model {self.name!r} needs 2 or 3 bands in 1 or 2 dimensions, "
+                             f"got {self.band_count} bands in {self.dimension}D")
+
+    def _momenta(self, k) -> np.ndarray:
+        k = np.asarray(k, dtype=float)
+        if self.dimension == 2 and k.shape[-1:] != (2,):
+            raise ValueError(f"2D model {self.name!r} takes momenta of shape (..., 2), got {k.shape}")
+        return k
 
     def coeffs(self, k):
-        h0, hx, hy, hz = self.coeff_fn(np.asarray(k, dtype=float))
+        h0, hx, hy, hz = self.coeff_fn(self._momenta(k))
         out = np.broadcast_arrays(h0, hx, hy, hz)
         if any(np.iscomplexobj(a) for a in out):
             raise HermiticityError(f"model {self.name!r} produced complex coefficients")
@@ -67,12 +79,12 @@ class HamiltonianSpec:
 
     def k_labels(self, k) -> np.ndarray:
         """One label per momentum of the array ``k``: k, or kx on a 2D grid."""
-        return k[..., 0] if self.dimension == 2 else k
+        return self._momenta(k)[..., 0] if self.dimension == 2 else self._momenta(k)
 
     def ladder_angle(self, k) -> np.ndarray:
         """Phase angle of the ladder-channel momentum profile e^{ik} at the
         array ``k``: k, or kx + ky on a 2D grid."""
-        return k.sum(axis=-1) if self.dimension == 2 else k
+        return self._momenta(k).sum(axis=-1) if self.dimension == 2 else self._momenta(k)
 
 
 def cross_stitch(alpha: float = 1.0, delta: float = 2.0) -> HamiltonianSpec:
@@ -84,7 +96,7 @@ def cross_stitch(alpha: float = 1.0, delta: float = 2.0) -> HamiltonianSpec:
         hx = -2 * (2 * alpha * np.cos(k) + delta)
         return h0, hx, np.zeros_like(k), np.zeros_like(k)
 
-    return HamiltonianSpec("crossstitch", 2, 1, fn)
+    return HamiltonianSpec("crossstitch", fn)
 
 
 def uncoupled_chains(alpha: float = 1.0) -> HamiltonianSpec:
@@ -96,7 +108,7 @@ def uncoupled_chains(alpha: float = 1.0) -> HamiltonianSpec:
         z = np.zeros_like(k)
         return h0, z, z, z
 
-    return HamiltonianSpec("uncoupledchains", 2, 1, fn)
+    return HamiltonianSpec("uncoupledchains", fn)
 
 
 def kitaev_chain(mu: float = 1.0, hopping: float = 1.0, pairing: float = 1.0) -> HamiltonianSpec:
@@ -109,7 +121,7 @@ def kitaev_chain(mu: float = 1.0, hopping: float = 1.0, pairing: float = 1.0) ->
         z = np.zeros_like(k)
         return z, z, hy, hz
 
-    return HamiltonianSpec("kitaev", 2, 1, fn)
+    return HamiltonianSpec("kitaev", fn)
 
 
 def chiral_p_wave_2d(mu: float = 1.0, pairing: float = 0.5) -> HamiltonianSpec:
@@ -123,30 +135,24 @@ def chiral_p_wave_2d(mu: float = 1.0, pairing: float = 0.5) -> HamiltonianSpec:
         hx = -4 * pairing * np.sin(ky)
         return np.zeros_like(kx), hx, hy, hz
 
-    return HamiltonianSpec("pwave2d", 2, 2, fn)
+    return HamiltonianSpec("pwave2d", fn, dimension=2)
 
 
 def su3_flat(delta: float = 2.0) -> HamiltonianSpec:
     """Three-band model whose couplings live on the first two levels: the
     flat-band profile eta_x = -eta_y = 2 cos(k) + delta, eta_z = 0 with a
     zero identity channel, whose spectrum is {-|eta|/2, 0, |eta|/2} with a
-    flat middle band.  Other three-band targets are :func:`custom` specs
-    with ``band_count=3``.
+    flat middle band.
     """
 
     def fn(k):
         base = 2 * np.cos(k) + delta
         return np.zeros_like(k), base, -base, np.zeros_like(k)
 
-    return HamiltonianSpec("su3flat", 3, 1, fn)
+    return HamiltonianSpec("su3flat", fn, band_count=3)
 
 
 #: Static Hamiltonian with no channel at all; its scalar coefficients
 #: broadcast against any momentum grid, 1D or 2D.
-ZERO = HamiltonianSpec("zero", 2, 1, lambda k: (0.0, 0.0, 0.0, 0.0))
+ZERO = HamiltonianSpec("zero", lambda k: (0.0, 0.0, 0.0, 0.0))
 
-
-def custom(coeff_fn: Callable, band_count: int = 2, dimension: int = 1,
-           name: str = "custom") -> HamiltonianSpec:
-    """Wrap a user-supplied k -> (h0, hx, hy, hz) map."""
-    return HamiltonianSpec(name, band_count, dimension, coeff_fn)

@@ -21,7 +21,7 @@ import numpy as np
 
 from . import algebra, lattice, spectra, su3 as su3mod
 from .errors import FloquetError
-from .propagate import verify_protocol
+from .propagate import DEFAULT_TOL, verify_protocol
 from .synth import DrivingProtocol, crossstitch_protocol, general_protocol
 from .gauge import GaugeParams
 
@@ -40,7 +40,7 @@ DEFAULTS = {
     "kpoints": 64,
     "tpoints": 64,
     "periods": 1,
-    "tol": 1e-9,
+    "tol": DEFAULT_TOL,
     "ncoeff": 40,
     "corrupt_fz": 1.0,
     "out": ".",
@@ -81,23 +81,17 @@ def load_config(path: str) -> dict:
     return out
 
 
-def _coerce(cfg: dict) -> dict:
-    """``cfg`` over ``DEFAULTS``, each value converted to its default's type."""
-    out = dict(DEFAULTS)
-    out.update(cfg)
+def validate(cfg: dict) -> dict:
+    """``cfg`` over ``DEFAULTS``, each value converted to its default's type
+    and held to the rules below; a rule that fails raises ConfigError."""
+    cfg = {**DEFAULTS, **cfg}
     for key in sorted(DEFAULTS):
         kind = type(DEFAULTS[key])
         try:
-            out[key] = kind(out[key])
+            cfg[key] = kind(cfg[key])
         except ValueError:
-            raise ConfigError(f"{key} must be {kind.__name__}, got {out[key]!r}") from None
-    return out
-
-
-def validate(cfg: dict) -> dict:
-    cfg = _coerce(cfg)
-    for key in sorted(DEFAULTS):
-        if isinstance(DEFAULTS[key], float) and not np.isfinite(cfg[key]):
+            raise ConfigError(f"{key} must be {kind.__name__}, got {cfg[key]!r}") from None
+        if kind is float and not np.isfinite(cfg[key]):
             raise ConfigError(f"{key} must be finite, got {cfg[key]}")
     if cfg["model"] not in MODELS:
         raise ConfigError(f"model must be one of {MODELS}, got {cfg['model']!r}")
@@ -111,7 +105,6 @@ def validate(cfg: dict) -> dict:
         raise ConfigError("aplus2 must be non-negative")
     if float(cfg["p"]) != int(round(cfg["p"])):
         raise ConfigError(f"winding p must be an integer, got {cfg['p']}")
-    cfg["p"] = int(round(cfg["p"]))
     if cfg["periods"] < 1:
         raise ConfigError("periods must be >= 1")
     if not 1 <= cfg["ncoeff"] < spectra.ENVELOPE_QUAD_SAMPLES // 2:
@@ -301,13 +294,9 @@ def build_parser() -> argparse.ArgumentParser:
     for name in COMMANDS:
         cmd = sub.add_parser(name)
         cmd.add_argument("--config", type=str, default=None)
-        cmd.add_argument("--out", type=str, default=None)
-        cmd.add_argument("--model", type=str, choices=MODELS, default=None)
-        for flag in ("--omega", "--alpha", "--delta", "--aplus2", "--p", "--tol",
-                     "--corrupt-fz"):
-            cmd.add_argument(flag, type=float, default=None)
-        for flag in ("--kpoints", "--tpoints", "--periods"):
-            cmd.add_argument(flag, type=int, default=None)
+        for key, default in DEFAULTS.items():  # a flag's argparse dest is its config key
+            cmd.add_argument("--" + key.replace("_", "-"), type=type(default), default=None,
+                             choices=MODELS if key == "model" else None)
     return parser
 
 
@@ -315,10 +304,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         cfg = load_config(args.config) if args.config else {}
-        for key in DEFAULTS:  # a flag's argparse dest is its config key
-            value = getattr(args, key, None)
-            if value is not None:
-                cfg[key] = value
+        cfg.update((key, getattr(args, key)) for key in DEFAULTS if getattr(args, key) is not None)
         model_set = "model" in cfg  # by the file or a flag, not by DEFAULTS
         cfg = validate(cfg)
         if args.command == "lattice" and cfg["model"] != "crossstitch":

@@ -291,7 +291,7 @@ class VerificationReport:
 
     @property
     def worst_k(self) -> float:
-        return float(self.k_labels[int(np.argmax(self.strobe_errors))])
+        return float(self.k_labels.flat[int(np.argmax(self.strobe_errors))])
 
 
 def verify_protocol(protocol: DrivingProtocol, k_grid, periods: int = 1,
@@ -312,6 +312,8 @@ def verify_protocol(protocol: DrivingProtocol, k_grid, periods: int = 1,
     if periods < 1:
         raise ValueError(f"periods must be at least 1, got {periods}")
     k_grid = np.asarray(k_grid, dtype=float)
+    if k_grid.size == 0:
+        raise ValueError(f"momentum grid of shape {k_grid.shape} is empty")
     T, n = protocol.period, DEFAULT_BASE_STEPS
     trace = integrate_tdse(protocol.hamiltonian_fn(k_grid), periods * T, tol=tol,
                            base_steps=n * periods,

@@ -13,12 +13,12 @@ from __future__ import annotations
 
 from .algebra import ZERO, HamiltonianSpec
 from .gauge import GaugeParams
-from .propagate import VerificationReport, verify_protocol
+from .propagate import DEFAULT_TOL, VerificationReport, verify_protocol
 from .synth import DrivingProtocol, general_protocol
 
 
 def verify_su3(spec: HamiltonianSpec, gauge: GaugeParams, k_grid,
-               tol: float = 1e-9) -> VerificationReport:
+               tol: float = DEFAULT_TOL) -> VerificationReport:
     """Propagate the three-band drive over one period against the target.
 
     ``spec`` is a three-band target such as :func:`floqueng.algebra.su3_flat`

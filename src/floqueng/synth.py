@@ -188,6 +188,11 @@ def _table_drive(c: np.ndarray, g: GaugeParams, harmonics: np.ndarray, t) -> np.
     return np.einsum("...cb,b...->...c", per_harmonic, harmonics)
 
 
+def _times_first(target: HamiltonianSpec, k) -> tuple:
+    """Shape that puts 1D times on a leading axis against the momentum batch ``k``."""
+    return (-1,) + (1,) * np.ndim(target.k_labels(k))
+
+
 def _require_finite(*arrays) -> None:
     if not all(np.isfinite(a).all() for a in arrays):
         raise ValueError("drive is not finite at this gauge amplitude and frequency")
@@ -250,17 +255,17 @@ class DrivingProtocol:
 
     def hamiltonian_fn(self, k) -> Callable:
         """Full driven Hamiltonian H0 + V(t) as a time-only closure over a
-        fixed momentum grid, for propagation: a 1D time array gives the real
-        (n_t, n_k, 4) stack of coefficients (h0, hx, hy, hz), those of the
-        coupled block for three-band targets too.  A closed form forms its 7
-        momentum harmonics here, once per grid, and a call contracts them
-        with the 10 time factors in :func:`_table_drive`, the kernel of
-        :meth:`drive_components` too."""
+        fixed momentum batch of any shape, for propagation: a 1D time array
+        gives the real (n_t, *batch, 4) stack of coefficients (h0, hx, hy,
+        hz), those of the coupled block for three-band targets too.  A closed
+        form forms its 7 momentum harmonics here, once per grid, and a call
+        contracts them with the 10 time factors in :func:`_table_drive`, the
+        kernel of :meth:`drive_components` too."""
         km = np.asarray(k, dtype=float)[None]  # time-leading: the stack needs no copy
-        h0s = self.static.coeffs(km)[0]
+        h0s, t_shape = self.static.coeffs(km)[0], _times_first(self.target, k)
         if self.closed_form is None:
             def fn(t):
-                f0, fx, fy, fz = self.drive_components(km, np.asarray(t, dtype=float)[:, None])
+                f0, fx, fy, fz = self.drive_components(km, np.reshape(t, t_shape))
                 return np.stack(np.broadcast_arrays(h0s + f0, fx, fy, fz), axis=-1)
 
             return fn
@@ -270,7 +275,7 @@ class DrivingProtocol:
         def table_fn(t):
             with np.errstate(over="ignore", invalid="ignore"):
                 out = _table_drive(self._harmonic_tensor, self.gauge, harmonics,
-                                   np.asarray(t, dtype=float)[:, None])
+                                   np.reshape(t, t_shape))
                 if self.fz_scale != 1.0:
                     out[..., 3] *= self.fz_scale
             out[..., 0] = h0  # assigned: += would take a 64 KiB ufunc buffer
@@ -304,11 +309,12 @@ def static_harmonic_residual(protocol: DrivingProtocol, k) -> np.ndarray:
     The static-part criterion lives on the numerator polynomial: the envelope
     f_e reweights harmonics, so a plain time average of f itself would not
     isolate the constant monomial.  Returns the per-component averages
-    (x, y, z) over one period by trapezoid quadrature.
+    (x, y, z) over one period by trapezoid quadrature, (3, *batch) for a
+    momentum batch ``k``.
     """
     T = protocol.period
-    t = np.linspace(0.0, T, RESIDUAL_SAMPLES + 1)
+    t = np.linspace(0.0, T, RESIDUAL_SAMPLES + 1).reshape(_times_first(protocol.target, k))
     _, fx, fy, fz = protocol.drive_components(np.asarray(k, dtype=float), t)
     s = np.sin(protocol.gauge.omega * t)
     numerator = np.stack([fx, fy, fz], axis=0) * (1.0 + protocol.gauge.a_plus**2 * s**2)
-    return np.trapezoid(numerator, t, axis=-1) / T
+    return np.trapezoid(numerator, t.ravel(), axis=1) / T

@@ -26,8 +26,8 @@ def test_assemble_sz_only():
 
 def test_assemble_identity_three_band():
     # the block carries h0 on both levels; the third level is the flat band h0
-    spec = algebra.custom(lambda k: (np.full_like(k, 1.7),) + (np.zeros_like(k),) * 3,
-                          band_count=3)
+    spec = algebra.HamiltonianSpec(
+        "identity3", lambda k: (np.full_like(k, 1.7),) + (np.zeros_like(k),) * 3, band_count=3)
     assert np.allclose(assemble_batch(*spec.coeffs(0.3)), 1.7 * np.eye(2))
     assert np.allclose(band_structure(spec, [0.3]), [[1.7, 1.7, 1.7]])
 
@@ -55,7 +55,7 @@ def test_assemble_batch_matches_scalar():
 
 
 def test_band_structure_sz():
-    spec = algebra.custom(lambda k: (np.zeros_like(k),) * 3 + (np.ones_like(k),))
+    spec = algebra.HamiltonianSpec("sz", lambda k: (np.zeros_like(k),) * 3 + (np.ones_like(k),))
     assert np.allclose(band_structure(spec, [0.0]), [[-0.5, 0.5]])
     assert np.allclose(np.linalg.eigvalsh(assemble_batch(*spec.coeffs(0.0))), [-0.5, 0.5])
 
@@ -64,7 +64,7 @@ def test_band_structure_closed_form_vs_solver():
     # one random coefficient set per grid point, against the dense solver on
     # the assembled matrices and against h0 -+ |h|/2
     table = np.random.default_rng(5).uniform(-50, 50, size=(200, 4))
-    spec = algebra.custom(lambda k: tuple(table[k.astype(int)].T))
+    spec = algebra.HamiltonianSpec("table", lambda k: tuple(table[k.astype(int)].T))
     k = np.arange(len(table))
     closed = band_structure(spec, k)
     solver = np.linalg.eigvalsh(assemble_batch(*spec.coeffs(k)))
@@ -82,9 +82,9 @@ def test_band_structure_is_the_plain_root_without_its_overflow():
     k = np.arange(len(table))
     h0, hx, hy, hz = table.T
     r = 0.5 * np.sqrt(hx * hx + hy * hy + hz * hz)
-    spec = algebra.custom(lambda k: tuple(table[k.astype(int)].T))
+    spec = algebra.HamiltonianSpec("table", lambda k: tuple(table[k.astype(int)].T))
     assert np.array_equal(band_structure(spec, k), np.column_stack([h0 - r, h0 + r]))
-    huge = algebra.custom(lambda k: tuple(1e300 * table[k.astype(int)].T))
+    huge = algebra.HamiltonianSpec("huge", lambda k: tuple(1e300 * table[k.astype(int)].T))
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         energies = band_structure(huge, k)
@@ -94,8 +94,8 @@ def test_band_structure_is_the_plain_root_without_its_overflow():
 
 def test_complex_coefficients_rejected():
     # a real coefficient set is Hermitian by construction; a complex one is not
-    spec = algebra.custom(lambda k: (np.zeros_like(k), 1j * np.ones_like(k),
-                                     np.zeros_like(k), np.zeros_like(k)))
+    spec = algebra.HamiltonianSpec("complex", lambda k: (np.zeros_like(k), 1j * np.ones_like(k),
+                                                          np.zeros_like(k), np.zeros_like(k)))
     with pytest.raises(HermiticityError):
         band_structure(spec, [0.0])
 
@@ -146,6 +146,23 @@ def test_pwave2d_coefficients():
 
 
 def test_coeffs_must_be_finite():
-    spec = algebra.custom(lambda k: (np.full_like(k, np.inf),) + (np.zeros_like(k),) * 3)
+    spec = algebra.HamiltonianSpec(
+        "infinite", lambda k: (np.full_like(k, np.inf),) + (np.zeros_like(k),) * 3)
     with pytest.raises(ValueError):
         spec.coeffs(0.0)
+
+
+def test_2d_band_structure_needs_momentum_pairs():
+    # 8 momenta are not read as the one pair (k[0], k[1])
+    with pytest.raises(ValueError, match=r"\(\.\.\., 2\), got \(8,\)"):
+        band_structure(algebra.chiral_p_wave_2d(), np.linspace(-np.pi, np.pi, 8))
+    # the zero static Hamiltonian is 1D, so it broadcasts against any grid
+    assert algebra.ZERO.coeffs(np.zeros((8, 2)))[0] == 0.0
+
+
+@pytest.mark.parametrize("fields", [
+    {"band_count": 1}, {"band_count": 4}, {"dimension": 0}, {"dimension": 3},
+])
+def test_spec_rejects_unsupported_bands_and_dimensions(fields):
+    with pytest.raises(ValueError, match="needs 2 or 3 bands in 1 or 2 dimensions"):
+        algebra.HamiltonianSpec("bad", lambda k: (k, k, k, k), **fields)

@@ -91,6 +91,8 @@ def test_invalid_winding_exits_2_and_writes_nothing(tmp_path, capsys):
     # su3 writes the su3flat table only, and never reads the default model
     ["su3", "--model", "kitaev"],
     ["su3", "--config", "model = crossstitch"],
+    # ncoeff is set by flag like every other config key, and aliases there too
+    ["fourier", "--ncoeff", "4096"],
 ])
 def test_config_validation_failures(tmp_path, bad, capsys):
     if "--config" in bad:  # the argument after it is the file's text, or its bytes
@@ -238,6 +240,20 @@ def test_fourier_dataset(tmp_path):
     assert np.max(np.abs(coeffs[1::2])) <= 1e-12
     even = coeffs[2::2]
     assert np.allclose(even[1:] / even[:-1], 2 - np.sqrt(3), atol=1e-6)
+
+
+def test_fourier_ncoeff_flag_sets_the_coefficient_count(tmp_path):
+    assert run(["fourier", "--ncoeff", "8", "--out", str(tmp_path)]) == 0
+    header, rows = read_csv(tmp_path / "fourier_aplus2_2.csv")
+    assert [int(r[0]) for r in rows] == list(range(9))
+
+
+def test_every_config_key_is_a_flag_of_its_type():
+    # the flags are made from DEFAULTS, so no key can lack one
+    parser = cli.build_parser()
+    for key, default in cli.DEFAULTS.items():
+        args = parser.parse_args(["synth", "--" + key.replace("_", "-"), str(default)])
+        assert (getattr(args, key), type(getattr(args, key))) == (default, type(default))
 
 
 def test_lattice_dataset(tmp_path):

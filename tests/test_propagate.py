@@ -11,7 +11,7 @@ from scipy.linalg import expm as scipy_expm
 
 import floqueng.propagate as prop
 from floqueng import cli
-from floqueng.algebra import ZERO, assemble_batch, custom, su3_flat
+from floqueng.algebra import ZERO, HamiltonianSpec, assemble_batch, su3_flat
 from floqueng.errors import HermiticityError, ToleranceNotReached
 from floqueng.gauge import GaugeParams
 from floqueng.propagate import expm_herm, integrate_tdse, verify_protocol
@@ -412,6 +412,37 @@ def test_verify_protocol_rejects_zero_periods(monkeypatch):
     assert rounds == []
 
 
+@pytest.mark.parametrize("model", ["crossstitch", "kitaev"])
+def test_momentum_batches_of_any_shape_verify_as_the_flat_grid(monkeypatch, model):
+    # the closed form and the general path: a (4, 3) grid is the flat
+    # 12-point grid bit for bit, a scalar momentum the 1-point grid, and an
+    # empty grid fails before the first round, naming its shape
+    proto = cli.build_protocol(cli.validate({"model": model}))
+    k = np.linspace(-np.pi, np.pi, 12, endpoint=False)
+    flat, grid = verify_protocol(proto, k), verify_protocol(proto, k.reshape(4, 3))
+    assert grid.strobe_errors.shape == grid.k_labels.shape == (4, 3)
+    assert np.array_equal(grid.strobe_errors.ravel(), flat.strobe_errors)
+    assert grid.integrator_steps == flat.integrator_steps
+    assert grid.worst_k == flat.worst_k
+    one, scalar = verify_protocol(proto, k[5:6]), verify_protocol(proto, k[5])
+    assert np.array_equal(scalar.strobe_errors, one.strobe_errors)
+    assert (scalar.integrator_steps, scalar.worst_k) == (one.integrator_steps, one.worst_k)
+    rounds = record_rounds(monkeypatch)
+    with pytest.raises(ValueError, match=r"momentum grid of shape \(0,\) is empty"):
+        verify_protocol(proto, k[:0])
+    assert rounds == []
+
+
+@pytest.mark.parametrize("shape", [(4, 3), (8,)])
+def test_2d_model_verify_needs_momentum_pairs(monkeypatch, shape):
+    # a third column is not dropped, and a 1D grid fails before propagating
+    proto = cli.build_protocol(cli.validate({"model": "pwave2d"}))
+    rounds = record_rounds(monkeypatch)
+    with pytest.raises(ValueError, match=re.escape(f"(..., 2), got {shape}")):
+        verify_protocol(proto, np.zeros(shape))
+    assert rounds == []
+
+
 def su3flat_protocol():
     return general_protocol(ZERO, su3_flat(), GaugeParams(a_plus=np.sqrt(2.0), p=3, omega=8.0))
 
@@ -648,7 +679,8 @@ def trigonometric_protocol(channels, omega, p, a_plus):
                                 for n in (1, 2, 3))
                      for c in channels)
 
-    return general_protocol(ZERO, custom(coeffs), GaugeParams(a_plus=a_plus, p=p, omega=omega))
+    return general_protocol(ZERO, HamiltonianSpec("random", coeffs),
+                            GaugeParams(a_plus=a_plus, p=p, omega=omega))
 
 
 @settings(max_examples=20, derandomize=True, deadline=None, database=None)
@@ -694,7 +726,7 @@ def test_exactness_over_random_two_dimensional_targets(channels, omega, p, a_plu
                                 for n, q in enumerate(angles))
                      for c in channels)
 
-    proto = general_protocol(ZERO, custom(coeffs, dimension=2),
+    proto = general_protocol(ZERO, HamiltonianSpec("random2d", coeffs, dimension=2),
                              GaugeParams(a_plus=a_plus, p=p, omega=omega))
     tol = 1e-8
     rep = verify_protocol(proto, K2D, tol=tol)
@@ -705,7 +737,7 @@ def test_undriven_target_has_identity_micromotion():
     # at zero gauge (a_plus = 0, p = 0) the drive is the constant target, so
     # U(t) = exp(-i H_eff t) and the periodic part is the identity throughout
     c0 = (0.3, -0.7, 0.4, 0.8)
-    target = custom(lambda k: tuple(np.full_like(k, c) for c in c0))
+    target = HamiltonianSpec("constant", lambda k: tuple(np.full_like(k, c) for c in c0))
     proto = general_protocol(ZERO, target, GaugeParams(a_plus=0.0, p=0, omega=4.2))
     rep = verify_protocol(proto, K8, tol=1e-10)
     assert rep.max_micromotion_error <= 1e-10

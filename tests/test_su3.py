@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from floqueng.algebra import S_MINUS, S_PLUS, SX, SY, SZ, ZERO, custom, su3_flat
+from floqueng.algebra import S_MINUS, S_PLUS, SX, SY, SZ, ZERO, HamiltonianSpec, su3_flat
 from floqueng.gauge import GaugeParams
 from floqueng.propagate import integrate_tdse
 from floqueng.su3 import su3_drive_table, verify_su3
@@ -50,8 +50,9 @@ class TestOperators:
 
 class TestDrive:
     def test_initial_sample_x_only_target(self):
-        spec = custom(lambda k: (np.zeros_like(k), 1.5 * np.ones_like(k),
-                                 np.zeros_like(k), np.zeros_like(k)), band_count=3)
+        spec = HamiltonianSpec("x3", lambda k: (np.zeros_like(k), 1.5 * np.ones_like(k),
+                                              np.zeros_like(k), np.zeros_like(k)),
+                               band_count=3)
         proto = general_protocol(ZERO, spec, GAUGE)
         for k in (0.0, 0.9):
             f0, fx, _, _ = proto.drive_components(k, 0.0)
@@ -59,7 +60,7 @@ class TestDrive:
             assert f0 == 0.0
 
     def test_zero_target_zero_gauge(self):
-        spec = custom(lambda k: (np.zeros_like(k),) * 4, band_count=3)
+        spec = HamiltonianSpec("zero3", lambda k: (np.zeros_like(k),) * 4, band_count=3)
         proto = general_protocol(ZERO, spec, GaugeParams(a_plus=0.0, p=0, omega=8.0))
         _, fx, fy, fz = proto.drive_components(0.4, 0.2)
         assert (fx, fy, fz) == (0.0, 0.0, 0.0)
@@ -110,7 +111,7 @@ class TestVerification:
     def test_gauge_only_evolution(self):
         # zero target: the evolution is pure micro-motion, so one period
         # lands on the winding sign in the embedded block and 1 outside
-        spec = custom(lambda k: (np.zeros_like(k),) * 4, band_count=3)
+        spec = HamiltonianSpec("zero3", lambda k: (np.zeros_like(k),) * 4, band_count=3)
         proto = general_protocol(ZERO, spec, GAUGE)
         trace = integrate_tdse(proto.hamiltonian_fn(np.array([0.5, 2.0])),
                                proto.period, tol=1e-9)
@@ -135,8 +136,8 @@ class TestVerification:
 
     def test_eta0_rejected(self):
         # a nonzero identity channel eta0 = 0.3 under unit couplings
-        spec = custom(lambda k: (np.full_like(k, 0.3),) + (np.ones_like(k),) * 3,
-                      band_count=3)
+        spec = HamiltonianSpec("eta0", lambda k: (np.full_like(k, 0.3),) + (np.ones_like(k),) * 3,
+                               band_count=3)
         with pytest.raises(ValueError):
             verify_su3(spec, GAUGE, K16)
 
@@ -144,9 +145,9 @@ class TestVerification:
         # h0 = 1 - cos 6k vanishes at k = 0, +-pi/3, +-2pi/3 and +-pi, so a
         # probe of a few fixed momenta can miss it; the drive must not
         k101 = np.linspace(-np.pi, np.pi, 101)
-        spec = custom(lambda k: (1 - np.cos(6 * k), 2 * np.cos(k) + 2,
-                                 -(2 * np.cos(k) + 2), np.zeros_like(k)),
-                      band_count=3)
+        spec = HamiltonianSpec("eta0-between", lambda k: (1 - np.cos(6 * k), 2 * np.cos(k) + 2,
+                                                        -(2 * np.cos(k) + 2), np.zeros_like(k)),
+                               band_count=3)
         with pytest.raises(ValueError, match="zero identity channel"):
             su3_drive_table(general_protocol(ZERO, spec, GAUGE), k101, np.linspace(0, 0.5, 4))
         with pytest.raises(ValueError, match="zero identity channel"):

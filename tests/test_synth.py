@@ -272,7 +272,7 @@ class TestGeneralSynthesis:
                         c[2, 0] + c[2, 1] * np.sin(k),
                         c[3, 0] + c[3, 1] * np.cos(3 * k))
 
-            target = algebra.custom(coeff, band_count=2)
+            target = algebra.HamiltonianSpec("random", coeff)
             g = GaugeParams(a_plus=1.2, p=2, omega=6.0)
             proto = general_protocol(algebra.ZERO, target, g)
             k = np.linspace(-np.pi, np.pi, 12, endpoint=False)
@@ -316,6 +316,26 @@ class TestStaticHarmonicResidual:
         assert leftovers[3] <= 1e-10
 
 
+    @pytest.mark.parametrize("make,k", [
+        (lambda: crossstitch_protocol(p=1), np.linspace(-np.pi, np.pi, 16, endpoint=False)),
+        (crossstitch_protocol, np.linspace(-np.pi, np.pi, 64).reshape(8, 8)),
+        (lambda: general_protocol(algebra.ZERO, algebra.chiral_p_wave_2d(),
+                                  GaugeParams(a_plus=1.3, p=3, omega=8.0)),
+         np.random.default_rng(0).uniform(-3, 3, (2, 3, 2))),
+    ], ids=["crossstitch-p1", "crossstitch-8x8", "pwave2d"])
+    def test_momentum_array_matches_per_momentum_calls(self, make, k):
+        # times go first against the batch, so the result is (3, *batch); the
+        # quadrature sums in another order, at most 8.4e-14 apart on these cases
+        proto = make()
+        batch = proto.target.k_labels(k).shape
+        ks = k.reshape((-1,) + k.shape[len(batch):])  # one momentum per entry
+        each = np.stack([static_harmonic_residual(proto, kv) for kv in ks], axis=-1)
+        assert each.shape == (3, len(ks))  # a single momentum keeps its (3,) result
+        res = static_harmonic_residual(proto, k)
+        assert res.shape == (3,) + batch
+        assert np.max(np.abs(res - each.reshape(res.shape))) <= 1e-12
+
+
 def per_sample_drive(target, static, g, k, t):
     """Reference: M1 and M2 formed at every (k, t) sample from the full
     m_plus = e^{ik} mu_plus(t)."""
@@ -347,7 +367,7 @@ def random_trig(rng, dimension):
         k = k if dimension == 2 else k[..., None]
         return tuple(np.sum(c[0] + c[1] * np.cos(k) + c[2] * np.sin(k), axis=-1) for c in a)
 
-    return algebra.custom(fn, dimension=dimension)
+    return algebra.HamiltonianSpec("random", fn, dimension=dimension)
 
 
 class TestMomentumFactorization:

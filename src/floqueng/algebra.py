@@ -69,7 +69,8 @@ class HamiltonianSpec:
         return k
 
     def coeffs(self, k):
-        h0, hx, hy, hz = self.coeff_fn(self._momenta(k))
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):  # checked below
+            h0, hx, hy, hz = self.coeff_fn(self._momenta(k))
         out = np.broadcast_arrays(h0, hx, hy, hz)
         if any(np.iscomplexobj(a) for a in out):
             raise HermiticityError(f"model {self.name!r} produced complex coefficients")

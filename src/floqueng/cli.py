@@ -21,7 +21,7 @@ import numpy as np
 
 from . import algebra, lattice, spectra, su3 as su3mod
 from .errors import FloquetError
-from .propagate import DEFAULT_TOL, verify_protocol
+from .propagate import DEFAULT_TOL, TOL_MAX, TOL_MIN, verify_protocol
 from .synth import DrivingProtocol, crossstitch_protocol, general_protocol
 from .gauge import GaugeParams
 
@@ -97,8 +97,8 @@ def validate(cfg: dict) -> dict:
         raise ConfigError(f"model must be one of {MODELS}, got {cfg['model']!r}")
     if cfg["kpoints"] < 2 or cfg["tpoints"] < 2:
         raise ConfigError("kpoints and tpoints must both be >= 2")
-    if not (1e-12 <= cfg["tol"] <= 1e-4):
-        raise ConfigError("tol must lie in [1e-12, 1e-4]")
+    if not (TOL_MIN <= cfg["tol"] <= TOL_MAX):
+        raise ConfigError(f"tol must lie in [{TOL_MIN}, {TOL_MAX}]")
     if cfg["omega"] <= 0:
         raise ConfigError("omega must be positive")
     if cfg["aplus2"] < 0:

@@ -36,6 +36,7 @@ from .synth import DrivingProtocol
 MAX_TOTAL_STEPS = 2**24
 DEFAULT_BASE_STEPS = 64
 DEFAULT_TOL = 1e-9
+TOL_MIN, TOL_MAX = 1e-12, 1e-4  # the tol range integrate_tdse and the CLI accept
 # Hamiltonian evaluations (nodes x steps x momenta) a chunk aims to hold; a
 # chunk is at least one step over all momenta, so the bound kept is
 # max(_CHUNK_EVALS, nodes x momenta)
@@ -216,8 +217,8 @@ def integrate_tdse(hfun: Callable, horizon: float, tol: float = DEFAULT_TOL,
     below 1, raises ValueError, and ``base_steps`` above ``MAX_TOTAL_STEPS /
     2`` ToleranceNotReached (convergence takes two rounds), before any round.
     """
-    if not (1e-12 <= tol <= 1e-4):
-        raise ValueError(f"tol must lie in [1e-12, 1e-4], got {tol}")
+    if not (TOL_MIN <= tol <= TOL_MAX):
+        raise ValueError(f"tol must lie in [{TOL_MIN}, {TOL_MAX}], got {tol}")
     if not (horizon > 0 and math.isfinite(horizon)):
         raise ValueError(f"horizon must be positive and finite, got {horizon}")
     if base_steps < 1:
@@ -234,7 +235,8 @@ def integrate_tdse(hfun: Callable, horizon: float, tol: float = DEFAULT_TOL,
     def first_round(ts):
         nonlocal h_max
         c = _eval_h(hfun, ts)
-        h_max = max(h_max, float(np.max(np.linalg.norm(c[..., 1:], axis=-1))))
+        # by hypot: the squares of the components overflow above |h| ~ 1.3e154
+        h_max = max(h_max, float(np.max(np.hypot(np.hypot(c[..., 1], c[..., 2]), c[..., 3]))))
         return c
 
     with np.errstate(over="ignore", invalid="ignore"):

@@ -1,4 +1,7 @@
 import math
+import os
+import subprocess
+import sys
 import warnings
 from pathlib import Path
 
@@ -9,7 +12,8 @@ from floqueng import cli, lattice
 from floqueng.propagate import verify_protocol
 
 SQRT2 = np.sqrt(2.0)
-CONFIGS = Path(__file__).resolve().parent.parent / "configs"
+ROOT = Path(__file__).resolve().parent.parent
+CONFIGS = ROOT / "configs"
 
 
 def read_csv(path):
@@ -21,6 +25,16 @@ def read_csv(path):
 
 def run(args):
     return cli.main(args)
+
+
+def run_process(args, timeout):
+    """``python -m floqueng.cli ARGS`` under warnings-as-errors in a child
+    process killed after ``timeout`` seconds, so a run that hangs fails its
+    test instead of stalling the suite."""
+    path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, "-m", "floqueng.cli", *args], capture_output=True,
+                          text=True, timeout=timeout,
+                          env=dict(os.environ, PYTHONPATH=path, PYTHONWARNINGS="error"))
 
 
 def test_synth_defaults(tmp_path):
@@ -95,6 +109,7 @@ def test_invalid_winding_exits_2_and_writes_nothing(tmp_path, capsys):
     ["fourier", "--ncoeff", "4096"],
 ])
 def test_config_validation_failures(tmp_path, bad, capsys):
+    expected = bad[1].lstrip("-")  # the message names the key the flag sets
     if "--config" in bad:  # the argument after it is the file's text, or its bytes
         i = bad.index("--config") + 1
         cfg, text = tmp_path / "bad.cfg", bad[i]
@@ -108,8 +123,8 @@ def test_config_validation_failures(tmp_path, bad, capsys):
     assert run(bad + ["--out", str(tmp_path)]) == 2
     written = sorted(path.name for path in tmp_path.iterdir())
     assert written == (["bad.cfg"] if "--config" in bad else [])
-    if "--config" in bad:
-        assert expected in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "configuration error" in err and expected in err
 
 
 @pytest.mark.parametrize("out", ["file", "file/sub"])
@@ -133,15 +148,17 @@ def test_unwritable_output_file_exits_3(tmp_path, capsys):
 
 
 def test_verify_passes_on_defaults(tmp_path):
-    code = run(["verify", "--out", str(tmp_path), "--kpoints", "8",
-                "--tol", "1e-8"])
-    assert code == 0
-    text = (tmp_path / "verify_crossstitch_w8.txt").read_text()
-    strobe = float([l for l in text.splitlines()
-                    if l.startswith("maxStrobeError=")][0].split("=")[1])
-    assert strobe <= 1e-8
-    assert "passed=true" in text
-    assert "[per-k]" in text
+    # down to the tightest tol allowed, where a round accepted on its own
+    # error estimate sits closest to the rounding floor
+    for tol in ("1e-8", "1e-12"):
+        assert run(["verify", "--out", str(tmp_path / tol), "--kpoints", "8",
+                    "--tol", tol]) == 0
+        text = (tmp_path / tol / "verify_crossstitch_w8.txt").read_text()
+        strobe = float([l for l in text.splitlines()
+                        if l.startswith("maxStrobeError=")][0].split("=")[1])
+        assert strobe <= float(tol)
+        assert "passed=true" in text
+        assert "[per-k]" in text
 
 
 @pytest.mark.parametrize("name", ["verify_w8", "verify_w4"])
@@ -163,20 +180,33 @@ def test_verify_corrupted_drive_fails(tmp_path):
     assert code == 1
     text = (tmp_path / "verify_crossstitch_w8.txt").read_text()
     assert "passed=false" in text
+    # synth checks no propagation, so the detuned closed-form table is written
+    assert run(["synth", "--out", str(tmp_path), "--kpoints", "4", "--tpoints", "4",
+                "--corrupt-fz", "1.5"]) == 0
+    header, rows = read_csv(tmp_path / "drive_crossstitch_w8.csv")
+    assert header == ["k", "t", "fx", "fy", "fz", "f0"] and len(rows) == 16
 
 
 def test_verify_multi_period(tmp_path):
-    code = run(["verify", "--out", str(tmp_path), "--kpoints", "4",
-                "--periods", "3", "--tol", "1e-8"])
-    assert code == 0
+    # every segment past the first period spans several blocks folded across
+    # chunks, for the closed form, the general path and the 2D momentum grid
+    runs = [(model, "2", "8", "1e-9") for model in cli.MODELS]
+    runs.append(("crossstitch", "3", "4", "1e-8"))
+    for model, periods, kpoints, tol in runs:
+        out = tmp_path / f"{model}-{periods}"
+        assert run(["verify", "--out", str(out), "--model", model, "--kpoints", kpoints,
+                    "--periods", periods, "--tol", tol]) == 0
+        assert "passed=true" in (out / f"verify_{model}_w8.txt").read_text().splitlines()
 
 
-def test_periods_beyond_the_step_cap_exit_3_and_write_nothing(tmp_path, capsys):
-    # 300000 periods need 1.92e7 base steps, above the 2^24 cap
-    assert run(["verify", "--periods", "300000", "--kpoints", "2",
-                "--out", str(tmp_path)]) == 3
+def test_periods_beyond_the_step_cap_exit_3_and_write_nothing(tmp_path):
+    # 300000 periods need 1.92e7 base steps, above the 2^24 cap: the run
+    # stops before the first round instead of doubling for minutes
+    proc = run_process(["verify", "--periods", "300000", "--kpoints", "2",
+                        "--out", str(tmp_path)], timeout=10)
+    assert proc.returncode == 3
     assert list(tmp_path.iterdir()) == []
-    assert "cap of 16777216 steps" in capsys.readouterr().err
+    assert "cap of 16777216 steps" in proc.stderr
 
 
 def test_bands_flat_column(tmp_path):
@@ -197,14 +227,18 @@ def test_bands_bookkeeping_scales_with_the_energies(tmp_path):
 
 
 def test_overflowing_drive_exits_3_and_writes_nothing(tmp_path, capsys):
-    # su3 builds its drive as synth does, so a detuning that overflows stops it too
-    for command, flag in (("synth", "--aplus2"), ("lattice", "--aplus2"),
-                          ("su3", "--corrupt-fz")):
+    # su3 builds its drive as synth does, so a detuning that overflows stops
+    # it too; a target that overflows is refused by its spec, without a warning
+    for command, flag, message in (("synth", "--aplus2", "not finite"),
+                                   ("lattice", "--aplus2", "not finite"),
+                                   ("su3", "--corrupt-fz", "not finite"),
+                                   ("bands", "--delta", "model 'crossstitch' produced "
+                                                        "non-finite coefficients")):
         out = tmp_path / command
         assert run([command, "--out", str(out), flag, "1e308",
                     "--kpoints", "4", "--tpoints", "4"]) == 3
         assert list(out.iterdir()) == []
-        assert "not finite" in capsys.readouterr().err
+        assert message in capsys.readouterr().err
 
 
 def test_bands_of_huge_couplings_are_finite(tmp_path):
@@ -216,12 +250,26 @@ def test_bands_of_huge_couplings_are_finite(tmp_path):
     assert all(math.isfinite(float(v)) for row in rows for v in row)
 
 
-def test_unresolvable_drive_exits_3_at_once(tmp_path, capsys):
-    # a period of 6e300: no step count within the cap resolves the drive
-    assert run(["verify", "--out", str(tmp_path), "--omega", "1e-300",
-                "--kpoints", "4"]) == 3
+def test_unresolvable_drive_exits_3_at_once(tmp_path):
+    # a period of 6e300: no step count within the cap resolves the drive, and
+    # the run says so instead of doubling for minutes
+    proc = run_process(["verify", "--out", str(tmp_path), "--omega", "1e-300",
+                        "--kpoints", "4"], timeout=60)
+    assert proc.returncode == 3
     assert list(tmp_path.iterdir()) == []
-    assert "> pi per step" in capsys.readouterr().err
+    assert "> pi per step" in proc.stderr
+
+
+@pytest.mark.parametrize("model", cli.MODELS)
+def test_fast_drive_verifies(tmp_path, model):
+    # the drive grows with omega; the phase rule's max |h| must not square its
+    # components, which overflows above about 1.3e154 and refuses the run
+    for omega in ("1e200", "1e300"):
+        out = tmp_path / omega
+        assert run(["verify", "--out", str(out), "--model", model, "--omega", omega,
+                    "--kpoints", "4"]) == 0
+        (path,) = out.iterdir()
+        assert "passed=true" in path.read_text().splitlines()
 
 
 def test_bands_three_band_model(tmp_path):

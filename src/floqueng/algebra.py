@@ -21,8 +21,6 @@ from .errors import HermiticityError
 SX = np.array([[0, 0.5], [0.5, 0]], dtype=complex)
 SY = np.array([[0, -0.5j], [0.5j, 0]], dtype=complex)
 SZ = np.array([[0.5, 0], [0, -0.5]], dtype=complex)
-S_PLUS = SX + 1j * SY
-S_MINUS = SX - 1j * SY
 
 
 def assemble_batch(h0, hx, hy, hz) -> np.ndarray:

@@ -58,7 +58,8 @@ def expm_herm(c: np.ndarray) -> np.ndarray:
     np.subtract(cosphi, izh, out=out[1, 1, ...])
     np.multiply(isinc, np.subtract(hx, iy, out=out[0, 1, ...]), out=out[0, 1, ...])
     np.multiply(isinc, np.add(hx, iy, out=out[1, 0, ...]), out=out[1, 0, ...])
-    out *= np.exp(-1j * h0)
+    if h0.any():  # a zero identity channel, as in every three-band drive, has no phase
+        out *= np.exp(-1j * h0)
     return _roll_axes(out, -2)
 
 
@@ -130,12 +131,14 @@ def _eval_h(hfun, ts: np.ndarray, base_shape: tuple | None = None) -> np.ndarray
     return c
 
 
-def _propagate(nodes, exponent, hfun, horizon, nsteps, sample_indices, base_shape=None):
+def _propagate(nodes, exponent, hfun, horizon, nsteps, sample_indices, base_shape=None,
+               observe=None):
     """``nsteps`` equal steps of the scheme (``nodes``, ``exponent``), as the
     (2, 2, segments, ...) stack of the products of the segments of steps that
     end at nonzero counts in ``sample_indices``; ``exponent(h, dt)`` maps H at
     the nodes, (4, nodes, steps, ...), to each step's x of U = exp(-i x.(1, S)),
-    (4, steps, ...).  hfun's trailing ``base_shape`` is probed when None.
+    (4, steps, ...).  hfun's trailing ``base_shape`` is probed when None, and
+    ``observe``, when given, sees each chunk's checked (n_t, ..., 4) stack.
 
     A chunk of steps holds at most max(``_CHUNK_EVALS``, nodes x momenta)
     evaluations of H: one step over every momentum is never split.  Blocks
@@ -155,6 +158,8 @@ def _propagate(nodes, exponent, hfun, horizon, nsteps, sample_indices, base_shap
     for j in range(0, nsteps, width):
         tmid = (np.arange(j, min(j + width, nsteps)) + 0.5) * dt
         h = _eval_h(hfun, (tmid[:, None] + np.asarray(nodes) * dt).ravel(), base_shape)
+        if observe is not None:
+            observe(h)
         h = np.ascontiguousarray(_roll_axes(  # (4, nodes, steps, ...)
             h.reshape((len(tmid), len(nodes)) + base_shape), 1).swapaxes(1, 2))
         # all the chunk's steps in one expm_herm call (perfbench traces it), as (2, 2, steps, ...)
@@ -232,21 +237,21 @@ def integrate_tdse(hfun: Callable, horizon: float, tol: float = DEFAULT_TOL,
 
     h_max = 0.0  # the largest |(hx, hy, hz)| among the first round's samples
 
-    def first_round(ts):
+    def track_h_max(c):
         nonlocal h_max
-        c = _eval_h(hfun, ts)
         # by hypot: the squares of the components overflow above |h| ~ 1.3e154
         h_max = max(h_max, float(np.max(np.hypot(np.hypot(c[..., 1], c[..., 2]), c[..., 3]))))
-        return c
 
     with np.errstate(over="ignore", invalid="ignore"):
-        base_shape = first_round(np.array([0.5 * horizon / base_steps])).shape[1:]
+        probe = _eval_h(hfun, np.array([0.5 * horizon / base_steps]))
+        track_h_max(probe)
+    base_shape = probe.shape[1:]
     nsteps, prev_u, diffs, converging = base_steps, None, [], False
     while True:
         idx = {i * (nsteps // base_steps) for i in steps}
         with np.errstate(over="ignore", invalid="ignore"):
-            segments = _propagate(*_MAGNUS6, hfun if prev_u is not None else first_round,
-                                  horizon, nsteps, idx, base_shape)
+            segments = _propagate(*_MAGNUS6, hfun, horizon, nsteps, idx, base_shape,
+                                  track_h_max if prev_u is None else None)
             u = _ordered_product(segments)
         phase = h_max * horizon / (2 * MAX_TOTAL_STEPS)
         unresolvable = (f", and even {MAX_TOTAL_STEPS} steps leave a phase of "

@@ -13,7 +13,8 @@ the identity at t = nT, which is what makes the protocol exact.  The drive
 is Hermitian, so its S- component is the conjugate of its S+ component, and
 only the S+ and Sz rows of M1 and M2 are formed.  Momentum enters them only
 as the phase of m_plus, a conjugation by Phi = diag(e^{ik}, e^{-ik}, 1), so
-they are formed once per time and the phase is applied per momentum.  The
+they are formed once per time and the phase is applied per momentum; a
+protocol forms that phase and the target's coefficients once per grid.  The
 flat-band chain's drive has a closed form, kept once as a hopping-harmonic
 table (:func:`crossstitch_rows`) that lattice hoppings are built from and
 that checks compare with this general path.
@@ -22,7 +23,7 @@ that checks compare with this general path.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import Callable
 
 import numpy as np
@@ -74,9 +75,25 @@ def transform_m2(m_plus, mz_real) -> np.ndarray:
     return out
 
 
-def _drive_general(target: HamiltonianSpec, static: HamiltonianSpec,
-                   g: GaugeParams, k, t):
-    """Ladder-basis synthesis via the M1/M2 matrices, returned as the real
+def _momentum_factors(target: HamiltonianSpec, static: HamiltonianSpec, k):
+    """The momentum-only half of the general drive: the phase e^{ik}, the
+    target's ladder coefficients rotated by Phi^dagger and f0 = h0t - h0s,
+    after the three-band and identity-only static checks."""
+    kphase = np.exp(1j * target.ladder_angle(k))
+    h0t, hxt, hyt, hzt = target.coeffs(k)
+    if target.band_count == 3 and np.any(h0t != 0):
+        raise ValueError("three-band synthesis requires a zero identity channel, "
+                         f"got max |h0| = {np.max(np.abs(h0t)):.3e}")
+    h0s, hxs, hys, hzs = static.coeffs(k)
+    if np.max(np.abs([hxs, hys, hzs])) > 0:
+        raise ValueError("static Hamiltonian must be identity-channel only")
+    h_rot = (np.conj(kphase) * (hxt - 1j * hyt) / 2, kphase * (hxt + 1j * hyt) / 2, hzt)
+    return kphase, h_rot, h0t - h0s
+
+
+def _drive_general(factors: tuple, g: GaugeParams, t):
+    """Ladder-basis synthesis via the M1/M2 matrices from the
+    :func:`_momentum_factors` of a momentum batch, returned as the real
     Cartesian arrays (f0, fx, fy, fz).
 
     M(e^{ik} mu_plus) = Phi M(mu_plus) Phi^dagger, so both matrices are
@@ -90,25 +107,15 @@ def _drive_general(target: HamiltonianSpec, static: HamiltonianSpec,
     point.  Both rows are contracted as explicit sums, with one matrix held
     at a time.
     """
-    k = np.asarray(k, dtype=float)
-    kphase = np.exp(1j * target.ladder_angle(k))
-
-    h0t, hxt, hyt, hzt = target.coeffs(k)
-    if target.band_count == 3 and np.any(h0t != 0):
-        raise ValueError("three-band synthesis requires a zero identity channel, "
-                         f"got max |h0| = {np.max(np.abs(h0t)):.3e}")
-    h0s, hxs, hys, hzs = static.coeffs(k)
-    if np.max(np.abs([hxs, hys, hzs])) > 0:
-        raise ValueError("static Hamiltonian must be identity-channel only")
+    kphase, h_rot, f0 = factors
 
     def rows(m, v):  # the S+ and Sz rows of m . v; m is freed on return
         return [m[..., i, 0] * v[0] + m[..., i, 1] * v[1] + m[..., i, 2] * v[2] for i in (0, 1)]
     mu_plus, mu_zr, dmu_plus, dmu_zr = mu_functions(g, t)
     d_plus, d_z = rows(transform_m1(mu_plus), (dmu_plus, dmu_plus, dmu_zr))
-    h_rot = (np.conj(kphase) * (hxt - 1j * hyt) / 2, kphase * (hxt + 1j * hyt) / 2, hzt)
     h_plus, h_z = rows(transform_m2(mu_plus, mu_zr), h_rot)
     f_plus, fz = kphase * (d_plus + h_plus), np.real(d_z + h_z)
-    return h0t - h0s + np.zeros(fz.shape), 2 * np.real(f_plus), -2 * np.imag(f_plus), fz
+    return f0 + np.zeros(fz.shape), 2 * np.real(f_plus), -2 * np.imag(f_plus), fz
 
 
 #: Longest hop of the cross-stitch drive, in dimers (its degree in k)
@@ -233,16 +240,29 @@ class DrivingProtocol:
             c[TIME_LABELS.index(label), 1 + "xyz".index(channel), b] += coef
         return c
 
+    @cached_property
+    def _general_factors(self) -> Callable:
+        """One-slot memo of :func:`_momentum_factors` keyed by a grid's shape
+        and bytes, shared by the chunks over one grid; a grid that fails a
+        check stores nothing.  It holds the specs: ``self`` would be a cycle."""
+        target, static = self.target, self.static
+
+        @lru_cache(maxsize=1)
+        def factors(shape, data):
+            return _momentum_factors(target, static, np.frombuffer(data).reshape(shape))
+        return factors
+
     def drive_components(self, k, t):
         """Arrays (f0, fx, fy, fz) broadcast over momentum and time; a drive
         that overflows raises ValueError."""
-        g = self.gauge
+        g, k = self.gauge, np.asarray(k, dtype=float)
         with np.errstate(over="ignore", invalid="ignore"):
             if self.closed_form is not None:
                 f0, fx, fy, fz = np.moveaxis(
                     _table_drive(self._harmonic_tensor, g, _momentum_harmonics(k), t), -1, 0)
             else:
-                f0, fx, fy, fz = _drive_general(self.target, self.static, g, k, t)
+                f0, fx, fy, fz = _drive_general(
+                    self._general_factors(k.shape, k.tobytes()), g, t)
             if self.fz_scale != 1.0:
                 fz = self.fz_scale * fz
         _require_finite(f0, fx, fy, fz)

@@ -1,8 +1,9 @@
-"""Oracles shared by the test modules: quasienergy folding of a one-period
-unitary, the einsum M1/M2 contraction of the general drive, the channel-last
-2x2 kernel the propagator must match bit for bit, the fixed-step midpoint
-scheme, and the fixed-step integrator references that several tests compare
-against, each computed once per session."""
+"""Oracles shared by the test modules: the ladder operators S+ and S-,
+quasienergy folding of a one-period unitary, the einsum M1/M2 contraction of
+the general drive, the channel-last 2x2 kernel the propagator must match bit
+for bit, the fixed-step midpoint scheme, and the fixed-step integrator
+references that several tests compare against, each computed once per
+session."""
 
 import math
 from functools import cache
@@ -10,9 +11,13 @@ from functools import cache
 import numpy as np
 
 import floqueng.propagate as prop
+from floqueng.algebra import SX, SY
 from floqueng.gauge import mu_functions
 from floqueng.synth import crossstitch_protocol, transform_m1, transform_m2
 
+#: The spin-1/2 ladder operators S_pm = S_x +- i S_y.
+S_PLUS = SX + 1j * SY
+S_MINUS = SX - 1j * SY
 #: The four momenta on which the two integrators are compared.
 K4 = np.linspace(-np.pi, np.pi, 4, endpoint=False)
 #: Midpoint step counts whose errors give the scheme's convergence order.

@@ -1,7 +1,6 @@
 import numpy as np
 import pytest
 
-from floqueng.algebra import S_MINUS, S_PLUS
 from floqueng.errors import NonPeriodicGauge
 from floqueng.gauge import (
     GaugeParams,
@@ -9,6 +8,8 @@ from floqueng.gauge import (
     micromotion_matrix,
     mu_functions,
 )
+
+from oracles import S_MINUS, S_PLUS
 
 
 def test_mu_functions_initial_slope():

@@ -119,6 +119,10 @@ def test_products_and_exponentials_are_bitwise_the_channel_last_ones(batch):
     c = drive_samples(batch, 2, 5)
     a, b = expm_cl(c[0]), expm_cl(c[1])
     assert same_bits(expm_herm(c[0]), a)
+    for zero in (0.0, -0.0):  # a zero identity channel, whose phase expm_herm skips
+        z = c[0].copy()
+        z[..., 0] = zero
+        assert same_bits(expm_herm(z), expm_cl(z))
     # the chunk loop hands expm_herm a contiguous (4, ...) exponent
     assert same_bits(expm_herm(prop._roll_axes(np.ascontiguousarray(np.moveaxis(c[1], -1, 0)),
                                                -1)), b)
@@ -217,7 +221,7 @@ def test_long_horizon_sample_grid_accepted(monkeypatch):
 
     eye = np.eye(2, dtype=complex)[:, :, None]
 
-    def identities(nodes, exponent, hfun, horizon, nsteps, sample_indices, base_shape):
+    def identities(nodes, exponent, hfun, horizon, nsteps, sample_indices, base_shape, observe):
         # one (2, 2) segment ends at every sampled step count but the first
         return np.broadcast_to(eye, (2, 2, len(sample_indices) - 1))
 

@@ -1,13 +1,13 @@
 import numpy as np
 import pytest
 
-from floqueng.algebra import S_MINUS, S_PLUS, SX, SY, SZ, ZERO, HamiltonianSpec, su3_flat
+from floqueng.algebra import SX, SY, SZ, ZERO, HamiltonianSpec, su3_flat
 from floqueng.gauge import GaugeParams
 from floqueng.propagate import integrate_tdse
 from floqueng.su3 import su3_drive_table, verify_su3
 from floqueng.synth import general_protocol
 
-from oracles import midpoint_fixed, quasienergies
+from oracles import S_MINUS, S_PLUS, midpoint_fixed, quasienergies
 
 SQRT2 = np.sqrt(2.0)
 GAUGE = GaugeParams(a_plus=SQRT2, p=3, omega=8.0)

@@ -4,11 +4,14 @@ import tracemalloc
 import numpy as np
 import pytest
 
+import floqueng.propagate as prop
 from floqueng import algebra
-from floqueng.algebra import S_MINUS, S_PLUS, SZ
+from floqueng.algebra import SZ
 from floqueng.gauge import GaugeParams, micromotion_matrix, mu_functions
+from floqueng.propagate import verify_protocol
 from floqueng.synth import (
     _drive_general,
+    _momentum_factors,
     crossstitch_protocol,
     general_protocol,
     static_harmonic_residual,
@@ -16,7 +19,7 @@ from floqueng.synth import (
     transform_m2,
 )
 
-from oracles import einsum_drive
+from oracles import S_MINUS, S_PLUS, einsum_drive
 
 SQRT2 = np.sqrt(2.0)
 
@@ -394,7 +397,7 @@ class TestMomentumFactorization:
                             omega=rng.uniform(1, 10))
             k = rng.uniform(-np.pi, np.pi, (24, 1, dimension) if dimension == 2 else (24, 1))
             t = rng.uniform(0, g.period, (1, 16))
-            got = np.stack(_drive_general(target, static, g, k, t))
+            got = np.stack(_drive_general(_momentum_factors(target, static, k), g, t))
             ref = np.stack(per_sample_drive(target, static, g, k, t))
             assert got.shape == ref.shape == (4, 24, 16)
             assert np.max(np.abs(got - ref)) <= 1e-14 * np.max(np.abs(ref))
@@ -431,6 +434,60 @@ class TestMomentumFactorization:
         k = np.linspace(-np.pi, np.pi, 32)[:, None]
         t = np.linspace(0, g.period, 20)[None, :]
         target = algebra.su3_flat(delta=2.0)
-        got = np.stack(_drive_general(target, algebra.ZERO, g, k, t))
+        got = np.stack(_drive_general(_momentum_factors(target, algebra.ZERO, k), g, t))
         ref = np.stack(per_sample_drive(target, algebra.ZERO, g, k, t))
         assert np.max(np.abs(got - ref)) <= 1e-14 * np.max(np.abs(ref))
+
+
+class TestMomentumFactorMemo:
+    """The general drive forms its momentum-only factors once per grid."""
+
+    GAUGE = GaugeParams(a_plus=SQRT2, p=3, omega=8.0)
+
+    def test_target_formed_once_per_grid_whatever_the_chunking(self, monkeypatch):
+        # propagation evaluates the drive once per chunk of times; the
+        # target's coefficients depend on momentum alone, so how often they
+        # are formed must not depend on the number of chunks
+        k = np.linspace(-np.pi, np.pi, 16, endpoint=False)
+
+        def run(chunk_evals):
+            calls = []
+
+            def counted(k):
+                calls.append(k.shape)
+                return algebra.su3_flat().coeff_fn(k)
+
+            spec = algebra.HamiltonianSpec("counted", counted, band_count=3)
+            monkeypatch.setattr(prop, "_CHUNK_EVALS", chunk_evals)
+            report = verify_protocol(general_protocol(algebra.ZERO, spec, self.GAUGE), k, tol=1e-8)
+            return calls, report
+
+        calls, report = run(prop._CHUNK_EVALS)
+        few_calls, few_report = run(1)  # one step over every momentum per chunk
+        assert len(calls) == len(few_calls)
+        assert np.array_equal(report.strobe_errors, few_report.strobe_errors)
+
+    def test_grid_mutated_in_place_gets_its_new_values(self):
+        proto = general_protocol(algebra.ZERO, algebra.su3_flat(), self.GAUGE)
+        k = np.linspace(-np.pi, np.pi, 8)
+        t = np.linspace(0, proto.period, 5)[:, None]
+        proto.drive_components(k, t)
+        k += 0.3
+        got = proto.drive_components(k, t)
+        fresh = general_protocol(algebra.ZERO, algebra.su3_flat(), self.GAUGE)
+        for a, b in zip(got, fresh.drive_components(k.copy(), t)):
+            assert np.array_equal(a, b)
+
+    def test_identity_channel_checked_on_each_new_grid(self):
+        def fn(k):
+            base = 2 * np.cos(k) + 2
+            return np.where(k > 1, 1.0, 0.0), base, -base, np.zeros_like(k)
+
+        proto = general_protocol(algebra.ZERO, algebra.HamiltonianSpec("h0-above-1", fn,
+                                                                       band_count=3), self.GAUGE)
+        good, bad = np.linspace(-1, 1, 5), np.linspace(-1, 2, 5)
+        proto.drive_components(good, 0.1)
+        for _ in range(2):  # a failed grid stores nothing, so it raises again
+            with pytest.raises(ValueError, match="zero identity channel"):
+                proto.drive_components(bad, 0.1)
+        proto.drive_components(good, 0.1)

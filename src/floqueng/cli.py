@@ -230,11 +230,10 @@ def cmd_bands(cfg, outdir: Path) -> int:
                               - energies))
         if check > 1e-10 * max(1.0, float(np.max(np.abs(energies)))):
             raise FloquetError(f"band bookkeeping drifted by {check:.2e}")
-        rows = [(kv, f, d) for kv, f, d in zip(k, flat, disp)]
-    else:
+        rows, header = [(kv, f, d) for kv, f, d in zip(k, flat, disp)], "k,E_flat,E_disp"
+    else:  # ascending eigenvalues under schema-fixed names
         rows = [(kv, *row) for kv, row in zip(spec.k_labels(k), energies)]
-    # ascending eigenvalues under schema-fixed names
-    header = "k,E_minus,E_flat,E_plus" if spec.band_count == 3 else "k,E_flat,E_disp"
+        header = "k,E_minus,E_flat,E_plus" if spec.band_count == 3 else "k,E_minus,E_plus"
     path = outdir / f"bands_{model}.csv"
     write_csv(path, header, rows)
     print(f"bands: wrote {len(rows)} momenta to {path}")

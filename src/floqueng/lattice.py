@@ -67,8 +67,8 @@ def _check_range_bound(proto: DrivingProtocol, n_k: int = 64, n_t: int = 7) -> N
     g = proto.gauge
     k = 2 * np.pi * np.arange(n_k) / n_k
     t = g.period * (np.arange(n_t) + 0.31) / n_t
-    table = np.stack(proto.drive_table(k, t)[1:])  # (3, n_k, n_t)
-    general = np.stack(general_protocol(proto.static, proto.target, g).drive_table(k, t)[1:])
+    table = proto.drive_table(k, t)[1:]  # (3, n_k, n_t)
+    general = general_protocol(proto.static, proto.target, g).drive_table(k, t)[1:]
     scale = np.maximum(1.0, np.max(np.abs(general), axis=(0, 1)))  # per time
     fe = envelope_values(g.a_plus**2, g.omega * t)
     spectrum = np.fft.rfft(general / fe, axis=1) / n_k

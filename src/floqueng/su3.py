@@ -31,7 +31,7 @@ def verify_su3(spec: HamiltonianSpec, gauge: GaugeParams, k_grid,
 
 
 def su3_drive_table(protocol: DrivingProtocol, k_grid, t_grid):
-    """Field arrays ``(fx, fy, fz)``, each (n_k, n_t), of ``protocol``'s
+    """Fields (fx, fy, fz) as one (3, n_k, n_t) array, of ``protocol``'s
     drive over a (k, t) mesh: its :meth:`DrivingProtocol.drive_table`
     without f0, which a three-band target requires to be zero."""
     return protocol.drive_table(k_grid, t_grid)[1:]

@@ -14,10 +14,11 @@ is Hermitian, so its S- component is the conjugate of its S+ component, and
 only the S+ and Sz rows of M1 and M2 are formed.  Momentum enters them only
 as the phase of m_plus, a conjugation by Phi = diag(e^{ik}, e^{-ik}, 1), so
 they are formed once per time and the phase is applied per momentum; a
-protocol forms that phase and the target's coefficients once per grid.  The
-flat-band chain's drive has a closed form, kept once as a hopping-harmonic
-table (:func:`crossstitch_rows`) that lattice hoppings are built from and
-that checks compare with this general path.
+protocol forms that phase and the target's coefficients once per grid, as
+it forms the closed form's momentum harmonics.  The flat-band chain's drive
+has a closed form, kept once as a hopping-harmonic table
+(:func:`crossstitch_rows`) that lattice hoppings are built from and that
+checks compare with this general path.
 """
 
 from __future__ import annotations
@@ -94,7 +95,8 @@ def _momentum_factors(target: HamiltonianSpec, static: HamiltonianSpec, k):
 def _drive_general(factors: tuple, g: GaugeParams, t):
     """Ladder-basis synthesis via the M1/M2 matrices from the
     :func:`_momentum_factors` of a momentum batch, returned as the real
-    Cartesian arrays (f0, fx, fy, fz).
+    Cartesian (..., 4) stack of (f0, fx, fy, fz), as :func:`_table_drive`
+    returns its own.
 
     M(e^{ik} mu_plus) = Phi M(mu_plus) Phi^dagger, so both matrices are
     formed on the time samples alone:
@@ -115,7 +117,8 @@ def _drive_general(factors: tuple, g: GaugeParams, t):
     d_plus, d_z = rows(transform_m1(mu_plus), (dmu_plus, dmu_plus, dmu_zr))
     h_plus, h_z = rows(transform_m2(mu_plus, mu_zr), h_rot)
     f_plus, fz = kphase * (d_plus + h_plus), np.real(d_z + h_z)
-    return f0 + np.zeros(fz.shape), 2 * np.real(f_plus), -2 * np.imag(f_plus), fz
+    return np.stack([f0 + np.zeros(fz.shape), 2 * np.real(f_plus), -2 * np.imag(f_plus), fz],
+                    axis=-1)
 
 
 #: Longest hop of the cross-stitch drive, in dimers (its degree in k)
@@ -200,11 +203,6 @@ def _times_first(target: HamiltonianSpec, k) -> tuple:
     return (-1,) + (1,) * np.ndim(target.k_labels(k))
 
 
-def _require_finite(*arrays) -> None:
-    if not all(np.isfinite(a).all() for a in arrays):
-        raise ValueError("drive is not finite at this gauge amplitude and frequency")
-
-
 @dataclass(frozen=True)
 class DrivingProtocol:
     """An evaluable drive f(k, t) plus everything needed to verify it.
@@ -212,9 +210,9 @@ class DrivingProtocol:
     ``closed_form`` holds the (alpha, delta) of the flat-band chain target
     when the drive is evaluated in closed form, from the hopping-harmonic
     table of :func:`crossstitch_rows`; ``None`` selects the general M1/M2
-    synthesis path.  Both :meth:`drive_components` and
-    :meth:`hamiltonian_fn` contract that table in :func:`_table_drive`, the
-    latter with momentum harmonics formed once per grid.  ``fz_scale``
+    synthesis path.  Either family's momentum factors are formed once per
+    grid, and :meth:`hamiltonian_fn` evaluates the drive through
+    :meth:`drive_components`, as every other caller does.  ``fz_scale``
     deliberately detunes the z component and exists only so sensitivity
     tests can confirm that verification catches a broken drive.
     """
@@ -241,35 +239,39 @@ class DrivingProtocol:
         return c
 
     @cached_property
-    def _general_factors(self) -> Callable:
-        """One-slot memo of :func:`_momentum_factors` keyed by a grid's shape
-        and bytes, shared by the chunks over one grid; a grid that fails a
-        check stores nothing.  It holds the specs: ``self`` would be a cycle."""
-        target, static = self.target, self.static
+    def _grid_factors(self) -> Callable:
+        """One-slot memo of a grid's momentum factors, keyed by its shape and
+        bytes and shared by the chunks over one grid: the 7 harmonics of the
+        closed form's table, or the general family's
+        :func:`_momentum_factors`; a grid that fails a check stores nothing.
+        It holds the specs: ``self`` would be a cycle."""
+        target, static, closed = self.target, self.static, self.closed_form is not None
 
         @lru_cache(maxsize=1)
         def factors(shape, data):
-            return _momentum_factors(target, static, np.frombuffer(data).reshape(shape))
+            k = np.frombuffer(data).reshape(shape)
+            return _momentum_harmonics(k) if closed else _momentum_factors(target, static, k)
         return factors
 
-    def drive_components(self, k, t):
-        """Arrays (f0, fx, fy, fz) broadcast over momentum and time; a drive
-        that overflows raises ValueError."""
+    def drive_components(self, k, t) -> np.ndarray:
+        """The drive as one (4, ...) array of rows (f0, fx, fy, fz) broadcast
+        over momentum and time, a view of its kernel's channels-last stack; a
+        drive that overflows raises ValueError."""
         g, k = self.gauge, np.asarray(k, dtype=float)
         with np.errstate(over="ignore", invalid="ignore"):
+            factors = self._grid_factors(k.shape, k.tobytes())
             if self.closed_form is not None:
-                f0, fx, fy, fz = np.moveaxis(
-                    _table_drive(self._harmonic_tensor, g, _momentum_harmonics(k), t), -1, 0)
+                out = _table_drive(self._harmonic_tensor, g, factors, t)
             else:
-                f0, fx, fy, fz = _drive_general(
-                    self._general_factors(k.shape, k.tobytes()), g, t)
+                out = _drive_general(factors, g, t)
             if self.fz_scale != 1.0:
-                fz = self.fz_scale * fz
-        _require_finite(f0, fx, fy, fz)
-        return f0, fx, fy, fz
+                out[..., 3] *= self.fz_scale
+        if not np.isfinite(out).all():
+            raise ValueError("drive is not finite at this gauge amplitude and frequency")
+        return out.transpose((-1,) + tuple(range(out.ndim - 1)))
 
-    def drive_table(self, k_grid, t_grid):
-        """Mesh a momentum grid against a time grid: (n_k, n_t) arrays."""
+    def drive_table(self, k_grid, t_grid) -> np.ndarray:
+        """Mesh a momentum grid against a time grid: a (4, n_k, n_t) array."""
         return self.drive_components(np.asarray(k_grid, dtype=float)[:, None],
                                      np.asarray(t_grid, dtype=float)[None, :])
 
@@ -277,32 +279,21 @@ class DrivingProtocol:
         """Full driven Hamiltonian H0 + V(t) as a time-only closure over a
         fixed momentum batch of any shape, for propagation: a 1D time array
         gives the real (n_t, *batch, 4) stack of coefficients (h0, hx, hy,
-        hz), those of the coupled block for three-band targets too.  A closed
-        form forms its 7 momentum harmonics here, once per grid, and a call
-        contracts them with the 10 time factors in :func:`_table_drive`, the
-        kernel of :meth:`drive_components` too."""
+        hz), those of the coupled block for three-band targets too, from one
+        :meth:`drive_components` call per chunk of times."""
         km = np.asarray(k, dtype=float)[None]  # time-leading: the stack needs no copy
         h0s, t_shape = self.static.coeffs(km)[0], _times_first(self.target, k)
-        if self.closed_form is None:
-            def fn(t):
-                f0, fx, fy, fz = self.drive_components(km, np.reshape(t, t_shape))
-                return np.stack(np.broadcast_arrays(h0s + f0, fx, fy, fz), axis=-1)
 
-            return fn
-        h0 = h0s + 0.0  # h0 + f0 at f0 = 0: -0.0 reads 0.0
-        harmonics = _momentum_harmonics(km)
-
-        def table_fn(t):
-            with np.errstate(over="ignore", invalid="ignore"):
-                out = _table_drive(self._harmonic_tensor, self.gauge, harmonics,
-                                   np.reshape(t, t_shape))
-                if self.fz_scale != 1.0:
-                    out[..., 3] *= self.fz_scale
-            out[..., 0] = h0  # assigned: += would take a 64 KiB ufunc buffer
-            _require_finite(out)
+        def fn(t):
+            drive = self.drive_components(km, np.reshape(t, t_shape))
+            out = drive.transpose(tuple(range(1, drive.ndim)) + (0,))
+            # f0 does not depend on time in either family (exactly 0 in the
+            # closed form, h0t - h0s in the general one), so its first time
+            # row serves all; assigned: += would take a 64 KiB ufunc buffer
+            out[..., 0] = h0s + out[:1, ..., 0]
             return out
 
-        return table_fn
+        return fn
 
 
 def crossstitch_protocol(alpha=1.0, delta=2.0, omega=8.0, a_plus=np.sqrt(2.0),
@@ -334,7 +325,6 @@ def static_harmonic_residual(protocol: DrivingProtocol, k) -> np.ndarray:
     """
     T = protocol.period
     t = np.linspace(0.0, T, RESIDUAL_SAMPLES + 1).reshape(_times_first(protocol.target, k))
-    _, fx, fy, fz = protocol.drive_components(np.asarray(k, dtype=float), t)
     s = np.sin(protocol.gauge.omega * t)
-    numerator = np.stack([fx, fy, fz], axis=0) * (1.0 + protocol.gauge.a_plus**2 * s**2)
+    numerator = protocol.drive_components(k, t)[1:] * (1.0 + protocol.gauge.a_plus**2 * s**2)
     return np.trapezoid(numerator, t.ravel(), axis=1) / T

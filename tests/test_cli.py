@@ -474,7 +474,8 @@ def test_every_model_runs_every_target_command(tmp_path, command, model):
         assert len(lines) == 1 + 16 * cli.DEFAULTS["tpoints"]
     elif command == "bands":
         three = model == "su3flat"
-        assert lines[0] == ("k,E_minus,E_flat,E_plus" if three else "k,E_flat,E_disp")
+        assert lines[0] == {"crossstitch": "k,E_flat,E_disp",
+                            "su3flat": "k,E_minus,E_flat,E_plus"}.get(model, "k,E_minus,E_plus")
         assert len(lines) == 1 + 16
         assert all(len(line.split(",")) == (4 if three else 3) for line in lines)
     else:

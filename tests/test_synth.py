@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 import floqueng.propagate as prop
+import floqueng.synth as synth
 from floqueng import algebra
 from floqueng.algebra import SZ
 from floqueng.gauge import GaugeParams, micromotion_matrix, mu_functions
@@ -232,7 +233,12 @@ class TestGeneralSynthesis:
             proto = dataclasses.replace(proto, fz_scale=rng.choice([1.0, rng.uniform(0.5, 2)]))
             k = rng.uniform(-np.pi, np.pi, n_k)
             t = rng.uniform(0, g.period, n_t)
-            f0, fx, fy, fz = proto.drive_components(k[:, None], t[None, :])
+            drive = proto.drive_components(k[:, None], t[None, :])
+            assert type(drive) is np.ndarray and drive.shape == (4, n_k, n_t)
+            f0, fx, fy, fz = drive
+            # hamiltonian_fn reads f0 off the first time of each chunk
+            assert np.array_equal(f0.view(np.int64),
+                                  np.repeat(f0[:, :1], n_t, axis=1).view(np.int64))
             if family == "closed":  # a -0.0 here would print as -0 in the synth CSV
                 assert not np.signbit(f0).any()
             h0s = proto.static.coeffs(k[:, None])[0]
@@ -397,7 +403,7 @@ class TestMomentumFactorization:
                             omega=rng.uniform(1, 10))
             k = rng.uniform(-np.pi, np.pi, (24, 1, dimension) if dimension == 2 else (24, 1))
             t = rng.uniform(0, g.period, (1, 16))
-            got = np.stack(_drive_general(_momentum_factors(target, static, k), g, t))
+            got = np.moveaxis(_drive_general(_momentum_factors(target, static, k), g, t), -1, 0)
             ref = np.stack(per_sample_drive(target, static, g, k, t))
             assert got.shape == ref.shape == (4, 24, 16)
             assert np.max(np.abs(got - ref)) <= 1e-14 * np.max(np.abs(ref))
@@ -434,7 +440,7 @@ class TestMomentumFactorization:
         k = np.linspace(-np.pi, np.pi, 32)[:, None]
         t = np.linspace(0, g.period, 20)[None, :]
         target = algebra.su3_flat(delta=2.0)
-        got = np.stack(_drive_general(_momentum_factors(target, algebra.ZERO, k), g, t))
+        got = np.moveaxis(_drive_general(_momentum_factors(target, algebra.ZERO, k), g, t), -1, 0)
         ref = np.stack(per_sample_drive(target, algebra.ZERO, g, k, t))
         assert np.max(np.abs(got - ref)) <= 1e-14 * np.max(np.abs(ref))
 
@@ -444,37 +450,56 @@ class TestMomentumFactorMemo:
 
     GAUGE = GaugeParams(a_plus=SQRT2, p=3, omega=8.0)
 
+    def protocol(self, family, target=algebra.su3_flat()):
+        if family == "closed":
+            return crossstitch_protocol()  # GAUGE holds its default gauge
+        return general_protocol(algebra.ZERO, target, self.GAUGE)
+
     def test_target_formed_once_per_grid_whatever_the_chunking(self, monkeypatch):
+        self.check_formed_once_per_grid("general", monkeypatch)
+
+    def test_closed_form_harmonics_formed_once_per_grid(self, monkeypatch):
+        self.check_formed_once_per_grid("closed", monkeypatch)
+
+    def check_formed_once_per_grid(self, family, monkeypatch):
         # propagation evaluates the drive once per chunk of times; the
-        # target's coefficients depend on momentum alone, so how often they
-        # are formed must not depend on the number of chunks
+        # momentum factors (the general target's coefficients, the closed
+        # form's harmonics) depend on momentum alone, so how often they are
+        # formed must not depend on the number of chunks
         k = np.linspace(-np.pi, np.pi, 16, endpoint=False)
+        harmonics = synth._momentum_harmonics
 
         def run(chunk_evals):
             calls = []
 
-            def counted(k):
-                calls.append(k.shape)
-                return algebra.su3_flat().coeff_fn(k)
+            def counted(fn):
+                return lambda k: calls.append(k.shape) or fn(k)
 
-            spec = algebra.HamiltonianSpec("counted", counted, band_count=3)
+            monkeypatch.setattr(synth, "_momentum_harmonics", counted(harmonics))
+            proto = self.protocol(family, algebra.HamiltonianSpec(
+                "counted", counted(algebra.su3_flat().coeff_fn), band_count=3))
             monkeypatch.setattr(prop, "_CHUNK_EVALS", chunk_evals)
-            report = verify_protocol(general_protocol(algebra.ZERO, spec, self.GAUGE), k, tol=1e-8)
-            return calls, report
+            return calls, verify_protocol(proto, k, tol=1e-8)
 
         calls, report = run(prop._CHUNK_EVALS)
         few_calls, few_report = run(1)  # one step over every momentum per chunk
-        assert len(calls) == len(few_calls)
+        assert len(calls) == len(few_calls) > 0
         assert np.array_equal(report.strobe_errors, few_report.strobe_errors)
 
     def test_grid_mutated_in_place_gets_its_new_values(self):
-        proto = general_protocol(algebra.ZERO, algebra.su3_flat(), self.GAUGE)
+        self.check_mutated_grid("general")
+
+    def test_closed_form_grid_mutated_in_place_gets_its_new_values(self):
+        self.check_mutated_grid("closed")
+
+    def check_mutated_grid(self, family):
+        proto = self.protocol(family)
         k = np.linspace(-np.pi, np.pi, 8)
         t = np.linspace(0, proto.period, 5)[:, None]
         proto.drive_components(k, t)
         k += 0.3
         got = proto.drive_components(k, t)
-        fresh = general_protocol(algebra.ZERO, algebra.su3_flat(), self.GAUGE)
+        fresh = self.protocol(family)
         for a, b in zip(got, fresh.drive_components(k.copy(), t)):
             assert np.array_equal(a, b)
 

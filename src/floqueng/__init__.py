@@ -24,7 +24,7 @@ from .propagate import (
     verify_protocol,
 )
 from .spectra import band_structure, envelope_fourier
-from .su3 import su3_drive_table, verify_su3
+from .su3 import su3_drive_table
 from .synth import (
     DrivingProtocol,
     crossstitch_protocol,

@@ -60,10 +60,11 @@ def expand_to_lattice(proto: DrivingProtocol) -> list[LatticeTerm]:
     return terms
 
 
-def _check_range_bound(proto: DrivingProtocol, n_k: int = 64, n_t: int = 7) -> None:
+def _check_range_bound(proto: DrivingProtocol) -> None:
     """Fourier-analyze the general path's drive numerator over k and reject
     weight at ranges beyond MAX_RANGE, and also reject a table that misses
     the general path."""
+    n_k, n_t = 64, 7  # momenta and sample times of the analysis
     g = proto.gauge
     k = 2 * np.pi * np.arange(n_k) / n_k
     t = g.period * (np.arange(n_t) + 0.31) / n_t

@@ -328,12 +328,16 @@ def verify_protocol(protocol: DrivingProtocol, k_grid, periods: int = 1,
 
     # the target's winding sign (-1)^(p n) covers the whole 2x2 block
     sign = (-1.0) ** (protocol.gauge.p * periods)
+    times, steps, estimate = trace.times, trace.step_count, trace.estimated_error
     c_target = np.stack(protocol.target.coeffs(k_grid), axis=-1)
-    e_target = _roll_axes(expm_herm(np.multiply.outer(-trace.times, c_target)), 2)
-    # P(t), the horizon last, C-ordered as (n_t, ..., 2, 2) to fix the norm's sum order
-    p_num = np.ascontiguousarray(_roll_axes(_matmul(_roll_axes(trace.unitaries, 2), e_target), -2))
+    # P(t), the horizon last, C-ordered as (n_t, ..., 2, 2) to fix the norm's sum
+    # order; the trace's snapshots go before micromotion_at, where verify peaks
+    p_num = np.ascontiguousarray(_roll_axes(_matmul(
+        _roll_axes(trace.unitaries, 2),
+        _roll_axes(expm_herm(np.multiply.outer(-times, c_target)), 2)), -2))
+    del trace
     strobe_errors = np.atleast_1d(np.linalg.norm(p_num[-1] - sign * np.eye(2), axis=(-2, -1)))
-    t = trace.times.reshape((-1,) + (1,) * (p_num.ndim - 3))
+    t = times.reshape((-1,) + (1,) * (p_num.ndim - 3))
     p_ref = micromotion_at(protocol.gauge, protocol.target.ladder_angle(k_grid), t)
 
     return VerificationReport(
@@ -342,6 +346,6 @@ def verify_protocol(protocol: DrivingProtocol, k_grid, periods: int = 1,
         strobe_phase_used=complex(sign),
         k_labels=np.atleast_1d(protocol.target.k_labels(k_grid)),
         strobe_errors=strobe_errors,
-        integrator_steps=trace.step_count,
-        estimated_error=trace.estimated_error,
+        integrator_steps=steps,
+        estimated_error=estimate,
     )

@@ -10,7 +10,6 @@ from floqueng.gauge import GaugeParams, micromotion_at
 from floqueng.lattice import expand_to_lattice, lattice_vs_momentum_check
 from floqueng.propagate import integrate_tdse, verify_protocol
 from floqueng.spectra import band_structure, envelope_fourier
-from floqueng.su3 import verify_su3
 from floqueng.synth import (
     crossstitch_protocol,
     general_protocol,
@@ -159,9 +158,9 @@ def test_criterion_10_three_band_case():
     worst_flat_phase = 0.0
     for omega in (8.0, 4.0):
         gauge = GaugeParams(a_plus=SQRT2, p=3, omega=omega)
-        rep = verify_su3(spec, gauge, K64, tol=1e-8)
-        worst_strobe = max(worst_strobe, rep.max_strobe_error)
         proto = general_protocol(algebra.ZERO, spec, gauge)
+        rep = verify_protocol(proto, K64, tol=1e-8)
+        worst_strobe = max(worst_strobe, rep.max_strobe_error)
         trace = integrate_tdse(proto.hamiltonian_fn(K64), proto.period, tol=1e-8)
         # the coupled block plus the decoupled third level, whose evolution is 1
         u_t = np.zeros((len(K64), 3, 3), dtype=complex)

@@ -3,8 +3,8 @@ import pytest
 
 from floqueng.algebra import SX, SY, SZ, ZERO, HamiltonianSpec, su3_flat
 from floqueng.gauge import GaugeParams
-from floqueng.propagate import integrate_tdse
-from floqueng.su3 import su3_drive_table, verify_su3
+from floqueng.propagate import integrate_tdse, verify_protocol
+from floqueng.su3 import su3_drive_table
 from floqueng.synth import general_protocol
 
 from oracles import S_MINUS, S_PLUS, midpoint_fixed, quasienergies
@@ -105,7 +105,7 @@ class TestVerification:
     @pytest.mark.parametrize("omega", [8.0, 4.0])
     def test_strobe_exactness(self, omega):
         gauge = GaugeParams(a_plus=SQRT2, p=3, omega=omega)
-        rep = verify_su3(su3_flat(delta=2.0), gauge, K16, tol=1e-8)
+        rep = verify_protocol(general_protocol(ZERO, su3_flat(delta=2.0), gauge), K16, tol=1e-8)
         assert rep.max_strobe_error <= 1e-8
 
     def test_gauge_only_evolution(self):
@@ -139,7 +139,7 @@ class TestVerification:
         spec = HamiltonianSpec("eta0", lambda k: (np.full_like(k, 0.3),) + (np.ones_like(k),) * 3,
                                band_count=3)
         with pytest.raises(ValueError):
-            verify_su3(spec, GAUGE, K16)
+            verify_protocol(general_protocol(ZERO, spec, GAUGE), K16)
 
     def test_identity_channel_checked_at_every_evaluated_momentum(self):
         # h0 = 1 - cos 6k vanishes at k = 0, +-pi/3, +-2pi/3 and +-pi, so a
@@ -151,4 +151,4 @@ class TestVerification:
         with pytest.raises(ValueError, match="zero identity channel"):
             su3_drive_table(general_protocol(ZERO, spec, GAUGE), k101, np.linspace(0, 0.5, 4))
         with pytest.raises(ValueError, match="zero identity channel"):
-            verify_su3(spec, GAUGE, k101)
+            verify_protocol(general_protocol(ZERO, spec, GAUGE), k101)

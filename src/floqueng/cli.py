@@ -62,7 +62,7 @@ class ConfigError(ValueError):
 
 def load_config(path: str) -> dict:
     try:
-        text = Path(path).read_text(encoding="utf-8")
+        text = Path(path).read_text(encoding="utf-8-sig")  # a leading BOM is dropped
     except UnicodeDecodeError as exc:
         raise ConfigError(f"{path}: not UTF-8 text ({exc.reason} at byte {exc.start})") from None
     out, first = {}, {}  # each key's value and the line that set it

@@ -35,7 +35,7 @@ class GaugeParams:
             raise ValueError(f"omega must be positive and finite, got {self.omega}")
         if not np.isfinite(self.a_plus):
             raise ValueError(f"a_plus must be finite, got {self.a_plus}")
-        if float(self.p) != int(np.round(float(self.p))):
+        if float(self.p) % 1 != 0:  # true for NaN and +-inf too
             raise NonPeriodicGauge(
                 f"winding p must be an integer, got {self.p}"
             )

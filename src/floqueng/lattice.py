@@ -20,7 +20,6 @@ import numpy as np
 from .algebra import SX, SY, SZ, assemble_batch
 from .errors import HermiticityError, RangeOverflow
 from .gauge import GaugeParams
-from .spectra import envelope_values
 from .synth import (MAX_RANGE, TIME_LABELS, DrivingProtocol, crossstitch_rows,
                     general_protocol, harmonic_time_factors)
 
@@ -71,8 +70,7 @@ def _check_range_bound(proto: DrivingProtocol) -> None:
     table = proto.drive_table(k, t)[1:]  # (3, n_k, n_t)
     general = general_protocol(proto.static, proto.target, g).drive_table(k, t)[1:]
     scale = np.maximum(1.0, np.max(np.abs(general), axis=(0, 1)))  # per time
-    fe = envelope_values(g.a_plus**2, g.omega * t)
-    spectrum = np.fft.rfft(general / fe, axis=1) / n_k
+    spectrum = np.fft.rfft(general / harmonic_time_factors(g, t)[0], axis=1) / n_k  # row 0: f_e
     high = np.max(np.abs(spectrum[:, MAX_RANGE + 1:]), axis=(0, 1))
     if np.any(high > RANGE_TOL * scale):
         raise RangeOverflow(f"weight {np.max(high):.2e} beyond hopping range {MAX_RANGE}")

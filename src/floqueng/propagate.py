@@ -242,11 +242,7 @@ def integrate_tdse(hfun: Callable, horizon: float, tol: float = DEFAULT_TOL,
         # by hypot: the squares of the components overflow above |h| ~ 1.3e154
         h_max = max(h_max, float(np.max(np.hypot(np.hypot(c[..., 1], c[..., 2]), c[..., 3]))))
 
-    with np.errstate(over="ignore", invalid="ignore"):
-        probe = _eval_h(hfun, np.array([0.5 * horizon / base_steps]))
-        track_h_max(probe)
-    base_shape = probe.shape[1:]
-    nsteps, prev_u, diffs, converging = base_steps, None, [], False
+    nsteps, prev_u, diffs, converging, base_shape = base_steps, None, [], False, None
     while True:
         idx = {i * (nsteps // base_steps) for i in steps}
         with np.errstate(over="ignore", invalid="ignore"):
@@ -277,7 +273,8 @@ def integrate_tdse(hfun: Callable, horizon: float, tol: float = DEFAULT_TOL,
                     f"round differences {', '.join(f'{d:.1e}' for d in diffs + [diff])} "
                     f"stopped shrinking at {nsteps} steps above tol {tol:.1e}")
             diffs.append(diff)
-        prev_u = u  # a view of one matrix stack only, so it keeps no segment alive
+        # u is a view of one matrix stack only, so it keeps no segment alive
+        prev_u, base_shape = u, segments.shape[3:] + (4,)
         nsteps *= 2
         if nsteps > MAX_TOTAL_STEPS:
             raise ToleranceNotReached(

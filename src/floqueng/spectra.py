@@ -46,12 +46,12 @@ def envelope_fourier(a_plus_squared: float, n_max: int) -> np.ndarray:
     c_n = (2/N) Re X_n, with c_0 halved.  There c_n equals c_{N-n}, so an
     ``n_max`` of N/2 or more raises ValueError.
     """
-    if a_plus_squared < 0:
-        raise ValueError("a_plus_squared must be non-negative")
+    if not 0 <= a_plus_squared < np.inf:  # false for NaN as well
+        raise ValueError(f"a_plus_squared must be non-negative and finite, got {a_plus_squared}")
     n = ENVELOPE_QUAD_SAMPLES
-    if n_max >= n // 2:
-        raise ValueError(f"n_max must be below {n // 2}, "
-                         f"where the quadrature aliases, got {n_max}")
+    if not 0 <= n_max < n // 2:
+        raise ValueError(f"n_max must lie in [0, {n // 2 - 1}], "
+                         f"as the quadrature aliases from {n // 2} on, got {n_max}")
     theta = np.linspace(0.0, 2 * np.pi, n, endpoint=False)
     spectrum = np.fft.rfft(envelope_values(a_plus_squared, theta))[:n_max + 1]
     sine_leak = 2 / n * np.max(np.abs(spectrum.imag))

@@ -413,6 +413,16 @@ def test_config_file_with_cli_override(tmp_path):
     assert (out / "drive_crossstitch_w8.csv").exists()
 
 
+def test_config_with_a_byte_order_mark(tmp_path):
+    # an editor may save UTF-8 with a leading BOM; it is not part of the first key
+    plain, bom = CONFIGS / "bands.cfg", tmp_path / "bom.cfg"
+    bom.write_bytes(b"\xef\xbb\xbf" + plain.read_bytes())
+    for cfg in (plain, bom):
+        assert run(["bands", "--config", str(cfg), "--out", str(tmp_path / cfg.stem)]) == 0
+    name = "bands_crossstitch.csv"
+    assert (tmp_path / "bom" / name).read_bytes() == (tmp_path / "bands" / name).read_bytes()
+
+
 def test_config_rejects_unknown_key(tmp_path):
     cfg = tmp_path / "run.cfg"
     cfg.write_text("omgea = 4\n")

@@ -91,8 +91,10 @@ def test_micromotion_at_periodicity_up_to_sign():
 
 
 def test_non_integer_winding_rejected_at_construction():
-    with pytest.raises(NonPeriodicGauge):
-        GaugeParams(p=1.5, omega=8.0)
+    # NaN and +-inf are no integers either, and fail as NonPeriodicGauge too
+    for p in (1.5, np.nan, np.inf, -np.inf):
+        with pytest.raises(NonPeriodicGauge, match="winding p must be an integer"):
+            GaugeParams(p=p, omega=8.0)
 
 
 def test_omega_must_be_positive():

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from floqueng.errors import RangeOverflow
+from floqueng.gauge import GaugeParams
 from floqueng.lattice import (
     MAX_RANGE,
     LatticeTerm,
@@ -12,6 +13,7 @@ from floqueng.lattice import (
     lattice_vs_momentum_check,
     momentum_block,
 )
+from floqueng.spectra import envelope_values
 from floqueng.synth import (TIME_LABELS, crossstitch_protocol, general_protocol,
                             harmonic_time_factors)
 
@@ -45,6 +47,18 @@ def test_no_weight_beyond_range_three():
         for comp in (fx, fy, fz):
             spec = np.abs(np.fft.rfft(comp / fe)) / 128
             assert np.max(spec[MAX_RANGE + 1:]) <= 1e-12
+
+
+def test_drive_envelope_is_the_spectra_envelope_bit_for_bit():
+    # the range check divides by the drive's own f_e, and the fourier table
+    # expands spectra's: both are one function of (a_plus^2, wt)
+    rng = np.random.default_rng(30)
+    for _ in range(500):
+        g = GaugeParams(a_plus=rng.uniform(-4, 4), p=int(rng.integers(-5, 6)),
+                        omega=rng.uniform(0.1, 20))
+        t = rng.uniform(-3, 3, 64) * g.period
+        assert np.array_equal(harmonic_time_factors(g, t)[0],
+                              envelope_values(g.a_plus**2, g.omega * t))
 
 
 def test_onsite_z_term_inventory():

@@ -105,6 +105,18 @@ def test_envelope_rejects_negative_modulation():
         envelope_fourier(-0.1, 4)
 
 
+@pytest.mark.parametrize("a_plus_squared", [np.nan, np.inf])
+def test_envelope_rejects_non_finite_modulation(a_plus_squared):
+    # NaN fails every comparison, so it must fail the test rather than pass it
+    with pytest.raises(ValueError, match="a_plus_squared must be non-negative and finite"):
+        envelope_fourier(a_plus_squared, 4)
+
+
+def test_envelope_rejects_a_negative_order():
+    with pytest.raises(ValueError, match="n_max must lie in"):
+        envelope_fourier(2.0, -1)
+
+
 def test_envelope_rejects_aliased_orders():
     # on N quadrature points c_n equals c_{N-n}
     with pytest.raises(ValueError, match="aliases"):

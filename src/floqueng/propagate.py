@@ -22,6 +22,7 @@ quasienergy folding can never introduce a logarithm branch choice.
 
 from __future__ import annotations
 
+import itertools
 import math
 import operator
 from dataclasses import dataclass
@@ -321,7 +322,7 @@ def verify_protocol(protocol: DrivingProtocol, k_grid, periods: int = 1,
     T, n = protocol.period, DEFAULT_BASE_STEPS
     trace = integrate_tdse(protocol.hamiltonian_fn(k_grid), periods * T, tol=tol,
                            base_steps=n * periods,
-                           sample_steps=[*range(n), *range(n, n * periods + 1, n)])
+                           sample_steps=itertools.chain(range(n), range(n, n * periods + 1, n)))
 
     # the target's winding sign (-1)^(p n) covers the whole 2x2 block
     sign = (-1.0) ** (protocol.gauge.p * periods)

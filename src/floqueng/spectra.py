@@ -1,13 +1,11 @@
-"""Band diagrams and Fourier analysis of the shared drive envelope
-1/(1 + a_plus^2 sin^2 wt)."""
+"""Band diagrams, and the cosine series of the shared drive envelope
+1/(1 + a_plus^2 sin^2 wt) in closed form."""
 
 from __future__ import annotations
 
 import numpy as np
 
 from .algebra import HamiltonianSpec
-
-ENVELOPE_QUAD_SAMPLES = 8192
 
 
 def band_structure(spec: HamiltonianSpec, k_grid) -> np.ndarray:
@@ -28,35 +26,19 @@ def band_structure(spec: HamiltonianSpec, k_grid) -> np.ndarray:
     return energies
 
 
-def envelope_values(a_plus_squared: float, theta) -> np.ndarray:
-    """The drive envelope as a function of the dimensionless phase wt."""
-    theta = np.asarray(theta, dtype=float)
-    return 1.0 / (1.0 + a_plus_squared * np.sin(theta) ** 2)
-
-
 def envelope_fourier(a_plus_squared: float, n_max: int) -> np.ndarray:
     """Cosine coefficients c_0 .. c_{n_max} of the envelope over one period
-    of wt, so that f(wt) = c_0 + sum_n c_n cos(n wt).
-
-    The function is even and pi-periodic, so every odd coefficient vanishes
-    and the sine series is identically zero; sine leakage above 1e-13 would
-    indicate a quadrature bug and raises.  Trapezoid quadrature converges
-    spectrally for this smooth periodic integrand, and on the uniform grid
-    of N = ``ENVELOPE_QUAD_SAMPLES`` points it is the DFT X of the samples:
-    c_n = (2/N) Re X_n, with c_0 halved.  There c_n equals c_{N-n}, so an
-    ``n_max`` of N/2 or more raises ValueError.
-    """
+    of wt, so that f(wt) = c_0 + sum_n c_n cos(n wt), in closed form: with
+    b = sqrt(1 + a^2) and r = a^2/(1 + b)^2, (b - 1)/(b + 1) without its
+    cancellation, f = (1 + 2 sum_{m>=1} r^m cos 2m wt)/b.  So c_0 = 1/b,
+    c_{2m} = 2 r^m/b, and every odd coefficient is exactly 0."""
     if not 0 <= a_plus_squared < np.inf:  # false for NaN as well
         raise ValueError(f"a_plus_squared must be non-negative and finite, got {a_plus_squared}")
-    n = ENVELOPE_QUAD_SAMPLES
-    if not 0 <= n_max < n // 2:
-        raise ValueError(f"n_max must lie in [0, {n // 2 - 1}], "
-                         f"as the quadrature aliases from {n // 2} on, got {n_max}")
-    theta = np.linspace(0.0, 2 * np.pi, n, endpoint=False)
-    spectrum = np.fft.rfft(envelope_values(a_plus_squared, theta))[:n_max + 1]
-    sine_leak = 2 / n * np.max(np.abs(spectrum.imag))
-    if sine_leak > 1e-13:
-        raise ValueError(f"sine leakage {sine_leak:.2e} in an even integrand")
-    coeff = 2 / n * spectrum.real
-    coeff[0] /= 2.0
+    if n_max < 0:
+        raise ValueError(f"n_max must lie in [0, inf), got {n_max}")
+    b = np.sqrt(1.0 + a_plus_squared)
+    r = a_plus_squared / (1.0 + b) / (1.0 + b)  # (1 + b)**2 overflows at the float max
+    coeff = np.zeros(n_max + 1)
+    coeff[::2] = 2.0 * r ** np.arange(n_max // 2 + 1) / b
+    coeff[0] = 1.0 / b
     return coeff

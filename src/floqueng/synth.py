@@ -325,6 +325,5 @@ def static_harmonic_residual(protocol: DrivingProtocol, k) -> np.ndarray:
     """
     T = protocol.period
     t = np.linspace(0.0, T, RESIDUAL_SAMPLES + 1).reshape(_times_first(protocol.target, k))
-    s = np.sin(protocol.gauge.omega * t)
-    numerator = protocol.drive_components(k, t)[1:] * (1.0 + protocol.gauge.a_plus**2 * s**2)
+    numerator = protocol.drive_components(k, t)[1:] / harmonic_time_factors(protocol.gauge, t)[0]
     return np.trapezoid(numerator, t.ravel(), axis=1) / T

@@ -1,5 +1,6 @@
 """Oracles shared by the test modules: the ladder operators S+ and S-,
-quasienergy folding of a one-period unitary, the einsum M1/M2 contraction of
+quasienergy folding of a one-period unitary, the drive envelope and its
+cosine series by quadrature, the einsum M1/M2 contraction of
 the general drive, the channel-last 2x2 kernel the propagator must match bit
 for bit, the fixed-step midpoint scheme, and the fixed-step integrator
 references that several tests compare against, each computed once per
@@ -41,6 +42,28 @@ def quasienergies(u_t: np.ndarray, omega: float,
     edge = -omega / 2 + 16 * np.finfo(float).eps * omega
     folded = np.where(folded <= edge, folded + omega, folded)
     return np.sort(folded)
+
+
+def envelope_values(a_plus_squared: float, theta) -> np.ndarray:
+    """The drive envelope 1/(1 + a_plus^2 sin^2 wt) as a function of the
+    dimensionless phase wt."""
+    theta = np.asarray(theta, dtype=float)
+    return 1.0 / (1.0 + a_plus_squared * np.sin(theta) ** 2)
+
+
+def envelope_fourier_quad(a_plus_squared: float, n_max: int, n: int) -> np.ndarray:
+    """Cosine coefficients c_0 .. c_{n_max} of the envelope by trapezoid
+    quadrature on ``n`` points of one period, the independent reference for
+    the closed-form series.  The quadrature converges spectrally for this
+    smooth periodic integrand once the points resolve its spike, of width
+    about 1/sqrt(1 + a_plus^2).  On the uniform grid it is the DFT X of the
+    samples, c_m = (2/n) Re X_m with c_0 halved; there c_m equals c_{n - m},
+    so ``n_max`` stays below n/2."""
+    assert 0 <= n_max < n // 2, "orders from n/2 on alias on n points"
+    theta = np.linspace(0.0, 2 * np.pi, n, endpoint=False)
+    coeff = 2 / n * np.fft.rfft(envelope_values(a_plus_squared, theta))[:n_max + 1].real
+    coeff[0] /= 2.0
+    return coeff
 
 
 def einsum_drive(target, static, g, k, t):

@@ -87,7 +87,7 @@ def test_invalid_winding_exits_2_and_writes_nothing(tmp_path, capsys):
     ["verify", "--aplus2", "nan"],
     ["synth", "--config", "kpoints = 2.5"],
     ["verify", "--config", "omega = abc"],
-    ["fourier", "--config", "ncoeff = 4096"],  # aliased on the quadrature grid
+    ["fourier", "--config", "ncoeff = 4096"],  # above the table's size limit
     ["synth", "--config", "kpoints 16"],  # a line without "="
     # a model name that only a file can give: the flag's choices refuse it first
     ["bands", "--config", "model = nosuch"],
@@ -105,7 +105,7 @@ def test_invalid_winding_exits_2_and_writes_nothing(tmp_path, capsys):
     # su3 writes the su3flat table only, and never reads the default model
     ["su3", "--model", "kitaev"],
     ["su3", "--config", "model = crossstitch"],
-    # ncoeff is set by flag like every other config key, and aliases there too
+    # ncoeff is set by flag like every other config key, and is bounded there too
     ["fourier", "--ncoeff", "4096"],
 ])
 def test_config_validation_failures(tmp_path, bad, capsys):
@@ -294,6 +294,14 @@ def test_fourier_ncoeff_flag_sets_the_coefficient_count(tmp_path):
     assert run(["fourier", "--ncoeff", "8", "--out", str(tmp_path)]) == 0
     header, rows = read_csv(tmp_path / "fourier_aplus2_2.csv")
     assert [int(r[0]) for r in rows] == list(range(9))
+
+
+def test_fourier_at_large_amplitude_writes_the_exact_mean(tmp_path):
+    # c_0 is the envelope's mean 1/b, and every odd coefficient is exactly 0
+    assert run(["fourier", "--aplus2", "1e8", "--out", str(tmp_path)]) == 0
+    header, rows = read_csv(tmp_path / "fourier_aplus2_1e+08.csv")
+    assert float(rows[0][1]) == pytest.approx(1 / math.sqrt(1 + 1e8), rel=1e-12, abs=0)
+    assert all(float(r[1]) == 0.0 for r in rows[1::2])
 
 
 def test_every_config_key_is_a_flag_of_its_type():

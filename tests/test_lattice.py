@@ -13,9 +13,10 @@ from floqueng.lattice import (
     lattice_vs_momentum_check,
     momentum_block,
 )
-from floqueng.spectra import envelope_values
 from floqueng.synth import (TIME_LABELS, crossstitch_protocol, general_protocol,
                             harmonic_time_factors)
+
+from oracles import envelope_values
 
 SQRT2 = np.sqrt(2.0)
 PROTO = crossstitch_protocol(alpha=1.0, delta=2.0, omega=8.0, a_plus=SQRT2, p=3)
@@ -50,8 +51,9 @@ def test_no_weight_beyond_range_three():
 
 
 def test_drive_envelope_is_the_spectra_envelope_bit_for_bit():
-    # the range check divides by the drive's own f_e, and the fourier table
-    # expands spectra's: both are one function of (a_plus^2, wt)
+    # the range check divides by the drive's own f_e, and the quadrature
+    # reference of the fourier table samples this envelope: both are one
+    # function of (a_plus^2, wt)
     rng = np.random.default_rng(30)
     for _ in range(500):
         g = GaugeParams(a_plus=rng.uniform(-4, 4), p=int(rng.integers(-5, 6)),

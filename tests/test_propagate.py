@@ -417,6 +417,19 @@ def test_verify_protocol_rejects_zero_periods(monkeypatch):
     assert rounds == []
 
 
+def test_verify_protocol_beyond_the_cap_fails_before_listing_its_samples():
+    # 10^6 periods need 6.4e7 base steps, above the 2^24 cap, which fires
+    # before the sampled steps, one per base step of the run, are listed
+    tracemalloc.start()
+    try:
+        with pytest.raises(ToleranceNotReached, match="cap of"):
+            verify_protocol(crossstitch_protocol(), K4, periods=10**6)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
+
+
 @pytest.mark.parametrize("model", ["crossstitch", "kitaev"])
 def test_momentum_batches_of_any_shape_verify_as_the_flat_grid(monkeypatch, model):
     # the closed form and the general path: a (4, 3) grid is the flat
@@ -687,8 +700,8 @@ def test_independent_integrators_agree(omega):
 
 _CHANNEL = st.tuples(*[st.floats(-2.0, 2.0)] * 7)
 #: A random trigonometric target, frequency, winding and ladder amplitude.
-_DRIVES = dict(channels=st.tuples(*[_CHANNEL] * 4), omega=st.floats(3.0, 12.0),
-               p=st.integers(1, 6), a_plus=st.floats(1.0, 2.0))
+_DRIVES = dict(channels=st.tuples(*[_CHANNEL] * 4), omega=st.floats(0.5, 20.0),
+               p=st.integers(-6, 6), a_plus=st.floats(-3.0, 2.0).map(lambda x: 10.0**x))
 
 
 def trigonometric_protocol(channels, omega, p, a_plus):
@@ -735,8 +748,8 @@ K2D = np.array([[-np.pi, 0.5], [-1.2, -2.9], [0.0, 1.7], [2.3, -0.8]])
 
 
 @settings(max_examples=10, derandomize=True, deadline=None, database=None)
-@given(channels=st.tuples(*[_CHANNEL_2D] * 4), omega=st.floats(3.0, 12.0),
-       p=st.integers(1, 6), a_plus=st.floats(1.0, 2.0))
+@given(channels=st.tuples(*[_CHANNEL_2D] * 4), omega=_DRIVES["omega"], p=_DRIVES["p"],
+       a_plus=_DRIVES["a_plus"])
 def test_exactness_over_random_two_dimensional_targets(channels, omega, p, a_plus):
     # every channel of the target is c0 plus a cos and a sin of each of the
     # angles kx, ky, kx + ky and kx - ky

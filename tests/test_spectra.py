@@ -2,23 +2,20 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from floqueng import algebra
-from floqueng.spectra import (
-    ENVELOPE_QUAD_SAMPLES,
-    band_structure,
-    envelope_fourier,
-    envelope_values,
-)
+from floqueng.spectra import band_structure, envelope_fourier
 
-from oracles import quasienergies
+from oracles import envelope_fourier_quad, envelope_values, quasienergies
 
 RHO = 2.0 - np.sqrt(3.0)
 
 
 def envelope_fourier_exact(a_plus_squared, n_max):
     """Closed-form cosine coefficients via the geometric-series expansion of
-    1/(a - cos), the independent oracle for the quadrature path."""
+    1/(a - cos), an algebraic form independent of the one in src/."""
     coeff = np.zeros(n_max + 1)
     if a_plus_squared == 0:
         coeff[0] = 1.0
@@ -117,15 +114,37 @@ def test_envelope_rejects_a_negative_order():
         envelope_fourier(2.0, -1)
 
 
-def test_envelope_rejects_aliased_orders():
-    # on N quadrature points c_n equals c_{N-n}
-    with pytest.raises(ValueError, match="aliases"):
-        envelope_fourier(2.0, ENVELOPE_QUAD_SAMPLES // 2)
+@pytest.mark.parametrize("a_plus_squared", [1e6, 1e8])
+def test_envelope_matches_a_dense_quadrature_at_large_amplitude(a_plus_squared):
+    # the spike, of width about 1/b, is resolved by 2^20 points and not by 8192
+    exact = envelope_fourier(a_plus_squared, 40)
+    quad = envelope_fourier_quad(a_plus_squared, 40, 2**20)
+    assert np.max(np.abs(exact - quad)) <= 1e-12 * exact[0]
+
+
+@settings(max_examples=30, derandomize=True, deadline=None, database=None)
+@given(log_a2=st.floats(-6.0, 8.0))
+def test_envelope_matches_the_quadrature_over_the_amplitude_range(log_a2):
+    a_plus_squared = 10.0**log_a2
+    # 64 points or more across the spike, of width about 1/b
+    n = max(8192, 1 << int(np.ceil(np.log2(64 * np.sqrt(1.0 + a_plus_squared)))))
+    exact = envelope_fourier(a_plus_squared, 40)
+    quad = envelope_fourier_quad(a_plus_squared, 40, n)
+    assert np.max(np.abs(exact - quad)) <= 1e-11 * exact[0]
+    assert not np.any(exact[1::2])
+
+
+def test_envelope_is_finite_up_to_the_largest_float():
+    # b = sqrt(1 + a^2) stays finite, and (1 + b)^2 is never formed
+    table = envelope_fourier(np.finfo(float).max, 4095)
+    assert np.all(np.isfinite(table))
+    assert np.all(table[::2] > 0)
+    assert not np.any(table[1::2])
 
 
 def test_envelope_memory_does_not_grow_with_the_order():
-    # one transform of the N samples, not an (n_max + 1) x N basis, which
-    # peaked at 160 MiB at n_max = 511
+    # the closed form allocates the n_max + 1 coefficients; an (n_max + 1) x N
+    # quadrature basis peaked at 160 MiB at n_max = 511
     tracemalloc.start()
     try:
         envelope_fourier(2.0, 511)

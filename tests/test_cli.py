@@ -342,6 +342,24 @@ def test_huge_lattice_drive_passes_its_round_trip(tmp_path):
     assert (tmp_path / "lattice_terms.csv").exists()
 
 
+def test_large_ladder_amplitude_expands_to_the_lattice(tmp_path):
+    # the table check is on the drive's own scale, so rounding noise that
+    # grows with a_plus^2 leaves a drive of exactly range 3 passing
+    assert run(["lattice", "--out", str(tmp_path), "--aplus2", "1e4"]) == 0
+    _, rows = read_csv(tmp_path / "lattice_terms.csv")
+    assert len(rows) == 27
+
+
+def test_lattice_past_the_closed_form_float_limit_exits_3(tmp_path, capsys):
+    # at a_plus^2 = 1e16 the table's z rows p w (1 - a_plus^2/2) and
+    # p w a_plus^2/2 cos 2wt, each about 1e17, cancel at t = 0 below their
+    # rounding: the table misses the drive there by 8, and the round trip
+    # samples t = 0
+    assert run(["lattice", "--out", str(tmp_path), "--aplus2", "1e16"]) == 3
+    assert list(tmp_path.iterdir()) == []
+    assert "round trip misses the general path" in capsys.readouterr().err
+
+
 def test_su3_dataset(tmp_path):
     assert run(["su3", "--out", str(tmp_path), "--kpoints", "8",
                 "--tpoints", "8"]) == 0

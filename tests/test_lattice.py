@@ -2,7 +2,10 @@ import dataclasses
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from floqueng.algebra import HamiltonianSpec
 from floqueng.errors import RangeOverflow
 from floqueng.gauge import GaugeParams
 from floqueng.lattice import (
@@ -51,9 +54,8 @@ def test_no_weight_beyond_range_three():
 
 
 def test_drive_envelope_is_the_spectra_envelope_bit_for_bit():
-    # the range check divides by the drive's own f_e, and the quadrature
-    # reference of the fourier table samples this envelope: both are one
-    # function of (a_plus^2, wt)
+    # the quadrature reference of the fourier table samples the drive's own
+    # envelope: one function of (a_plus^2, wt)
     rng = np.random.default_rng(30)
     for _ in range(500):
         g = GaugeParams(a_plus=rng.uniform(-4, 4), p=int(rng.integers(-5, 6)),
@@ -109,6 +111,29 @@ def test_corrupted_table_is_caught():
     # the table is checked against the general path, so a detuned drive fails
     with pytest.raises(RangeOverflow, match="misses the general path"):
         expand_to_lattice(dataclasses.replace(PROTO, fz_scale=1.5))
+
+
+@settings(max_examples=30, derandomize=True, deadline=None, database=None)
+@given(log_a2=st.floats(-3.0, 10.0), log_omega=st.floats(-2.0, 3.0), p=st.integers(-6, 6),
+       alpha=st.floats(-5.0, 5.0), delta=st.floats(-5.0, 5.0))
+def test_exact_drive_passes_both_checks_at_any_amplitude(log_a2, log_omega, p, alpha, delta):
+    # the table is held to the drive's own size at each time, so rounding
+    # noise that grows with a_plus^2 does not fail a drive of range 3
+    proto = crossstitch_protocol(alpha, delta, 10.0**log_omega, np.sqrt(10.0**log_a2), p)
+    terms = expand_to_lattice(proto)
+    lattice_vs_momentum_check(proto, terms, 8, proto.period * np.arange(16) / 16)
+
+
+def test_weight_beyond_range_three_is_caught():
+    # 1e-10 cos 4k in the target's hx reaches the general path, not the
+    # table of the closed form's (alpha, delta) = (1, 2)
+    def far(k):
+        h0, hx, hy, hz = PROTO.target.coeff_fn(k)
+        return h0, hx + 1e-10 * np.cos(4 * k), hy, hz
+
+    proto = dataclasses.replace(PROTO, target=HamiltonianSpec("crossstitch+cos4k", far))
+    with pytest.raises(RangeOverflow):
+        expand_to_lattice(proto)
 
 
 def test_onsite_imbalance_assembly():

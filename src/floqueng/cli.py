@@ -7,7 +7,7 @@ units.  Numeric CSV output carries 17 significant digits so identical
 configurations produce byte-identical files.
 
 Exit codes: 0 success, 1 verification failure, 2 invalid configuration,
-3 synthesis or integration failure.
+3 synthesis or integration failure, or an array too large to allocate.
 """
 
 from __future__ import annotations
@@ -201,15 +201,11 @@ def cmd_verify(cfg, outdir: Path) -> int:
         f"strobePhase={fmt(report.strobe_phase_used.real)}",
         f"integratorSteps={report.integrator_steps}",
         f"passed={'true' if passed else 'false'}",
-        "",
-        "[worst-offenders]",
-        "k,strobe_error",
     ]
-    for idx in np.argsort(errors)[::-1][:8]:
-        lines.append(f"{fmt(report.k_labels[idx])},{fmt(errors[idx])}")
-    lines += ["", "[per-k]", "k,strobe_error"]
-    for kv, err in zip(report.k_labels, errors):
-        lines.append(f"{fmt(kv)},{fmt(err)}")
+    for section, order in (("worst-offenders", np.argsort(errors)[::-1][:8]),
+                           ("per-k", range(len(errors)))):
+        lines += ["", f"[{section}]", "k,strobe_error"]
+        lines += [f"{fmt(report.k_labels[i])},{fmt(errors[i])}" for i in order]
     path = outdir / f"verify_{cfg['model']}_w{cfg['omega']:g}.txt"
     path.write_text("\n".join(lines) + "\n")
     print(f"verify: maxStrobeError={max_strobe:.3e} "
@@ -251,8 +247,8 @@ def cmd_fourier(cfg, outdir: Path) -> int:
 def cmd_lattice(cfg, outdir: Path) -> int:
     proto = build_protocol(cfg)
     terms = lattice.expand_to_lattice(proto)
-    deviation = lattice.lattice_vs_momentum_check(
-        proto, terms, 2 * lattice.MAX_RANGE + 2, t_grid_of(cfg)[:min(16, cfg["tpoints"])])
+    deviation = lattice.lattice_vs_momentum_check(  # tpoints sizes the tables only
+        proto, terms, 2 * lattice.MAX_RANGE + 2, proto.period * np.arange(16) / 16)
     rows = [(term.channel, term.m, f"{term.k_harmonic}({term.m}k)*{term.time_label}",
              term.coefficient) for term in terms]
     path = outdir / "lattice_terms.csv"
@@ -263,7 +259,6 @@ def cmd_lattice(cfg, outdir: Path) -> int:
 
 
 def cmd_su3(cfg, outdir: Path) -> int:
-    cfg = {**cfg, "model": "su3flat"}
     k, t = k_grid_of(cfg), t_grid_of(cfg)
     rows = _mesh_rows(k, t, *su3mod.su3_drive_table(build_protocol(cfg), k, t))
     path = outdir / f"su3_drive_w{cfg['omega']:g}.csv"
@@ -288,13 +283,11 @@ def build_parser() -> argparse.ArgumentParser:
         description="Synthesize and verify exact periodic driving protocols "
                     "for two- and three-band lattice Hamiltonians.",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
-    for name in COMMANDS:
-        cmd = sub.add_parser(name)
-        cmd.add_argument("--config", type=str, default=None)
-        for key, default in DEFAULTS.items():  # a flag's argparse dest is its config key
-            cmd.add_argument("--" + key.replace("_", "-"), type=type(default), default=None,
-                             choices=MODELS if key == "model" else None)
+    parser.add_argument("command", choices=COMMANDS)
+    parser.add_argument("--config", type=str, default=None)
+    for key, default in DEFAULTS.items():  # a flag's argparse dest is its config key
+        parser.add_argument("--" + key.replace("_", "-"), type=type(default), default=None,
+                            choices=MODELS if key == "model" else None)
     return parser
 
 
@@ -303,11 +296,12 @@ def main(argv=None) -> int:
     try:
         cfg = load_config(args.config) if args.config else {}
         cfg.update((key, getattr(args, key)) for key in DEFAULTS if getattr(args, key) is not None)
-        model_set = "model" in cfg  # by the file or a flag, not by DEFAULTS
+        if args.command == "su3":  # a model set by the file or a flag is still checked
+            cfg.setdefault("model", "su3flat")
         cfg = validate(cfg)
         if args.command == "lattice" and cfg["model"] != "crossstitch":
             raise ConfigError(f"lattice expands model crossstitch only, got {cfg['model']!r}")
-        if args.command == "su3" and model_set and cfg["model"] != "su3flat":
+        if args.command == "su3" and cfg["model"] != "su3flat":
             raise ConfigError(f"su3 writes model su3flat only, got {cfg['model']!r}")
         outdir = Path(cfg["out"])
         outdir.mkdir(parents=True, exist_ok=True)
@@ -317,7 +311,7 @@ def main(argv=None) -> int:
 
     try:
         return COMMANDS[args.command](cfg, outdir)
-    except (FloquetError, ValueError, OSError) as exc:
+    except (FloquetError, ValueError, OSError, MemoryError) as exc:
         print(f"runtime error: {exc}", file=sys.stderr)
         return EXIT_RUNTIME
 

@@ -150,9 +150,11 @@ def _propagate(nodes, exponent, hfun, horizon, nsteps, sample_indices, base_shap
     """
     dt = horizon / nsteps
     base_shape = base_shape or _eval_h(hfun, np.array([0.5 * dt])).shape[1:]
+    if not (n_k := math.prod(base_shape[:-1])):
+        raise ValueError(f"hfun returned an empty batch of shape {base_shape[:-1]}")
     block = math.gcd(nsteps, *sample_indices)
     block &= -block  # the largest power of two that divides every segment
-    fit = max(1, _CHUNK_EVALS // (len(nodes) * math.prod(base_shape[:-1])))
+    fit = max(1, _CHUNK_EVALS // (len(nodes) * n_k))
     part = min(block, 1 << (fit.bit_length() - 1))  # steps per tree in a chunk
     width = fit - fit % part
     segments, seg, done, pending = [], None, 0, []  # (steps, tree) of the open block
@@ -197,7 +199,7 @@ def integrate_tdse(hfun: Callable, horizon: float, tol: float = DEFAULT_TOL,
 
     ``hfun`` maps a 1D array of n_t times to a real (n_t, ..., 4) stack of
     coefficients (h0, hx, hy, hz); complex coefficients raise
-    HermiticityError and any other shape raises ValueError.  Batching
+    HermiticityError, and any other shape or an empty batch ValueError.  Batching
     propagates every index between the time axis and the coefficient axis
     independently.  The sixth-order Magnus scheme doubles its step count
     from a coarse ``base_steps``; a round's horizon is the pairwise product

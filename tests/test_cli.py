@@ -147,6 +147,19 @@ def test_unwritable_output_file_exits_3(tmp_path, capsys):
     assert "runtime error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("args", [
+    ["synth", "--kpoints", "2", "--tpoints", "1000000000000000"],
+    ["su3", "--kpoints", "2", "--tpoints", "1000000000000000"],
+    ["verify", "--kpoints", "1000000000000000"],
+])
+def test_array_too_large_to_allocate_exits_3_and_writes_nothing(tmp_path, args, capsys):
+    # 1e15 values are past a 47-bit address space under any overcommit
+    # setting, so the allocation fails at once without touching memory
+    assert run(args + ["--out", str(tmp_path)]) == 3
+    assert list(tmp_path.iterdir()) == []
+    assert "runtime error: Unable to allocate" in capsys.readouterr().err
+
+
 def test_verify_passes_on_defaults(tmp_path):
     # down to the tightest tol allowed, where a round accepted on its own
     # error estimate sits closest to the rounding floor
@@ -317,6 +330,18 @@ def test_lattice_dataset(tmp_path):
     header, rows = read_csv(tmp_path / "lattice_terms.csv")
     assert header == ["channel", "m", "harmonic", "coefficient"]
     assert max(int(r[1]) for r in rows) == 3
+
+
+def test_lattice_round_trip_reads_no_time_mesh(tmp_path, capsys):
+    # the round trip samples 16 times over one period, whatever tpoints is:
+    # tpoints sizes the synth and su3 tables only, so 1e15 allocates nothing
+    deviations = []
+    for tpoints in ("16", "2", "64", "1000000000000000"):
+        out = tmp_path / tpoints
+        assert run(["lattice", "--out", str(out), "--tpoints", tpoints]) == 0
+        deviations.append(capsys.readouterr().out.rsplit(" ", 1)[1])
+        assert len(read_csv(out / "lattice_terms.csv")[1]) == 26
+    assert deviations == [deviations[0]] * 4
 
 
 def test_lattice_round_trip_miss_exits_3_and_writes_nothing(tmp_path, monkeypatch,

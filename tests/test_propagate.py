@@ -373,6 +373,13 @@ def test_unbatched_hfun_rejected():
             midpoint_fixed(h, 1.0, 64)
 
 
+@pytest.mark.parametrize("batch", [(0,), (3, 0)])
+def test_empty_batch_rejected(batch):
+    # no momentum to propagate: named as such rather than sizing chunks by zero
+    with pytest.raises(ValueError, match=re.escape(f"empty batch of shape {batch}")):
+        integrate_tdse(lambda t: np.zeros((len(t),) + batch + (4,)), 1.0)
+
+
 def test_tol_range_validated():
     with pytest.raises(ValueError):
         integrate_tdse(constant(np.zeros(4)), horizon=1.0, tol=1e-2)

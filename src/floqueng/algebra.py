@@ -61,6 +61,8 @@ class HamiltonianSpec:
                              f"got {self.band_count} bands in {self.dimension}D")
 
     def _momenta(self, k) -> np.ndarray:
+        if np.iscomplexobj(k := np.asarray(k)):  # a float cast keeps the real parts only
+            raise ValueError(f"model {self.name!r} takes real momenta, got {k.dtype}")
         k = np.asarray(k, dtype=float)
         if self.dimension == 2 and k.shape[-1:] != (2,):
             raise ValueError(f"2D model {self.name!r} takes momenta of shape (..., 2), got {k.shape}")

@@ -247,8 +247,7 @@ def cmd_fourier(cfg, outdir: Path) -> int:
 def cmd_lattice(cfg, outdir: Path) -> int:
     proto = build_protocol(cfg)
     terms = lattice.expand_to_lattice(proto)
-    deviation = lattice.lattice_vs_momentum_check(  # tpoints sizes the tables only
-        proto, terms, 2 * lattice.MAX_RANGE + 2, proto.period * np.arange(16) / 16)
+    deviation = lattice.lattice_vs_momentum_check(proto, terms)
     rows = [(term.channel, term.m, f"{term.k_harmonic}({term.m}k)*{term.time_label}",
              term.coefficient) for term in terms]
     path = outdir / "lattice_terms.csv"

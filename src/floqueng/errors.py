@@ -20,4 +20,5 @@ class ToleranceNotReached(FloquetError):
 
 
 class RangeOverflow(FloquetError):
-    """A real-space expansion produced hopping beyond the supported range."""
+    """A real-space expansion, or its round trip, misses the general path:
+    the drive has weight beyond the supported hopping range."""

@@ -44,7 +44,10 @@ def expand_to_lattice(proto: DrivingProtocol) -> list[LatticeTerm]:
     ``proto``, one per row of its hopping-harmonic table, rejected if at any
     of 7 times the table misses the general path on 64 momenta by more than
     RANGE_TOL of the drive (or of 1), which then has at most that much weight
-    beyond range 3, where the table has none."""
+    beyond range 3, where the table has none.  The times skip t = 0: there the
+    z rows p w (1 - a_plus^2/2) and p w a_plus^2/2 cos 2wt cancel, and at large
+    a_plus^2 their rounding exceeds RANGE_TOL of the drive.  t = 0 is checked by
+    :func:`lattice_vs_momentum_check`, to 1e-10 of the largest drive entry."""
     if proto.closed_form is None:
         raise ValueError("only the closed-form crossstitch drive has a harmonic table")
     g = proto.gauge
@@ -97,13 +100,15 @@ def assemble_lattice_hamiltonian(terms, gauge: GaugeParams, L: int, t) -> np.nda
     return out
 
 
-def momentum_block(v_lattice: np.ndarray, L: int, k) -> np.ndarray:
-    """Project the lattice matrix onto allowed momenta 2pi*n/L: a 2x2 block
-    per entry of ``k``, as a (..., 2, 2) stack over its shape.
+def momentum_block(v_lattice: np.ndarray, k) -> np.ndarray:
+    """Project the lattice matrix on L dimers, (..., 2L, 2L), onto allowed
+    momenta 2pi*n/L: a 2x2 block per entry of ``k``, as a (..., 2, 2) stack
+    over its shape.
 
     Uses the plane-wave spinor with annihilation convention
     c_k = L^{-1/2} sum_n c_n e^{+ikn}, so rows carry e^{+ikn}.
     """
+    L = v_lattice.shape[-1] // 2
     wave = np.exp(1j * np.multiply.outer(k, np.arange(L))) / np.sqrt(L)
     u = np.zeros(np.shape(k) + (2, 2 * L), dtype=complex)
     u[..., 0, :L] = wave
@@ -111,18 +116,18 @@ def momentum_block(v_lattice: np.ndarray, L: int, k) -> np.ndarray:
     return u @ v_lattice @ np.conj(np.swapaxes(u, -1, -2))
 
 
-def lattice_vs_momentum_check(proto: DrivingProtocol, terms, L: int,
-                              t_grid) -> float:
+def lattice_vs_momentum_check(proto: DrivingProtocol, terms) -> float:
     """Max entry deviation between the Fourier-projected lattice drive of
-    ``terms``, the expansion of ``proto``, and the general-path drive at
-    every allowed momentum; a deviation above 1e-10 times the largest drive
-    entry (or 1 if that is smaller) raises RangeOverflow."""
+    ``terms``, the expansion of ``proto``, on the 8 dimers that assembly needs
+    at least, and the general-path drive at every allowed momentum, at 16
+    times over one period from t = 0; a deviation above 1e-10 times the
+    largest drive entry (or 1 if that is smaller) raises RangeOverflow."""
+    L, t = 2 * MAX_RANGE + 2, proto.period * np.arange(16) / 16
     k = 2 * np.pi * np.arange(L) / L
     general = general_protocol(proto.static, proto.target, proto.gauge)
-    ref = assemble_batch(*general.drive_table(k, t_grid))  # (L, n_t, 2, 2)
-    v_lattice = assemble_lattice_hamiltonian(terms, proto.gauge, L,
-                                             np.asarray(t_grid, dtype=float))
-    blocks = momentum_block(v_lattice[:, None], L, k)  # (n_t, L, 2, 2)
+    ref = assemble_batch(*general.drive_table(k, t))  # (L, n_t, 2, 2)
+    v_lattice = assemble_lattice_hamiltonian(terms, proto.gauge, L, t)
+    blocks = momentum_block(v_lattice[:, None], k)  # (n_t, L, 2, 2)
     worst = float(np.max(np.abs(blocks - ref.swapaxes(0, 1))))
     if worst > 1e-10 * max(1.0, float(np.max(np.abs(ref)))):
         raise RangeOverflow(f"lattice round trip misses the general path by {worst:.2e}")

@@ -318,7 +318,7 @@ def verify_protocol(protocol: DrivingProtocol, k_grid, periods: int = 1,
     """
     if periods < 1:
         raise ValueError(f"periods must be at least 1, got {periods}")
-    k_grid = np.asarray(k_grid, dtype=float)
+    k_grid = protocol.target._momenta(k_grid)
     if k_grid.size == 0:
         raise ValueError(f"momentum grid of shape {k_grid.shape} is empty")
     T, n = protocol.period, DEFAULT_BASE_STEPS

@@ -181,8 +181,7 @@ def harmonic_time_factors(g: GaugeParams, t) -> np.ndarray:
 
 def _momentum_harmonics(k) -> np.ndarray:
     """H_b(k) = 1, cos k, sin k, ..., cos 3k, sin 3k of the table, stacked on
-    a leading axis over the shape of ``k``."""
-    k = np.asarray(k, dtype=float)
+    a leading axis over the float array ``k``."""
     mk = np.multiply.outer(np.arange(1, MAX_RANGE + 1), k)
     return np.concatenate([np.ones((1,) + k.shape), np.stack(
         [np.cos(mk), np.sin(mk)], axis=1).reshape((2 * MAX_RANGE,) + k.shape)])
@@ -257,7 +256,7 @@ class DrivingProtocol:
         """The drive as one (4, ...) array of rows (f0, fx, fy, fz) broadcast
         over momentum and time, a view of its kernel's channels-last stack; a
         drive that overflows raises ValueError."""
-        g, k = self.gauge, np.asarray(k, dtype=float)
+        g, k = self.gauge, self.target._momenta(k)
         with np.errstate(over="ignore", invalid="ignore"):
             factors = self._grid_factors(k.shape, k.tobytes())
             if self.closed_form is not None:
@@ -272,7 +271,7 @@ class DrivingProtocol:
 
     def drive_table(self, k_grid, t_grid) -> np.ndarray:
         """Mesh a momentum grid against a time grid: a (4, n_k, n_t) array."""
-        return self.drive_components(np.asarray(k_grid, dtype=float)[:, None],
+        return self.drive_components(self.target._momenta(k_grid)[:, None],
                                      np.asarray(t_grid, dtype=float)[None, :])
 
     def hamiltonian_fn(self, k) -> Callable:
@@ -281,7 +280,7 @@ class DrivingProtocol:
         gives the real (n_t, *batch, 4) stack of coefficients (h0, hx, hy,
         hz), those of the coupled block for three-band targets too, from one
         :meth:`drive_components` call per chunk of times."""
-        km = np.asarray(k, dtype=float)[None]  # time-leading: the stack needs no copy
+        km = self.target._momenta(k)[None]  # time-leading: the stack needs no copy
         h0s, t_shape = self.static.coeffs(km)[0], _times_first(self.target, k)
 
         def fn(t):

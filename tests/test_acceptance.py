@@ -143,8 +143,7 @@ def test_criterion_09_real_space_locality_and_equivalence():
         for comp in (fx, fy, fz):
             spectrum = np.abs(np.fft.rfft(comp / fe)) / 64
             leak = max(leak, float(np.max(spectrum[4:])))
-    t_grid = (2 * np.pi / 8.0) * np.arange(16) / 16
-    dev = lattice_vs_momentum_check(proto, terms, L=8, t_grid=t_grid)
+    dev = lattice_vs_momentum_check(proto, terms)
     ok = max_range <= 3 and leak <= 1e-12 and dev <= 1e-10
     report(9, ok,
            f"max hopping range {max_range} <= 3 with harmonic leakage "

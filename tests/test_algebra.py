@@ -6,7 +6,9 @@ import pytest
 from floqueng import algebra
 from floqueng.algebra import SX, SY, SZ, assemble_batch
 from floqueng.errors import HermiticityError
+from floqueng.propagate import verify_protocol
 from floqueng.spectra import band_structure
+from floqueng.synth import crossstitch_protocol
 
 
 def test_ladder_pair_crossstitch_gamma_point():
@@ -158,6 +160,18 @@ def test_2d_band_structure_needs_momentum_pairs():
         band_structure(algebra.chiral_p_wave_2d(), np.linspace(-np.pi, np.pi, 8))
     # the zero static Hamiltonian is 1D, so it broadcasts against any grid
     assert algebra.ZERO.coeffs(np.zeros((8, 2)))[0] == 0.0
+
+
+@pytest.mark.parametrize("call", ["verify_protocol", "drive_table", "band_structure"])
+def test_complex_momenta_fail_instead_of_losing_their_imaginary_part(call):
+    # a float cast would check k + 0.5j as k, with at most a ComplexWarning
+    proto = crossstitch_protocol()
+    k = np.linspace(-np.pi, np.pi, 4, endpoint=False) + 0.5j
+    run = {"verify_protocol": lambda: verify_protocol(proto, k, tol=1e-8),
+           "drive_table": lambda: proto.drive_table(k, [0.0]),
+           "band_structure": lambda: band_structure(proto.target, k)}[call]
+    with pytest.raises(ValueError, match="model 'crossstitch' takes real momenta, got complex128"):
+        run()
 
 
 @pytest.mark.parametrize("fields", [
